@@ -4,6 +4,11 @@ Roots are kept in simple-root coordinates with the normalization
 (alpha, alpha) = 2 for every root, so the Gram matrix of the simple roots
 has 2 on the diagonal and -2cos(pi/m_ij) off it, and every coordinate lies
 in the single field QQ(2cos(pi/m*)) for the largest bond label m*.
+
+A group element is the permutation it induces on the 2|S| roots (Casselman,
+"Machine calculations in Weyl groups", 1994): composition is indexing,
+length counts positive roots sent negative, and the matrix, traces and
+det(1 - q w) are read off the permutation only where a check needs them.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+
+import numpy as np
 
 from .errors import BudgetError, FactorizationError
-from .scalars import (FieldElement, KPoly, R0, R1, as_rational, cos_field,
-                      rat)
+from .scalars import FieldElement, KPoly, _ip_divexact, cos_field, rat
 
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
@@ -203,28 +208,51 @@ class RootSystem:
             return tuple(out)
         return self._cache("root_gram", build)
 
-    def reflection_matrix(self, root_index):
-        """Matrix of s_alpha on simple-root coordinates: v - (alpha, v) c_alpha."""
-        key = ("refl", root_index)
-
+    def signed_roots_raw(self):
+        """Raw coordinates of all 2|S| roots: index b < |S| is positive root
+        b, index |S| + b is its negative."""
         def build():
             sp = self.spec
-            c = self.roots_raw()[root_index]
-            pair = self.pair_vectors()[root_index]
-            rows = []
-            for a in range(self.rank):
-                row = []
-                for b in range(self.rank):
-                    e = sp.raw_one() if a == b else sp.raw_zero()
-                    e = sp.raw_sub(e, sp.raw_mul(c[a], pair[b]))
-                    row.append(FieldElement(sp, e))
-                rows.append(tuple(row))
-            return tuple(rows)
-        return self._cache(key, build)
+            pos = self.roots_raw()
+            return pos + tuple(tuple(sp.raw_neg(x) for x in c) for c in pos)
+        return self._cache("signed_roots_raw", build)
 
-    def simple_reflection_matrices(self):
-        return self._cache("simple_refl", lambda: tuple(
-            self.reflection_matrix(i) for i in range(self.rank)))
+    def signed_roots_int(self):
+        """(2|S|, r, d) int64 array of the signed roots' coordinates in the
+        power basis of c; they lie in Z[c] because the Gram matrix does."""
+        def build():
+            roots = self.signed_roots_raw()
+            if any(q.denominator != 1 for c in roots for x in c for q in x):
+                raise ArithmeticError("root coordinate outside Z[c] (internal bug)")
+            arr = np.array([[[int(q) for q in x] for x in c] for c in roots],
+                           dtype=np.int64)
+            arr.flags.writeable = False
+            return arr
+        return self._cache("signed_roots_int", build)
+
+    def simple_reflection_perms(self):
+        """(r, 2|S|) int16 array: row j is s_j as a permutation of the signed
+        root indices, from s_j(beta) = beta - (alpha_j, beta) alpha_j."""
+        def build():
+            sp = self.spec
+            n = self.num_positive
+            roots = self.signed_roots_raw()
+            index = {c: b for b, c in enumerate(roots)}
+            pv = self.pair_vectors()
+            perms = np.empty((self.rank, 2 * n), dtype=np.int16)
+            for j in range(self.rank):
+                for b, c in enumerate(roots):
+                    pair = pv[b][j] if b < n else sp.raw_neg(pv[b - n][j])
+                    img = list(c)
+                    img[j] = sp.raw_sub(c[j], pair)
+                    img = index.get(tuple(img))
+                    if img is None:
+                        raise ArithmeticError(
+                            "simple reflection image is not a root (internal bug)")
+                    perms[j, b] = img
+            perms.flags.writeable = False
+            return perms
+        return self._cache("simple_reflection_perms", build)
 
     # -- float data for the Monte Carlo sampler ------------------------------
 
@@ -232,7 +260,6 @@ class RootSystem:
         """(A, C) with A the Cholesky factor of the Gram matrix and C the
         root coordinate matrix, both float64."""
         def build():
-            import numpy as np
             g = np.array([[float(e) for e in row] for row in self.gram])
             a = np.linalg.cholesky(g)
             c = np.array([[float(e) for e in root] for root in self.positive_roots])
@@ -313,49 +340,26 @@ def build_root_system(diagram: CoxeterDiagram,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Orthogonal transformation in simple-root coordinates, with a reduced word."""
+    """w as the read-only permutation it induces on the signed root indices
+    of `rs` (see `RootSystem.signed_roots_raw`), with a reduced word.
 
-    matrix: tuple
+    `length` is the number of positive roots w sends negative."""
+
+    rs: RootSystem
+    perm: np.ndarray
     word: tuple
+    length: int
 
     @property
-    def length(self):
-        return len(self.word)
-
-    def trace(self):
-        t = self.matrix[0][0].spec.zero()
-        for i in range(len(self.matrix)):
-            t = t + self.matrix[i][i]
-        return t
-
-
-def _mat_mul(spec, a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        arow = a[i]
-        for j in range(n):
-            acc = spec.raw_zero()
-            for l in range(n):
-                x = arow[l].co
-                if any(x):
-                    acc = spec.raw_add(acc, spec.raw_mul(x, b[l][j].co))
-            row.append(FieldElement(spec, acc))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _identity_matrix(spec, n):
-    return tuple(
-        tuple(spec.one() if i == j else spec.zero() for j in range(n))
-        for i in range(n))
-
-
-def _matrix_key(m):
-    return tuple(tuple(e.co for e in row) for row in m)
+    def matrix(self):
+        """w in simple-root coordinates: column b is the root w(alpha_b)."""
+        sp = self.rs.spec
+        roots = self.rs.signed_roots_raw()
+        cols = [roots[i] for i in self.perm[:self.rs.rank]]
+        return tuple(tuple(FieldElement(sp, col[a]) for col in cols)
+                     for a in range(self.rs.rank))
 
 
 def enumerate_group(rs: RootSystem,
@@ -363,50 +367,40 @@ def enumerate_group(rs: RootSystem,
     """All group elements by breadth-first search over reduced words.
 
     The result is ordered by (length, word) lexicographically; BFS guarantees
-    every stored word is reduced.
+    every stored word is reduced.  The permutation of g*s_i is g[s_i], and an
+    element is identified by the images of the simple roots.
     """
-    spec = rs.spec
-    gens = rs.simple_reflection_matrices()
-    ident = GroupElement(_identity_matrix(spec, rs.rank), ())
-    elements = [ident]
-    seen = {_matrix_key(ident.matrix)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for i in range(rs.rank):
-                mat = _mat_mul(spec, g.matrix, gens[i])
-                key = _matrix_key(mat)
-                if key in seen:
-                    continue
-                if len(elements) >= budget:
-                    raise BudgetError(
-                        f"group enumeration for {rs.label} exceeded budget {budget}")
-                seen.add(key)
-                el = GroupElement(mat, g.word + (i,))
-                elements.append(el)
-                nxt.append(el)
-        frontier = nxt
+    r, n = rs.rank, rs.num_positive
+    gens = rs.simple_reflection_perms()
+    level = np.arange(2 * n, dtype=np.int16)[None, :]
+    words = [()]
+    seen = {level[0, :r].tobytes()}
+    width = level[0, :r].nbytes
+    elements = []
+    while len(level):
+        level.flags.writeable = False
+        lengths = np.count_nonzero(level[:, :n] >= n, axis=1).tolist()
+        if any(ln != len(words[0]) for ln in lengths):
+            raise ArithmeticError("inversion count differs from word length "
+                                  "(internal bug)")
+        elements += map(GroupElement, [rs] * len(words), level, words, lengths)
+        # row g * r + i of the products is g * s_i: frontier order first,
+        # then generator order, so words come out sorted
+        products = level[:, gens].reshape(-1, 2 * n)
+        heads = products[:, :r].tobytes()
+        rows, nxt = [], []
+        for t in range(len(products)):
+            key = heads[t * width:(t + 1) * width]
+            if key in seen:
+                continue
+            if len(elements) + len(rows) >= budget:
+                raise BudgetError(
+                    f"group enumeration for {rs.label} exceeded budget {budget}")
+            seen.add(key)
+            rows.append(t)
+            nxt.append(words[t // r] + (t % r,))
+        level, words = products[rows], nxt
     return elements
-
-
-def element_sends_negative(rs, element):
-    """Number of positive roots mapped to negative roots (equals the length)."""
-    count = 0
-    for root in rs.positive_roots:
-        img = []
-        for a in range(rs.rank):
-            acc = rs.spec.zero()
-            for b in range(rs.rank):
-                if root[b]:
-                    acc = acc + element.matrix[a][b] * root[b]
-            img.append(acc)
-        for e in img:
-            if e:
-                if e.sign() < 0:
-                    count += 1
-                break
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +451,7 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
         for d in range(len(work), 1, -1):
             qint = [1] * d
             try:
-                quotient = _int_poly_div(work, qint)
+                quotient = _ip_divexact(work, qint)
             except ArithmeticError:
                 continue
             degrees.append(d)
@@ -472,22 +466,6 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
     return DegreeData(tuple(degrees), order, rs.num_positive)
 
 
-def _int_poly_div(num, den):
-    num = list(num)
-    if len(num) < len(den):
-        raise ArithmeticError("degree too small")
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, y in enumerate(den):
-                num[i + j] -= c * y
-    if any(num):
-        raise ArithmeticError("inexact division")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Chevalley rational-function identity
 # ---------------------------------------------------------------------------
@@ -500,51 +478,37 @@ class ChevalleyResult:
     rhs: tuple
 
 
-_PERMS = {n: [(p, _sign(p)) for p in permutations(range(n))] for n in ()}
+def _char_traces(rs: RootSystem, elements) -> np.ndarray:
+    """(|W|, r*d) int64 array: row w holds tr(w^j), j = 1..r, in Z[c].
+
+    tr(w^j) = sum_b coord_b(w^j(alpha_b)), read off the permutation powers."""
+    r = rs.rank
+    coords = rs.signed_roots_int()
+    perms = np.stack([g.perm for g in elements])
+    power = perms
+    traces = []
+    for j in range(r):
+        if j:
+            power = np.take_along_axis(power, perms, axis=1)
+        traces.append(coords[power[:, :r], np.arange(r)].sum(axis=1))
+    return np.concatenate(traces, axis=1)
 
 
-def _sign(p):
-    n = len(p)
-    seen = [False] * n
-    sgn = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, cyc = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sgn = -sgn
-    return sgn
-
-
-def _perms_signed(n):
-    out = _PERMS.get(n)
-    if out is None:
-        out = [(p, _sign(p)) for p in permutations(range(n))]
-        _PERMS[n] = out
-    return out
-
-
-def _det_one_minus_q(spec, matrix):
-    """det(I - q M) as a KPoly in q."""
-    n = len(matrix)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            const = spec.raw_one() if i == j else spec.raw_zero()
-            row.append(KPoly(spec, (const, spec.raw_neg(matrix[i][j].co))))
-        entries.append(row)
-    acc = KPoly.zero(spec)
-    for p, sgn in _perms_signed(n):
-        term = KPoly.one(spec)
-        for i in range(n):
-            term = term * entries[i][p[i]]
-        acc = acc + (term if sgn > 0 else -term)
-    return acc
+def _det_from_traces(spec, traces) -> KPoly:
+    """det(1 - q w) = sum_k (-1)^k e_k q^k from the power sums p_j = tr(w^j)
+    by Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i."""
+    d = spec.degree
+    p = [tuple(rat(x) for x in traces[j * d:(j + 1) * d])
+         for j in range(len(traces) // d)]
+    e = [spec.raw_one()]
+    for k in range(1, len(p) + 1):
+        acc = spec.raw_zero()
+        for i in range(1, k + 1):
+            term = spec.raw_mul(e[k - i], p[i - 1])
+            acc = spec.raw_add(acc, term) if i % 2 else spec.raw_sub(acc, term)
+        e.append(spec.raw_scale(acc, rat(1, k)))
+    return KPoly(spec, [ek if k % 2 == 0 else spec.raw_neg(ek)
+                        for k, ek in enumerate(e)])
 
 
 def _reduce_fraction(num: KPoly, den: KPoly):
@@ -566,18 +530,16 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
     are returned in lowest terms over the field.
     """
     spec = rs.spec
-    counts = Counter()
-    polys = {}
-    for g in elements:
-        cp = _det_one_minus_q(spec, g.matrix)
-        counts[cp.co] += 1
-        polys[cp.co] = cp
-    # group by characteristic polynomial: few distinct terms keeps the sum small
+    # (p_1..p_r) fixes det(1 - q w); grouping by it leaves few distinct
+    # terms, which keeps the sum small
+    keys, first, counts = np.unique(_char_traces(rs, elements), axis=0,
+                                    return_index=True, return_counts=True)
+    terms = [(_det_from_traces(spec, keys[u].tolist()), int(counts[u]))
+             for u in np.argsort(first)]
     num = KPoly.zero(spec)
     den = KPoly.one(spec)
-    for key in sorted(counts, key=len):
-        cp = polys[key]
-        num = num * cp + KPoly.const(spec, counts[key]) * den
+    for cp, count in sorted(terms, key=lambda t: t[0].degree):
+        num = num * cp + KPoly.const(spec, count) * den
         den = den * cp
     one_minus_q = KPoly.from_coeffs(spec, [1, -1])
     lhs = _reduce_fraction(num * one_minus_q ** rs.rank, den)
@@ -665,26 +627,22 @@ def psi_invariant(dd: DegreeData) -> int:
     return 3 * s * s - sum(d * d - 1 for d in dd.degrees)
 
 
-def double_reflection_rotations(rs: RootSystem) -> list:
-    """Products of two distinct reflections, deduplicated by exact matrix.
+def rotation_gaps(rs: RootSystem, planes) -> list:
+    """r - tr(s_a s_b) = 4 - (a, b)^2 for every rotation s_a s_b != 1 made by
+    two reflections, each rotation once.
 
-    Returns (matrix, trace) pairs."""
+    Every such rotation lies in the dihedral group of exactly one plane, and
+    there it is s_a0 s_b for the plane's first mirror a0 and one other b."""
     sp = rs.spec
-    n = rs.num_positive
-    mats = [rs.reflection_matrix(i) for i in range(n)]
-    seen = {}
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            m = _mat_mul(sp, mats[a], mats[b])
-            key = _matrix_key(m)
-            if key not in seen:
-                tr = sp.raw_zero()
-                for i in range(rs.rank):
-                    tr = sp.raw_add(tr, m[i][i].co)
-                seen[key] = (m, FieldElement(sp, tr))
-    return list(seen.values())
+    gram = rs.root_gram()
+    four = sp.raw_from_rational(4)
+    out = []
+    for p in planes:
+        a0 = p.member_roots[0]
+        for b in p.member_roots[1:]:
+            x = gram[a0][b]
+            out.append(FieldElement(sp, sp.raw_sub(four, sp.raw_mul(x, x))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -706,12 +664,14 @@ def verify_psi_identities(rs: RootSystem, dd: DegreeData) -> PsiReport:
     parabolic_sum = sum(2 * p.m * p.m - 2 for p in planes)
     sp = rs.spec
     acc = sp.zero()
-    rr = sp.from_rational(rs.rank)
-    for _, tr in double_reflection_rotations(rs):
-        denom = rr - tr
-        if denom.sign() <= 0:
-            raise ArithmeticError("rotation with r - trace <= 0 (internal bug)")
-        acc = acc + 1 / denom
+    inverses = {}
+    for gap in rotation_gaps(rs, planes):
+        inv = inverses.get(gap.co)
+        if inv is None:
+            if gap.sign() <= 0:
+                raise ArithmeticError("rotation with r - trace <= 0 (internal bug)")
+            inv = inverses[gap.co] = 1 / gap
+        acc = acc + inv
     trace_ok = (24 * acc == sp.from_rational(psi))
     census = Counter(p.m for p in planes)
     return PsiReport(psi, parabolic_sum, parabolic_sum == psi, trace_ok,

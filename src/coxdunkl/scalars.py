@@ -46,10 +46,6 @@ def as_rational(x):
     raise TypeError(f"not a rational value: {x!r}")
 
 
-def rat_str(q) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
@@ -550,7 +546,7 @@ class FieldElement:
 
     def __str__(self):
         if self.spec.degree == 1 or self.is_rational():
-            return rat_str(self.co[0])
+            return str(self.co[0])
         name = self.spec.name
         parts = []
         for i in range(self.spec.degree - 1, -1, -1):
@@ -564,13 +560,13 @@ class FieldElement:
             else:
                 mono = f"{name}^{i}"
             if not mono:
-                s = rat_str(q)
+                s = str(q)
             elif q == 1:
                 s = mono
             elif q == -1:
                 s = f"-{mono}"
             else:
-                s = f"{rat_str(q)}*{mono}"
+                s = f"{q}*{mono}"
             parts.append(s)
         out = parts[0]
         for s in parts[1:]:

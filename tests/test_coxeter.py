@@ -3,12 +3,12 @@ from collections import Counter
 
 import pytest
 
+from coxdunkl.cli import main
 from coxdunkl.coxeter import (build_root_system, chevalley_q_identity,
-                              compute_degrees, double_reflection_rotations,
-                              element_sends_negative, enumerate_group,
+                              compute_degrees, enumerate_group,
                               poincare_polynomial, psi_invariant,
-                              rank2_parabolics, standard_diagram,
-                              verify_psi_identities)
+                              rank2_parabolics, rotation_gaps,
+                              standard_diagram, verify_psi_identities)
 from coxdunkl.errors import BudgetError
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import group_context
@@ -25,6 +25,7 @@ EXPECTED = {
     "D4": (12, 192, (2, 4, 4, 6)),
     "F4": (24, 1152, (2, 6, 8, 12)),
     "H3": (15, 120, (2, 6, 10)),
+    "H4": (60, 14400, (2, 12, 20, 30)),
     "I2(5)": (5, 10, (2, 5)),
     "I2(7)": (7, 14, (2, 7)),
     "I2(12)": (12, 24, (2, 12)),
@@ -40,6 +41,40 @@ def test_root_counts_orders_degrees(label):
     assert ctx.degrees.degrees == degrees
 
 
+# Matrices built here from the Gram matrix and root coordinates alone, as
+# an oracle independent of the root permutations the group is stored as.
+
+
+def _identity(rs):
+    return tuple(tuple(rs.spec.one() if a == b else rs.spec.zero()
+                       for b in range(rs.rank)) for a in range(rs.rank))
+
+
+def _matmul(rs, x, y):
+    n = rs.rank
+    return tuple(tuple(sum((x[a][t] * y[t][b] for t in range(n)),
+                           rs.spec.zero()) for b in range(n))
+                 for a in range(n))
+
+
+def _apply(rs, mat, v):
+    return tuple(sum((mat[a][b] * v[b] for b in range(rs.rank)), rs.spec.zero())
+                 for a in range(rs.rank))
+
+
+def _reflection(rs, root):
+    """s_alpha(v) = v - (alpha, v) alpha on simple-root coordinates, with
+    (alpha, v) from the Gram matrix."""
+    basis = _identity(rs)
+    pair = [rs.inner(root, basis[b]) for b in range(rs.rank)]
+    return tuple(tuple(basis[a][b] - root[a] * pair[b] for b in range(rs.rank))
+                 for a in range(rs.rank))
+
+
+def _trace(rs, mat):
+    return sum((mat[a][a] for a in range(rs.rank)), rs.spec.zero())
+
+
 def test_a2_positive_roots_by_hand():
     # orbit closure with gram12 = -1 gives {e1, e2, e1+e2}
     rs = group_context("A2").rs
@@ -51,17 +86,21 @@ def test_roots_have_norm_two_and_reflections_permute():
     for label in ("A2", "B2", "I2(5)", "B3"):
         rs = group_context(label).rs
         two = rs.spec.from_rational(2)
+        signed = rs.signed_roots_raw()
         root_set = {tuple(e.co for e in r) for r in rs.positive_roots}
+        perms = rs.simple_reflection_perms()
+        assert not perms.flags.writeable
         for i, root in enumerate(rs.positive_roots):
             assert rs.inner(root, root) == two
-            mat = rs.reflection_matrix(i)
-            for other in rs.positive_roots:
-                img = tuple(
-                    sum((mat[a][b] * other[b] for b in range(rs.rank)),
-                        rs.spec.zero())
-                    for a in range(rs.rank))
+            mat = _reflection(rs, root)
+            for b, other in enumerate(rs.positive_roots):
+                img = _apply(rs, mat, other)
                 neg = tuple((-e).co for e in img)
                 assert tuple(e.co for e in img) in root_set or neg in root_set
+                if i < rs.rank:
+                    # the stored permutation of s_i agrees with the matrix
+                    assert signed[perms[i][b]] == tuple(e.co for e in img)
+                    assert signed[perms[i][b + rs.num_positive]] == neg
 
 
 def test_simple_roots_are_standard_basis():
@@ -104,36 +143,65 @@ def test_enumeration_budget_error():
     assert rs.num_positive == 36
     with pytest.raises(BudgetError):
         enumerate_group(rs, budget=2000)   # |W(E6)| = 51840
+    with pytest.raises(BudgetError):
+        enumerate_group(rs)                # default budget 20000
+    assert main(["info", "--type", "E6"]) == 3
+
+
+def test_e6_enumerates_under_an_explicit_budget():
+    rs = build_root_system(standard_diagram("E6"))
+    elements = enumerate_group(rs, budget=60000)
+    assert len(elements) == 51840
+    dd = compute_degrees(rs, poincare_polynomial(elements, rs.spec))
+    assert dd.degrees == (2, 5, 6, 8, 9, 12)
 
 
 def test_elements_preserve_gram_and_word_rebuilds_matrix():
-    rs = group_context("B2").rs
-    elements = group_context("B2").elements
-    gens = rs.simple_reflection_matrices()
-    gram = rs.gram
-    for g in elements:
-        # M^T G M == G
-        for a in range(rs.rank):
-            for b in range(rs.rank):
-                acc = rs.spec.zero()
-                for i in range(rs.rank):
-                    for j in range(rs.rank):
-                        acc = acc + g.matrix[i][a] * gram[i][j] * g.matrix[j][b]
-                assert acc == gram[a][b]
-        # product of word letters reproduces the matrix
-        from coxdunkl.coxeter import _identity_matrix, _mat_mul
-        m = _identity_matrix(rs.spec, rs.rank)
-        for i in g.word:
-            m = _mat_mul(rs.spec, m, gens[i])
-        assert m == g.matrix
+    # every element of groups over fields of degree 1, 2, 2 and 4
+    for label in ("A3", "B2", "H3", "I2(12)"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        gens = [_reflection(rs, rs.positive_roots[i]) for i in range(rs.rank)]
+        gram = rs.gram
+        for g in ctx.elements:
+            mat = g.matrix
+            # M^T G M == G
+            for a in range(rs.rank):
+                for b in range(rs.rank):
+                    acc = rs.spec.zero()
+                    for i in range(rs.rank):
+                        for j in range(rs.rank):
+                            acc = acc + mat[i][a] * gram[i][j] * mat[j][b]
+                    assert acc == gram[a][b]
+            # product of word letters reproduces the matrix
+            m = _identity(rs)
+            for i in g.word:
+                m = _matmul(rs, m, gens[i])
+            assert m == mat
+
+
+def test_permutations_are_read_only_and_lengths_are_ints():
+    ctx = group_context("B3")
+    for g in ctx.elements:
+        assert not g.perm.flags.writeable
+        assert type(g.length) is int
+    with pytest.raises(ValueError):
+        ctx.elements[5].perm[0] = 0
 
 
 def test_length_counts_inverted_roots():
+    # inversions counted from the derived matrix, not the permutation
     ctx = group_context("B3")
     rng = random.Random(5)
     sample = rng.sample(ctx.elements, 12)
     for g in sample:
-        assert element_sends_negative(ctx.rs, g) == g.length
+        mat = g.matrix
+        inverted = 0
+        for root in ctx.rs.positive_roots:
+            img = _apply(ctx.rs, mat, root)
+            lead = next(e for e in img if e)
+            inverted += lead.sign() < 0
+        assert inverted == g.length == len(g.word)
 
 
 def test_poincare_small_cases():
@@ -226,17 +294,37 @@ def test_psi_identities():
     assert rep.parabolic_ok and rep.trace_identity_ok
 
 
+def test_f4_chevalley_and_psi():
+    f4 = group_context("F4")
+    assert chevalley_q_identity(f4.rs, f4.elements, f4.degrees).equal
+    rep = verify_psi_identities(f4.rs, f4.degrees)
+    assert rep.psi == 1484 and rep.parabolic_sum == 1484
+    assert rep.parabolic_ok and rep.trace_identity_ok
+
+
 def test_a2_rotation_traces():
     # the two 3-cycles act on the plane with trace -1
-    rots = double_reflection_rotations(group_context("A2").rs)
-    assert len(rots) == 2
-    spec = group_context("A2").rs.spec
-    for _, tr in rots:
-        assert tr == spec.from_rational(-1)
+    rs = group_context("A2").rs
+    gaps = rotation_gaps(rs, rank2_parabolics(rs))
+    assert len(gaps) == 2
+    for gap in gaps:
+        assert rs.rank - gap == rs.spec.from_rational(-1)
 
 
 def test_rotations_have_positive_r_minus_trace():
+    # r - tr(s_a s_b) over the distinct products of two distinct reflections,
+    # from matrices, equals the gaps read off the Gram entries
     for label in ("A3", "B3", "I2(7)"):
         rs = group_context(label).rs
-        for _, tr in double_reflection_rotations(rs):
-            assert (rs.spec.from_rational(rs.rank) - tr).sign() > 0
+        mats = [_reflection(rs, root) for root in rs.positive_roots]
+        rotations = {}
+        for a, ma in enumerate(mats):
+            for b, mb in enumerate(mats):
+                if a != b:
+                    rot = _matmul(rs, ma, mb)
+                    rotations[rot] = rs.rank - _trace(rs, rot)
+        gaps = rotation_gaps(rs, rank2_parabolics(rs))
+        assert sorted(g.co for g in gaps) == sorted(
+            g.co for g in rotations.values())
+        for gap in gaps:
+            assert gap.sign() > 0
