@@ -572,43 +572,27 @@ def rank2_parabolics(rs: RootSystem) -> list:
     Every unordered pair of reflections lands in exactly one entry; the
     partition is verified by the pair count identity."""
     sp = rs.spec
-    roots = rs.roots_raw()
-    n = len(roots)
-    r = rs.rank
+    gram = rs.root_gram()
+    n = len(gram)
+    sq = [[sp.raw_mul(x, x) for x in row] for row in gram]
+    four = sp.raw_from_rational(4)
     assigned = {}
     planes = []
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in assigned:
                 continue
-            # pivot rows (p, q) with invertible 2x2 minor of [c_i c_j]
-            pivot = None
-            for p in range(r):
-                for q in range(p + 1, r):
-                    det = sp.raw_sub(sp.raw_mul(roots[i][p], roots[j][q]),
-                                     sp.raw_mul(roots[i][q], roots[j][p]))
-                    if any(det):
-                        pivot = (p, q, sp.raw_inv(det))
-                        break
-                if pivot:
-                    break
-            p, q, inv_det = pivot
+            # with every root of norm 2, the Gram determinant of roots i, j, g
+            # is 2 (4 + xyz - x^2 - y^2 - z^2); g lies in the plane of i and j
+            # exactly when it vanishes
+            x = gram[i][j]
+            base = sp.raw_sub(four, sq[i][j])
             members = []
             for g in range(n):
-                a = sp.raw_mul(sp.raw_sub(sp.raw_mul(roots[g][p], roots[j][q]),
-                                          sp.raw_mul(roots[g][q], roots[j][p])),
-                               inv_det)
-                b = sp.raw_mul(sp.raw_sub(sp.raw_mul(roots[i][p], roots[g][q]),
-                                          sp.raw_mul(roots[i][q], roots[g][p])),
-                               inv_det)
-                ok = True
-                for t in range(r):
-                    lhs = sp.raw_add(sp.raw_mul(a, roots[i][t]),
-                                     sp.raw_mul(b, roots[j][t]))
-                    if lhs != roots[g][t]:
-                        ok = False
-                        break
-                if ok:
+                xyz = sp.raw_mul(sp.raw_mul(x, gram[i][g]), gram[j][g])
+                det = sp.raw_sub(sp.raw_add(base, xyz),
+                                 sp.raw_add(sq[i][g], sq[j][g]))
+                if sp.raw_is_zero(det):
                     members.append(g)
             members = tuple(members)
             planes.append(Rank2Parabolic(members, len(members), members))

@@ -8,9 +8,17 @@ The operator attached to a direction a is
 
 acting on polynomials in the coordinates u_i = (alpha_i, x).  Directions are
 stored in the basis {omega_i} dual to the simple roots, so d_{omega_i} is the
-plain partial derivative in u_i.  The divided differences are computed by a
-division-free twisted-Leibniz recursion over monomials, memoized per root;
-the synthetic-division route in `polynomials` stays as an independent check.
+plain partial derivative in u_i.  The divided differences come from per-root
+monomial tables built by `polynomials.monomial_table` with the division-free
+twisted-Leibniz step
+
+    dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F),
+
+where s_alpha(u_i) comes from `polynomials.reflection_forms` and every
+product runs through the one sparse kernel `polynomials._mul_into`.  The
+reflect-and-divide route (`apply_reflection`, `divided_difference`,
+`divide_by_root_form`) does not use these tables; the tests check the
+operators against it.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _acc, _normalize,
-                          apply_reflection, build_discriminant)
+from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _acc, _mul_into,
+                          _normalize, apply_reflection, build_discriminant,
+                          monomial_table, reflection_forms)
 from .scalars import FieldElement, KPoly, as_rational, rat
 
 
@@ -88,81 +97,27 @@ def _root_directions(rs):
 # ---------------------------------------------------------------------------
 
 
-def _dd_memo(rs, root_index):
-    key = ("dd", root_index)
-    memo = rs._caches.get(key)
-    if memo is None:
-        memo = {0: ()}
-        rs._caches[key] = memo
-    return memo
-
-
-def _dd_monomial(rs, root_index, key, memo, pair, sform):
-    """(u^E - s_alpha u^E) / (alpha, x) as ((packed, raw), ...).
+def _dd_monomial(rs, root_index, key):
+    """(u^E - s_alpha u^E) / (alpha, x) as {packed: (raw,)}.
 
     Twisted Leibniz on u^E = u_i * u^(E - e_i):
         dd(u^E) = (alpha_i, alpha) u^(E-e_i) + s_alpha(u_i) * dd(u^(E-e_i)).
     """
-    got = memo.get(key)
-    if got is not None:
-        return got
     sp = rs.spec
-    stack = [key]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        i = 0
-        while not (cur >> (EXP_BITS * i)) & EXP_MASK:
-            i += 1
-        prev_key = cur - (1 << (EXP_BITS * i))
-        prev = memo.get(prev_key)
-        if prev is None:
-            stack.append(prev_key)
-            continue
-        stack.pop()
-        dst = {}
-        pi = pair[i]
-        if any(pi):
-            dst[prev_key] = pi
-        for fkey, fco in prev:
-            for step, cf in sform[i]:
-                p = sp.raw_mul(fco, cf)
-                k2 = fkey + step
-                slot = dst.get(k2)
-                dst[k2] = p if slot is None else sp.raw_add(slot, p)
-        memo[cur] = tuple(sorted(
-            (k2, v) for k2, v in dst.items() if not sp.raw_is_zero(v)))
-    return memo[key]
+    pair = rs.pair_vectors()[root_index]
+    forms = reflection_forms(rs, root_index)
 
+    def step(dst, i, prev_key, prev):
+        if any(pair[i]):
+            dst[prev_key] = [pair[i]]
+        _mul_into(sp, dst, forms[i], prev.items())
 
-def _dd_context(rs, root_index):
-    """(memo, pair vector, reflected-variable linear forms) for one root."""
-    key = ("ddctx", root_index)
-    ctx = rs._caches.get(key)
-    if ctx is None:
-        sp = rs.spec
-        pair = rs.pair_vectors()[root_index]
-        croot = rs.roots_raw()[root_index]
-        sform = []
-        for i in range(rs.rank):
-            form = []
-            for l in range(rs.rank):
-                cf = sp.raw_neg(sp.raw_mul(pair[i], croot[l]))
-                if l == i:
-                    cf = sp.raw_add(cf, sp.raw_one())
-                if not sp.raw_is_zero(cf):
-                    form.append((1 << (EXP_BITS * l), cf))
-            sform.append(tuple(form))
-        ctx = (_dd_memo(rs, root_index), pair, tuple(sform))
-        rs._caches[key] = ctx
-    return ctx
+    return monomial_table(rs, ("dd", root_index), {}, step, key)
 
 
 def clear_dunkl_caches(rs):
     """Drop divided-difference memo tables (used after large computations)."""
-    for key in [k for k in rs._caches if isinstance(k, tuple) and k[0] in ("dd", "ddctx")]:
+    for key in [k for k in rs._caches if isinstance(k, tuple) and k[0] == "dd"]:
         rs._caches.pop(key, None)
 
 
@@ -185,16 +140,11 @@ def _apply_direction(rs, direction, terms):
     for alpha, w in enumerate(direction.pairings):
         if not any(w):
             continue
-        memo, pair, sform = _dd_context(rs, alpha)
         for key, kco in terms.items():
-            if not key:
-                continue
-            table = _dd_monomial(rs, alpha, key, memo, pair, sform)
-            if not table:
-                continue
-            scaled = [sp.raw_mul(c, w) for c in kco]
-            for k2, tv in table:
-                _acc(sp, out, k2, [sp.raw_mul(c, tv) for c in scaled], shift=1)
+            table = _dd_monomial(rs, alpha, key)
+            if table:
+                _mul_into(sp, out, ((0, [sp.raw_mul(c, w) for c in kco]),),
+                          table.items(), shift=1)
     return _normalize(sp, out)
 
 

@@ -36,27 +36,56 @@ def key_degree(key, rank):
 
 def _trim(spec, kco):
     """Normalize a k-coefficient list: drop trailing zeros, None -> zero."""
-    out = [spec.raw_zero() if c is None else c for c in kco]
-    while out and spec.raw_is_zero(out[-1]):
+    zero = spec.raw_zero()
+    out = [zero if c is None else c for c in kco]
+    while out and not any(out[-1]):
         out.pop()
     return tuple(out)
 
 
-def _acc(spec, dst, key, kco, shift=0):
-    """dst[key] += kco * k^shift, where kco is a sequence of raw coefficients."""
+def _acc(spec, dst, key, kco):
+    """dst[key] += kco, where kco is a sequence of raw coefficients."""
     cur = dst.get(key)
     if cur is None:
         cur = []
         dst[key] = cur
-    need = shift + len(kco)
-    while len(cur) < need:
+    while len(cur) < len(kco):
         cur.append(None)
     for i, c in enumerate(kco):
         if c is None or spec.raw_is_zero(c):
             continue
-        slot = shift + i
-        prev = cur[slot]
-        cur[slot] = c if prev is None else spec.raw_add(prev, c)
+        prev = cur[i]
+        cur[i] = c if prev is None else spec.raw_add(prev, c)
+
+
+def _mul_into(spec, dst, a, b, shift=0):
+    """dst += a * b * k^shift: the one sparse product of the package.
+
+    `a` and `b` iterate over (packed key, raw k-coefficients) pairs, and `b`
+    is iterated once per term of `a`.  `dst` maps keys to lists of raw
+    coefficients (None for an empty slot), as `_acc` and `_normalize` use.
+    The innermost loop runs over the nonzero coefficients of the `a` term."""
+    mul = spec.raw_mul
+    add = spec.raw_add
+    for ka, va in a:
+        nz = [(shift + i, c) for i, c in enumerate(va) if any(c)]
+        if not nz:
+            continue
+        top = nz[-1][0]
+        for kb, vb in b:
+            key = ka + kb
+            cur = dst.get(key)
+            need = top + len(vb)
+            if cur is None:
+                cur = dst[key] = [None] * need
+            elif len(cur) < need:
+                cur.extend([None] * (need - len(cur)))
+            for j, cb in enumerate(vb):
+                for i, ca in nz:
+                    i += j
+                    p = mul(ca, cb)
+                    prev = cur[i]
+                    cur[i] = p if prev is None else add(prev, p)
 
 
 def _normalize(spec, dst):
@@ -211,49 +240,14 @@ class MultiPoly:
         self._check_ring(other)
         sp = self.ring.spec
         dst = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                prod = [None] * (len(v1) + len(v2) - 1)
-                for i, a in enumerate(v1):
-                    if sp.raw_is_zero(a):
-                        continue
-                    for j, b in enumerate(v2):
-                        if sp.raw_is_zero(b):
-                            continue
-                        p = sp.raw_mul(a, b)
-                        slot = prod[i + j]
-                        prod[i + j] = p if slot is None else sp.raw_add(slot, p)
-                _acc(sp, dst, k1 + k2, [sp.raw_zero() if c is None else c
-                                        for c in prod])
+        _mul_into(sp, dst, self.terms.items(), other.terms.items())
         return MultiPoly(self.ring, _normalize(sp, dst))
 
     __rmul__ = __mul__
 
     def scale(self, value):
         """Multiply by a KPoly / FieldElement / rational scalar."""
-        sp = self.ring.spec
-        if isinstance(value, KPoly):
-            if value.is_zero():
-                return MultiPoly.zero(self.ring)
-            dst = {}
-            for k, v in self.terms.items():
-                prod = [None] * (len(v) + len(value.co) - 1)
-                for i, a in enumerate(v):
-                    if sp.raw_is_zero(a):
-                        continue
-                    for j, b in enumerate(value.co):
-                        if sp.raw_is_zero(b):
-                            continue
-                        p = sp.raw_mul(a, b)
-                        slot = prod[i + j]
-                        prod[i + j] = p if slot is None else sp.raw_add(slot, p)
-                dst[k] = [sp.raw_zero() if c is None else c for c in prod]
-            return MultiPoly(self.ring, _normalize(sp, dst))
-        raw = value.co if isinstance(value, FieldElement) else sp.raw_from_rational(value)
-        if sp.raw_is_zero(raw):
-            return MultiPoly.zero(self.ring)
-        return MultiPoly(self.ring, _normalize(sp, {
-            k: [sp.raw_mul(c, raw) for c in v] for k, v in self.terms.items()}))
+        return self * MultiPoly.constant(self.ring, value)
 
     def k_shift(self, n):
         """Multiply every coefficient by k^n."""
@@ -370,48 +364,65 @@ def root_linear_form(rs, root_index) -> MultiPoly:
     return MultiPoly.linear_form(rs, rs.positive_roots[root_index])
 
 
-def _reflection_image_memo(rs, root_index):
-    key = ("refl_img", root_index)
-    memo = rs._caches.get(key)
+def reflection_forms(rs, root_index):
+    """s_alpha(u_i) = u_i - (alpha_i, alpha) * (alpha, x) for each i, as
+    ((packed, (raw coeff,)), ...) term tuples (cached per root)."""
+    def build():
+        sp = rs.spec
+        pair = rs.pair_vectors()[root_index]
+        croot = rs.roots_raw()[root_index]
+        forms = []
+        for i in range(rs.rank):
+            form = []
+            for l in range(rs.rank):
+                cf = sp.raw_neg(sp.raw_mul(pair[i], croot[l]))
+                if l == i:
+                    cf = sp.raw_add(cf, sp.raw_one())
+                if not sp.raw_is_zero(cf):
+                    form.append((1 << (EXP_BITS * l), (cf,)))
+            forms.append(tuple(form))
+        return tuple(forms)
+    return rs._cache(("refl_forms", root_index), build)
+
+
+def monomial_table(rs, name, seed, step, key):
+    """Memoized per-monomial table T(u^E), cached on the root system as `name`.
+
+    T(0) = seed, and T(E) is built by peeling the lowest variable u_i of E:
+    `step(dst, i, E - e_i, T(E - e_i))` accumulates T(E) into the empty
+    dict `dst`.  Tables are k-free {packed: (raw coeff,)} term dicts, so
+    every entry of `dst` holds exactly one slot."""
+    memo = rs._caches.get(name)
     if memo is None:
-        memo = {0: ((0, rs.spec.raw_one()),)}
-        rs._caches[key] = memo
-    return memo
+        memo = rs._caches[name] = {0: seed}
+    table = memo.get(key)
+    if table is not None:
+        return table
+    path = []
+    while key not in memo:
+        i = 0
+        while not (key >> (EXP_BITS * i)) & EXP_MASK:
+            i += 1
+        path.append((key, i))
+        key -= 1 << (EXP_BITS * i)
+    table = memo[key]
+    for key, i in reversed(path):
+        dst = {}
+        step(dst, i, key - (1 << (EXP_BITS * i)), table)
+        table = memo[key] = {k: (c,) for k, (c,) in dst.items() if any(c)}
+    return table
 
 
 def _reflected_monomial(rs, root_index, key):
-    """Image of the monomial u^E under s_alpha, as ((packed, raw coeff), ...)."""
-    memo = _reflection_image_memo(rs, root_index)
-    got = memo.get(key)
-    if got is not None:
-        return got
+    """Image of the monomial u^E under s_alpha: s(u^E) = s(u_i) s(u^(E-e_i))."""
     sp = rs.spec
-    r = rs.rank
-    # s_alpha(u_i) = u_i - (alpha_i, alpha) * (alpha, x)
-    pair = rs.pair_vectors()[root_index]
-    croot = rs.roots_raw()[root_index]
-    i = 0
-    while not (key >> (EXP_BITS * i)) & EXP_MASK:
-        i += 1
-    prev = _reflected_monomial(rs, root_index, key - (1 << (EXP_BITS * i)))
-    # linear form for s_alpha(u_i)
-    form = []
-    for l in range(r):
-        cf = sp.raw_neg(sp.raw_mul(pair[i], croot[l]))
-        if l == i:
-            cf = sp.raw_add(cf, sp.raw_one())
-        if not sp.raw_is_zero(cf):
-            form.append((1 << (EXP_BITS * l), cf))
-    dst = {}
-    for fkey, fco in prev:
-        for step, cf in form:
-            p = sp.raw_mul(fco, cf)
-            k2 = fkey + step
-            slot = dst.get(k2)
-            dst[k2] = p if slot is None else sp.raw_add(slot, p)
-    out = tuple(sorted((k2, v) for k2, v in dst.items() if not sp.raw_is_zero(v)))
-    memo[key] = out
-    return out
+    forms = reflection_forms(rs, root_index)
+
+    def step(dst, i, prev_key, prev):
+        _mul_into(sp, dst, forms[i], prev.items())
+
+    return monomial_table(rs, ("refl_img", root_index),
+                          {0: (sp.raw_one(),)}, step, key)
 
 
 def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:
@@ -420,8 +431,8 @@ def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:
     sp = rs.spec
     dst = {}
     for key, kco in f.terms.items():
-        for k2, w in _reflected_monomial(rs, root_index, key):
-            _acc(sp, dst, k2, [sp.raw_mul(c, w) for c in kco])
+        _mul_into(sp, dst, ((0, kco),),
+                  _reflected_monomial(rs, root_index, key).items())
     return MultiPoly(rs, _normalize(sp, dst))
 
 

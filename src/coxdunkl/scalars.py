@@ -93,36 +93,6 @@ def _dickson(m):
     return cur if m else prev
 
 
-def _qp_monic_gcd(a, b):
-    """Monic gcd of two rational-coefficient polynomials (ascending lists)."""
-    a = [as_rational(x) for x in a]
-    b = [as_rational(x) for x in b]
-    while b and any(b):
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            break
-        lead = b[-1]
-        while len(a) >= len(b) and any(a):
-            while a and not a[-1]:
-                a.pop()
-            if len(a) < len(b):
-                break
-            f = a[-1] / lead
-            off = len(a) - len(b)
-            for j, y in enumerate(b):
-                a[off + j] -= f * y
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    while a and not a[-1]:
-        a.pop()
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
 @lru_cache(maxsize=None)
 def minimal_poly_2cos(m: int) -> tuple:
     """Monic integer minimal polynomial of 2cos(pi/m), ascending coefficients.
@@ -149,9 +119,10 @@ def minimal_poly_2cos(m: int) -> tuple:
             f = _ip_divexact(f, _ip_mul(g, g))
     # f == h^2 with h squarefree, so h = gcd(f, f')
     deriv = [i * c for i, c in enumerate(f)][1:]
-    h = _qp_monic_gcd(f, deriv)
+    qq = FieldSpec((0, 1))
+    h = kpoly_gcd(KPoly.from_coeffs(qq, f), KPoly.from_coeffs(qq, deriv))
     out = []
-    for x in h:
+    for (x,) in h.co:
         if x.denominator != 1:
             raise ArithmeticError("non-integral minimal polynomial candidate")
         out.append(int(x))

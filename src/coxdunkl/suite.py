@@ -30,24 +30,12 @@ SUITE_VERSION = 1
 
 DEFAULT_GROUPS = ("A1", "A2", "A3", "B2", "B3", "D4", "I2(5)", "I2(7)", "H3")
 
-CHECK_ORDER = (
-    "poincare_identity",
-    "degrees_consistency",
-    "chevalley",
-    "psi_identities",
-    "b_poly",
-    "mm_exact_k1",
-    "mm_exact_k2",
-    "functional_equation",
-    "gamma_cross_check",
-    "log_moments",
-)
-
 
 @dataclass
 class SuiteConfig:
     groups: tuple = DEFAULT_GROUPS
-    checks: tuple = CHECK_ORDER
+    # CHECK_ORDER comes from the check registry further down
+    checks: tuple = field(default_factory=lambda: CHECK_ORDER)
     mc_samples: int = 10_000_000
     seed: int = 42
     shards: int = 16
@@ -267,7 +255,7 @@ def _check_mm_exact(ctx, cfg, k):
 MC_REL_SE_GATE = 0.02
 
 
-def _check_functional_equation(ctx, cfg, threads):
+def _check_functional_equation(ctx, cfg):
     if _b_gated(ctx, cfg):
         return ("statistical", None, "needs b(k)",
                 "skipped (b_poly gated for this type)", None)
@@ -281,7 +269,7 @@ def _check_functional_equation(ctx, cfg, threads):
                 "skipped (heavy-tailed estimator; raise mc_samples)", None)
     b = _b_result(ctx, cfg).computed
     rep = check_functional_equation(ctx.rs, b, k, cfg.mc_samples,
-                                    cfg.seed, cfg.shards, threads)
+                                    cfg.seed, cfg.shards)
     mode = "exact" if rep.exact else "statistical"
     expected = f"F(k+1) = b(k) F(k) at k=1/2; rhs={rep.rhs:.6g}"
     actual = f"lhs={rep.lhs:.6g}"
@@ -289,7 +277,7 @@ def _check_functional_equation(ctx, cfg, threads):
             None if rep.exact else rep.z_score)
 
 
-def _check_gamma_cross(ctx, cfg, threads):
+def _check_gamma_cross(ctx, cfg):
     rs = ctx.rs
     f = MultiPoly.variable(rs, 0, 2)
     g = MultiPoly.one(rs)
@@ -302,46 +290,45 @@ def _check_gamma_cross(ctx, cfg, threads):
                 f"predicted rel. std error <= {MC_REL_SE_GATE}",
                 "skipped (heavy-tailed estimator; raise mc_samples)", None)
     rep = gamma_integral_cross_check(rs, f, g, k, cfg.mc_samples,
-                                     cfg.seed, cfg.shards, threads)
+                                     cfg.seed, cfg.shards)
     expected = f"gamma(u1^2, 1) at k={k} = {rep.exact_value:.8g}"
     actual = f"mc_ratio={rep.estimate:.8g} (se={rep.std_error:.2g})"
     return ("statistical", rep.passed, expected, actual, rep.z_score)
 
 
-def _check_log_moments(ctx, cfg, threads):
-    rep = mm_log_moments(ctx.rs, cfg.mc_samples, cfg.seed, cfg.shards, threads,
+def _check_log_moments(ctx, cfg):
+    rep = mm_log_moments(ctx.rs, cfg.mc_samples, cfg.seed, cfg.shards,
                          dd=ctx.degrees)
     expected = f"E[log Delta^2] = -EulerGamma*|S| = {rep.target:.8g}"
     actual = f"mean={rep.mean:.8g} (se={rep.std_error:.2g})"
     return ("statistical", rep.passed, expected, actual, rep.z_score)
 
 
-def run_check(name, ctx, cfg, threads=1):
+#: name -> check, in report order; each returns
+#: (mode, ok or None when skipped, expected, actual, z-score or None)
+CHECKS = {
+    "poincare_identity": _check_poincare,
+    "degrees_consistency": _check_degrees,
+    "chevalley": _check_chevalley,
+    "psi_identities": _check_psi,
+    "b_poly": _check_b_poly,
+    "mm_exact_k1": lambda ctx, cfg: _check_mm_exact(ctx, cfg, 1),
+    "mm_exact_k2": lambda ctx, cfg: _check_mm_exact(ctx, cfg, 2),
+    "functional_equation": _check_functional_equation,
+    "gamma_cross_check": _check_gamma_cross,
+    "log_moments": _check_log_moments,
+}
+
+CHECK_ORDER = tuple(CHECKS)
+
+
+def run_check(name, ctx, cfg):
     """Run one named check; returns a CheckReport."""
-    start = time.perf_counter()
-    if name == "poincare_identity":
-        res = _check_poincare(ctx, cfg)
-    elif name == "degrees_consistency":
-        res = _check_degrees(ctx, cfg)
-    elif name == "chevalley":
-        res = _check_chevalley(ctx, cfg)
-    elif name == "psi_identities":
-        res = _check_psi(ctx, cfg)
-    elif name == "b_poly":
-        res = _check_b_poly(ctx, cfg)
-    elif name == "mm_exact_k1":
-        res = _check_mm_exact(ctx, cfg, 1)
-    elif name == "mm_exact_k2":
-        res = _check_mm_exact(ctx, cfg, 2)
-    elif name == "functional_equation":
-        res = _check_functional_equation(ctx, cfg, threads)
-    elif name == "gamma_cross_check":
-        res = _check_gamma_cross(ctx, cfg, threads)
-    elif name == "log_moments":
-        res = _check_log_moments(ctx, cfg, threads)
-    else:
+    check = CHECKS.get(name)
+    if check is None:
         raise ValueError(f"unknown check {name!r}")
-    mode, ok, expected, actual, z = res
+    start = time.perf_counter()
+    mode, ok, expected, actual, z = check(ctx, cfg)
     runtime_ms = int((time.perf_counter() - start) * 1000)
     status = "skipped" if ok is None else ("pass" if ok else "fail")
     return CheckReport(name, ctx.label, mode, status, expected, actual, z,
@@ -394,7 +381,7 @@ def run_suite(cfg: SuiteConfig, threads=None):
             return CheckReport(check, label, "exact", "skipped",
                                "within enumeration budget", str(ctx), None, 0)
         try:
-            return run_check(check, ctx, cfg, threads=1)
+            return run_check(check, ctx, cfg)
         except BudgetError as exc:
             budget_flags.append(label)
             return CheckReport(check, label, "exact", "skipped",

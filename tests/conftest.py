@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coxdunkl.polynomials import MultiPoly
+from coxdunkl.scalars import KPoly
 from coxdunkl.suite import group_context
 
 
@@ -21,8 +22,17 @@ def ctx_b2():
     return group_context("B2")
 
 
-def random_multipoly(rs, rng, max_degree=5, terms=4, homogeneous=False):
-    """Small random integer-coefficient polynomial (deterministic rng)."""
+def random_kpoly(rs, rng, k_degree):
+    """Random KPoly of k-degree <= k_degree with small field coefficients."""
+    return KPoly.from_coeffs(rs.spec, [
+        rs.spec.element(*(rng.randint(-3, 3) for _ in range(rs.spec.degree)))
+        for _ in range(k_degree + 1)])
+
+
+def random_multipoly(rs, rng, max_degree=5, terms=4, homogeneous=False,
+                     k_degree=0):
+    """Small random polynomial (deterministic rng): integer coefficients, or
+    random_kpoly coefficients when k_degree > 0."""
     mapping = {}
     deg = rng.randint(0, max_degree)
     for _ in range(terms):
@@ -37,6 +47,8 @@ def random_multipoly(rs, rng, max_degree=5, terms=4, homogeneous=False):
         key = tuple(exps)
         mapping[key] = mapping.get(key, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
     mapping = {e: c for e, c in mapping.items() if c}
+    if k_degree:
+        mapping = {e: random_kpoly(rs, rng, k_degree) for e in mapping}
     if not mapping:
         mapping = {(0,) * rs.rank: 1}
     return MultiPoly.from_terms(rs, mapping)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -154,6 +155,10 @@ def test_e6_enumerates_under_an_explicit_budget():
     assert len(elements) == 51840
     dd = compute_degrees(rs, poincare_polynomial(elements, rs.spec))
     assert dd.degrees == (2, 5, 6, 8, 9, 12)
+    rep = verify_psi_identities(rs, dd)
+    assert rep.psi == 3540 and rep.parabolic_sum == 3540
+    assert rep.parabolic_ok and rep.trace_identity_ok
+    assert dict(rep.census) == {2: 270, 3: 120}
 
 
 def test_elements_preserve_gram_and_word_rebuilds_matrix():
@@ -257,11 +262,26 @@ def test_rank2_parabolic_censuses():
     assert census("B3") == {4: 3, 3: 4, 2: 6}
 
 
+def _in_span(u, v, w):
+    # w lies in the span of u and v iff every 3x3 minor of [u v w] vanishes
+    for p, q, t in itertools.combinations(range(len(u)), 3):
+        if (u[p] * (v[q] * w[t] - v[t] * w[q]) - u[q] * (v[p] * w[t] - v[t] * w[p])
+                + u[t] * (v[p] * w[q] - v[q] * w[p])):
+            return False
+    return True
+
+
 def test_rank2_partition_property():
     for label in ("A3", "B3", "D4", "H3"):
         rs = group_context(label).rs
         planes = rank2_parabolics(rs)
         n = rs.num_positive
+        # plane membership against the coordinates of the roots
+        roots = rs.positive_roots
+        for p in planes:
+            a, b = p.member_roots[:2]
+            assert p.member_roots == tuple(
+                g for g in range(n) if _in_span(roots[a], roots[b], roots[g]))
         assert sum(p.m * (p.m - 1) // 2 for p in planes) == n * (n - 1) // 2
         # every pair appears exactly once
         seen = set()
@@ -300,6 +320,12 @@ def test_f4_chevalley_and_psi():
     rep = verify_psi_identities(f4.rs, f4.degrees)
     assert rep.psi == 1484 and rep.parabolic_sum == 1484
     assert rep.parabolic_ok and rep.trace_identity_ok
+    assert dict(rep.census) == {2: 72, 3: 32, 4: 18}
+    h4 = group_context("H4")
+    rep = verify_psi_identities(h4.rs, h4.degrees)
+    assert rep.psi == 9356 and rep.parabolic_sum == 9356
+    assert rep.parabolic_ok and rep.trace_identity_ok
+    assert dict(rep.census) == {2: 450, 3: 200, 5: 72}
 
 
 def test_a2_rotation_traces():

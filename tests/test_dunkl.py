@@ -8,7 +8,8 @@ from coxdunkl.dunkl import (BFactorization, DunklDirection, b_poly, beta_form,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
                             verify_algebra_relations)
 from coxdunkl.errors import BudgetError
-from coxdunkl.polynomials import MultiPoly, build_discriminant
+from coxdunkl.polynomials import (MultiPoly, build_discriminant,
+                                  divided_difference)
 from coxdunkl.scalars import KPoly, rat
 from coxdunkl.suite import group_context
 
@@ -47,6 +48,35 @@ def test_dunkl_lowers_degree_and_raises_k(ctx_a2):
         assert g.degree() == f.degree() - 1
         kdeg = max(len(v) - 1 for v in g.terms.values())
         assert kdeg <= 1
+
+
+def test_dunkl_operators_match_the_divided_difference_definition():
+    # T_a f = d_a f + k sum_alpha (alpha, a) (f - s_alpha f) / (alpha, x), with
+    # the divided differences from the reflect-and-divide route, against the
+    # memoized twisted-Leibniz tables inside dunkl_apply_*
+    for label in ("A2", "B2", "I2(5)"):
+        rs = group_context(label).rs
+        roots = rs.positive_roots
+        k = MultiPoly.constant(rs, KPoly.gen(rs.spec))
+        rng = random.Random(23)
+        for _ in range(6):
+            f = random_multipoly(rs, rng, max_degree=4, k_degree=2)
+            dds = [divided_difference(f, a) for a in range(rs.num_positive)]
+            # a = omega_i: d_a = d/du_i and (alpha, omega_i) = alpha's i-th coordinate
+            for i in range(rs.rank):
+                refl = MultiPoly.zero(rs)
+                for a, dd in enumerate(dds):
+                    refl = refl + dd.scale(roots[a][i])
+                assert dunkl_apply_omega(rs, i, f) == f.partial(i) + k * refl
+            # a = beta: its dual coordinates are (alpha_i, beta)
+            for b, beta in enumerate(roots):
+                deriv = MultiPoly.zero(rs)
+                for i in range(rs.rank):
+                    deriv = deriv + f.partial(i).scale(rs.inner(roots[i], beta))
+                refl = MultiPoly.zero(rs)
+                for a, dd in enumerate(dds):
+                    refl = refl + dd.scale(rs.inner(roots[a], beta))
+                assert dunkl_apply_root(rs, b, f) == deriv + k * refl
 
 
 def test_algebra_relations():

@@ -8,7 +8,7 @@ from coxdunkl.polynomials import (MultiPoly, apply_reflection,
 from coxdunkl.scalars import KPoly, rat
 from coxdunkl.suite import group_context
 
-from conftest import random_multipoly
+from conftest import random_kpoly, random_multipoly
 
 
 def test_basic_arithmetic(ctx_a2):
@@ -29,6 +29,38 @@ def test_leibniz_rule_for_partials(ctx_b2):
         g = random_multipoly(rs, rng, max_degree=4)
         for i in range(rs.rank):
             assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+
+
+def test_products_with_k_dependent_coefficients():
+    # the sparse product against a coefficientwise reference in dense KPoly
+    # arithmetic, over QQ and over the degree-2 field of I2(5)
+    for label in ("A2", "B2", "I2(5)"):
+        rs = group_context(label).rs
+        rng = random.Random(15)
+        for _ in range(8):
+            f, g, h = (random_multipoly(rs, rng, max_degree=3, k_degree=2)
+                       for _ in range(3))
+            fg = f * g
+            expected = {}
+            for ef, cf in f.term_items():
+                for eg, cg in g.term_items():
+                    e = tuple(a + b for a, b in zip(ef, eg))
+                    expected[e] = expected.get(e, KPoly.zero(rs.spec)) + cf * cg
+            for e, c in expected.items():
+                assert fg.coefficient(e) == c
+            assert len(fg.terms) == sum(1 for c in expected.values() if not c.is_zero())
+            assert fg == g * f
+            assert fg * h == f * (g * h)
+            assert f * (g + h) == fg + f * h
+            c = random_kpoly(rs, rng, 2)
+            x = rs.spec.element(*(rng.randint(1, 3) for _ in range(rs.spec.degree)))
+            for value, as_kpoly in ((c, c), (x, KPoly.const(rs.spec, x)),
+                                    (rat(-2, 3), KPoly.const(rs.spec, rat(-2, 3)))):
+                scaled = f.scale(value)
+                assert scaled == f * value
+                for e, cf in f.term_items():
+                    assert scaled.coefficient(e) == cf * as_kpoly
+            assert f.scale(0).is_zero() and f.scale(KPoly.zero(rs.spec)).is_zero()
 
 
 def test_degree_bookkeeping(ctx_a2):

@@ -8,7 +8,7 @@ from coxdunkl.errors import ConfigError
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, SuiteConfig,
                             group_context, parse_config, render_report,
-                            run_suite)
+                            run_check, run_suite)
 
 FAST_EXACT = ("poincare_identity", "degrees_consistency", "chevalley",
               "psi_identities", "mm_exact_k1", "mm_exact_k2")
@@ -18,6 +18,11 @@ def test_parse_defaults():
     cfg = parse_config("")
     assert cfg.groups == DEFAULT_GROUPS
     assert cfg.checks == CHECK_ORDER
+    # the registry's order is the report order
+    assert CHECK_ORDER == (
+        "poincare_identity", "degrees_consistency", "chevalley",
+        "psi_identities", "b_poly", "mm_exact_k1", "mm_exact_k2",
+        "functional_equation", "gamma_cross_check", "log_moments")
     assert cfg.mc_samples == 10_000_000
     assert cfg.seed == 42
     assert cfg.shards == 16
@@ -84,6 +89,8 @@ def test_run_suite_exact_checks_pass_and_deterministic():
     a = _strip_runtime(json.loads(render_report(reports, "json", 42)))
     b = _strip_runtime(json.loads(render_report(reports2, "json", 42)))
     assert a == b
+    with pytest.raises(ValueError, match="unknown check"):
+        run_check("no_such_check", group_context("A1"), cfg)
 
 
 def test_exact_reports_carry_no_z_and_statistical_do():
