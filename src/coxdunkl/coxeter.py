@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, FactorizationError
-from .scalars import FieldElement, KPoly, _ip_divexact, cos_field, rat
+from .scalars import FieldElement, KPoly, _ip_divexact, cos_field, qdiv
 
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
@@ -222,10 +222,8 @@ class RootSystem:
         power basis of c; they lie in Z[c] because the Gram matrix does."""
         def build():
             roots = self.signed_roots_raw()
-            if any(q.denominator != 1 for c in roots for x in c for q in x):
-                raise ArithmeticError("root coordinate outside Z[c] (internal bug)")
-            arr = np.array([[[int(q) for q in x] for x in c] for c in roots],
-                           dtype=np.int64)
+            assert all(type(q) is int for c in roots for x in c for q in x)
+            arr = np.array(roots, dtype=np.int64)
             arr.flags.writeable = False
             return arr
         return self._cache("signed_roots_int", build)
@@ -498,7 +496,7 @@ def _det_from_traces(spec, traces) -> KPoly:
     """det(1 - q w) = sum_k (-1)^k e_k q^k from the power sums p_j = tr(w^j)
     by Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i."""
     d = spec.degree
-    p = [tuple(rat(x) for x in traces[j * d:(j + 1) * d])
+    p = [tuple(int(x) for x in traces[j * d:(j + 1) * d])
          for j in range(len(traces) // d)]
     e = [spec.raw_one()]
     for k in range(1, len(p) + 1):
@@ -506,7 +504,7 @@ def _det_from_traces(spec, traces) -> KPoly:
         for i in range(1, k + 1):
             term = spec.raw_mul(e[k - i], p[i - 1])
             acc = spec.raw_add(acc, term) if i % 2 else spec.raw_sub(acc, term)
-        e.append(spec.raw_scale(acc, rat(1, k)))
+        e.append(tuple(qdiv(x, k) for x in acc))
     return KPoly(spec, [ek if k % 2 == 0 else spec.raw_neg(ek)
                         for k, ek in enumerate(e)])
 
@@ -575,7 +573,7 @@ def rank2_parabolics(rs: RootSystem) -> list:
     gram = rs.root_gram()
     n = len(gram)
     sq = [[sp.raw_mul(x, x) for x in row] for row in gram]
-    four = sp.raw_from_rational(4)
+    four = sp.raw(4)
     assigned = {}
     planes = []
     for i in range(n):
@@ -619,7 +617,7 @@ def rotation_gaps(rs: RootSystem, planes) -> list:
     there it is s_a0 s_b for the plane's first mirror a0 and one other b."""
     sp = rs.spec
     gram = rs.root_gram()
-    four = sp.raw_from_rational(4)
+    four = sp.raw(4)
     out = []
     for p in planes:
         a0 = p.member_roots[0]

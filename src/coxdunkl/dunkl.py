@@ -31,7 +31,7 @@ from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _acc, _mul_into,
                           _normalize, apply_reflection, build_discriminant,
                           monomial_table, reflection_forms)
-from .scalars import FieldElement, KPoly, as_rational, rat
+from .scalars import FieldElement, KPoly, rat
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,7 @@ class DunklDirection:
 
     @classmethod
     def from_dual_coords(cls, ring, coords):
-        sp = ring.spec
-        dual = [c.co if isinstance(c, FieldElement) else sp.raw_from_rational(c)
-                for c in coords]
-        return cls(ring, dual)
+        return cls(ring, [ring.spec.raw(c) for c in coords])
 
 
 def _omega_directions(rs):
@@ -134,7 +131,7 @@ def _apply_direction(rs, direction, terms):
             e = (key >> (EXP_BITS * i)) & EXP_MASK
             if not e:
                 continue
-            w = sp.raw_scale(a, as_rational(e))
+            w = sp.raw_scale(a, e)
             _acc(sp, out, key - step, [sp.raw_mul(c, w) for c in kco])
     # reflection part, shifted by one power of k
     for alpha, w in enumerate(direction.pairings):

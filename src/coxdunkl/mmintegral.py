@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .scalars import FieldElement, KPoly, as_rational, rat
+from .scalars import FieldElement, KPoly, as_rational, qdiv
 
 #: Euler's constant, accurate to well below 1e-15
 EULER_GAMMA = 0.5772156649015328606065120900824
@@ -98,7 +98,7 @@ def wick_moment(rs, factors, budget=DEFAULT_WICK_BUDGET) -> FieldElement:
             cov = gram[first][v]
             if any(cov) and any(sub):
                 term = sp.raw_mul(cov, sub)
-                term = sp.raw_scale(term, as_rational(mult))
+                term = sp.raw_scale(term, mult)
                 acc = sp.raw_add(acc, term)
             j += mult
         memo[key] = acc
@@ -147,7 +147,7 @@ def gamma_product_exact(dd, k: int):
     num = 1
     for d in dd.degrees:
         num *= math.factorial(k * d)
-    return rat(num, math.factorial(k) ** len(dd.degrees))
+    return qdiv(num, math.factorial(k) ** len(dd.degrees))
 
 
 def log_gamma_product(dd, k: float) -> float:

@@ -10,7 +10,7 @@ variable) for fast dictionary arithmetic.
 from __future__ import annotations
 
 from .errors import ExactDivisionError, FieldMismatchError
-from .scalars import FieldElement, KPoly, _compatible, as_rational
+from .scalars import KPoly, _compatible, as_kpoly, as_rational
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -114,16 +114,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ring, value):
-        sp = ring.spec
-        if isinstance(value, KPoly):
-            if not _compatible(sp, value.spec):
-                raise FieldMismatchError("constant from a different field")
-            kco = value.co
-        elif isinstance(value, FieldElement):
-            kco = (value.co,)
-        else:
-            kco = (sp.raw_from_rational(value),)
-        kco = _trim(sp, kco)
+        kco = as_kpoly(ring.spec, value).co
         return cls(ring, {0: kco} if kco else {})
 
     @classmethod
@@ -145,13 +136,7 @@ class MultiPoly:
         sp = ring.spec
         dst = {}
         for exps, value in mapping.items():
-            if isinstance(value, KPoly):
-                kco = value.co
-            elif isinstance(value, FieldElement):
-                kco = (value.co,)
-            else:
-                kco = (sp.raw_from_rational(value),)
-            _acc(sp, dst, pack_exponents(exps), kco)
+            _acc(sp, dst, pack_exponents(exps), as_kpoly(sp, value).co)
         return cls(ring, _normalize(sp, dst))
 
     @classmethod
@@ -160,7 +145,7 @@ class MultiPoly:
         sp = ring.spec
         dst = {}
         for j, cf in enumerate(coeffs):
-            raw = cf.co if isinstance(cf, FieldElement) else sp.raw_from_rational(cf)
+            raw = sp.raw(cf)
             if not sp.raw_is_zero(raw):
                 _acc(sp, dst, 1 << (EXP_BITS * j), (raw,))
         return cls(ring, _normalize(sp, dst))
@@ -266,8 +251,7 @@ class MultiPoly:
             e = (k >> (EXP_BITS * i)) & EXP_MASK
             if not e:
                 continue
-            er = as_rational(e)
-            _acc(sp, dst, k - step, [sp.raw_scale(c, er) for c in v])
+            _acc(sp, dst, k - step, [sp.raw_scale(c, e) for c in v])
         return MultiPoly(self.ring, _normalize(sp, dst))
 
     def __eq__(self, other):
@@ -290,8 +274,7 @@ class MultiPoly:
     def eval_field(self, point):
         """Exact evaluation at a tuple of FieldElements / rationals (k stays formal)."""
         sp = self.ring.spec
-        raws = [p.co if isinstance(p, FieldElement) else sp.raw_from_rational(p)
-                for p in point]
+        raws = [sp.raw(p) for p in point]
         acc = {}
         r = self.ring.rank
         for k, v in self.terms.items():
@@ -311,7 +294,7 @@ class MultiPoly:
         r = self.ring.rank
         for k, v in self.terms.items():
             acc = sp.raw_zero()
-            p = as_rational(1)
+            p = 1
             for c in v:
                 acc = sp.raw_add(acc, sp.raw_scale(c, p))
                 p = p * kq

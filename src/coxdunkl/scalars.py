@@ -3,9 +3,17 @@
 Every exact quantity in the library is a rational combination of powers of
 c = 2cos(pi/m) for a single m fixed by the reflection group: arithmetic is
 done modulo the minimal polynomial of c, and the real embedding sends c to
-the largest real root of that polynomial.  Rationals are arbitrary
-precision; sign decisions refine an exact rational bracket of c by
-bisection until the interval of the evaluated element excludes zero.
+the largest real root of that polynomial.  Sign decisions refine an exact
+rational bracket of c by bisection until the interval of the evaluated
+element excludes zero.
+
+A field element is a tuple of coordinates in the power basis of c.  Integral
+values are `int`; `rat` (mpq, or Fraction without gmpy2) appears only where
+a denominator does.  Root coordinates, Gram entries, reflections, divided
+differences and the discriminant and its norm b(k) all lie in Z[c], because
+the minimal polynomial of c is monic and none of them divides, so they are
+computed in Python ints.  Every quotient goes through `qdiv`, which is exact
+and never returns a float.
 
 KPoly is a dense univariate polynomial over such a field.  It carries the
 formal deformation parameter k through the Dunkl calculus and doubles as
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction as _Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -26,24 +35,35 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 from .errors import FieldMismatchError, PrecisionExhaustedError
 
-R0 = rat(0)
-R1 = rat(1)
+#: the exact zero and one (plain ints, like every integral value)
+R0 = 0
+R1 = 1
 
 #: hard bound on bisection depth for sign decisions
 MAX_SIGN_BITS = 4096
 
-_RAT_OK = (int, type(R0), _Fraction)
+_RAT_OK = (int, _Fraction, rat)
 
 
 def as_rational(x):
-    """Coerce an int / Fraction / mpq to the internal rational type."""
-    if type(x) is type(R0):
+    """Coerce an int / Fraction / mpq to the exact scalar type: an `int`
+    when the value is integral, `rat` otherwise."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return rat(x)
     if isinstance(x, _RAT_OK):
-        return rat(x.numerator, x.denominator)
+        if x.denominator == 1:
+            return int(x.numerator)
+        return x if type(x) is rat else rat(x.numerator, x.denominator)
     raise TypeError(f"not a rational value: {x!r}")
+
+
+def qdiv(a, b):
+    """The exact quotient a / b of two exact scalars (`/` on two ints would
+    give a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return rat(a, b) if r else q
+    return as_rational(a / b)   # a or b is a rat, so `/` is exact
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +172,31 @@ class FieldSpec:
         d = self.degree
         # reduction rows: coordinates of c^d, ..., c^(2d-2)
         rows = []
-        cur = [rat(-a) for a in mp_[:-1]]
+        cur = [-a for a in mp_[:-1]]
         rows.append(tuple(cur))
         for _ in range(d - 2):
             lead = cur[-1]
-            cur = [R0] + cur[:-1]
+            cur = [0] + cur[:-1]
             if lead:
                 base = rows[0]
                 cur = [cur[j] + lead * base[j] for j in range(d)]
             rows.append(tuple(cur))
         self._pow = tuple(rows)
-        self._zero = (R0,) * d
-        self._one = (R1,) + (R0,) * (d - 1)
+        self._zero = (0,) * d
+        self._one = (1,) + (0,) * (d - 1)
         self._init_bracket()
 
     # -- real embedding -----------------------------------------------------
 
     def _peval(self, x):
-        acc = R0
+        acc = 0
         for a in reversed(self.min_poly):
             acc = acc * x + a
         return acc
 
     def _init_bracket(self):
         if self.degree == 1:
-            self._lo = self._hi = rat(-self.min_poly[0])
+            self._lo = self._hi = -self.min_poly[0]
             return
         roots = np.roots(list(reversed(self.min_poly)))
         reals = sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9)
@@ -221,20 +241,25 @@ class FieldSpec:
     def raw_one(self):
         return self._one
 
-    def raw_from_rational(self, q):
-        q = as_rational(q)
-        if self.degree == 1:
-            return (q,)
-        return (q,) + (R0,) * (self.degree - 1)
+    def raw(self, value):
+        """Coordinates of a FieldElement of this field or of a rational: the
+        one coercion of a value into a raw tuple.  Integral rationals become
+        ints; a FieldElement of another field raises FieldMismatchError."""
+        if isinstance(value, FieldElement):
+            if not _compatible(self, value.spec):
+                raise FieldMismatchError(
+                    f"mixed fields {self.min_poly} vs {value.spec.min_poly}")
+            return value.co
+        return (as_rational(value),) + (0,) * (self.degree - 1)
 
     def raw_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def raw_sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def raw_neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def raw_scale(self, a, q):
         return tuple(x * q for x in a)
@@ -243,7 +268,7 @@ class FieldSpec:
         d = self.degree
         if d == 1:
             return (a[0] * b[0],)
-        prod = [R0] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -262,11 +287,11 @@ class FieldSpec:
         if not any(a):
             raise ZeroDivisionError("field inverse of zero")
         if self.degree == 1:
-            return (R1 / a[0],)
+            return (qdiv(1, a[0]),)
         # extended Euclid: s*a + t*p = g with g a nonzero constant
-        p = [rat(x) for x in self.min_poly]
+        p = list(self.min_poly)
         r0, r1 = p, list(a)
-        s0, s1 = [R0], [R1]
+        s0, s1 = [0], [1]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
@@ -275,10 +300,10 @@ class FieldSpec:
             if not r1:
                 raise ZeroDivisionError("zero divisor in field inverse")
             lead = r1[-1]
-            q = [R0] * (len(r0) - len(r1) + 1)
+            q = [0] * (len(r0) - len(r1) + 1)
             rem = list(r0)
             for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / lead
+                c = qdiv(rem[i + len(r1) - 1], lead)
                 q[i] = c
                 if c:
                     for j, y in enumerate(r1):
@@ -286,12 +311,12 @@ class FieldSpec:
             while rem and not rem[-1]:
                 rem.pop()
             # s_next = s0 - q*s1
-            qs1 = [R0] * (len(q) + len(s1) - 1)
+            qs1 = [0] * (len(q) + len(s1) - 1)
             for i, x in enumerate(q):
                 if x:
                     for j, y in enumerate(s1):
                         qs1[i + j] += x * y
-            snext = [R0] * max(len(s0), len(qs1))
+            snext = [0] * max(len(s0), len(qs1))
             for i, x in enumerate(s0):
                 snext[i] += x
             for i, x in enumerate(qs1):
@@ -299,8 +324,8 @@ class FieldSpec:
             r0, r1 = r1, rem
             s0, s1 = s1, snext
         g = r1[0]
-        inv = [x / g for x in s1]
-        inv = inv[:self.degree] + [R0] * max(0, self.degree - len(inv))
+        inv = [qdiv(x, g) for x in s1]
+        inv = inv[:self.degree] + [0] * max(0, self.degree - len(inv))
         # reduce modulo p in case deg(s) >= degree (cannot happen, but be safe)
         return tuple(inv[:self.degree])
 
@@ -343,13 +368,13 @@ class FieldSpec:
     def raw_embed(self, a, precision_bits):
         """Interval of width <= 2^-precision_bits * max(1, |value|)."""
         if self.degree == 1 or not any(a):
-            v = a[0] if a else R0
+            v = a[0] if a else 0
             return v, v
         bits = max(64, precision_bits)
         while True:
             lo, hi = self.raw_interval(a, bits)
-            mid = (lo + hi) / 2
-            bound = max(R1, abs(mid)) / (1 << precision_bits)
+            mid = qdiv(lo + hi, 2)
+            bound = qdiv(max(1, abs(mid)), 1 << precision_bits)
             if hi - lo <= bound:
                 return lo, hi
             if bits > precision_bits + MAX_SIGN_BITS:  # pragma: no cover
@@ -358,13 +383,13 @@ class FieldSpec:
 
     def raw_float(self, a):
         lo, hi = self.raw_embed(a, 60)
-        return float((lo + hi) / 2)
+        return float(qdiv(lo + hi, 2))
 
     # -- misc ----------------------------------------------------------------
 
     def element(self, *coords):
         co = [as_rational(x) for x in coords]
-        co += [R0] * (self.degree - len(co))
+        co += [0] * (self.degree - len(co))
         if len(co) != self.degree:
             raise ValueError("too many coordinates")
         return FieldElement(self, tuple(co))
@@ -378,13 +403,13 @@ class FieldSpec:
     def gen(self):
         """The generator c as a field element."""
         if self.degree == 1:
-            return FieldElement(self, (rat(-self.min_poly[0]),))
-        co = [R0] * self.degree
-        co[1] = R1
+            return FieldElement(self, (-self.min_poly[0],))
+        co = [0] * self.degree
+        co[1] = 1
         return FieldElement(self, tuple(co))
 
     def from_rational(self, q):
-        return FieldElement(self, self.raw_from_rational(q))
+        return FieldElement(self, self.raw(q))
 
     def __repr__(self):
         return f"FieldSpec(min_poly={self.min_poly}, name={self.name!r})"
@@ -415,13 +440,8 @@ class FieldElement:
         self.co = co
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if not _compatible(self.spec, other.spec):
-                raise FieldMismatchError(
-                    f"mixed fields {self.spec.min_poly} vs {other.spec.min_poly}")
-            return other.co
-        if isinstance(other, _RAT_OK):
-            return self.spec.raw_from_rational(other)
+        if isinstance(other, _SCALAR_TYPES):
+            return self.spec.raw(other)
         return None
 
     def __add__(self, other):
@@ -548,6 +568,10 @@ class FieldElement:
         return f"<{self}>"
 
 
+#: the values `FieldSpec.raw` accepts
+_SCALAR_TYPES = (FieldElement,) + _RAT_OK
+
+
 def real_embed(a: FieldElement, precision_bits: int):
     """Enclosing interval of a under the designated embedding."""
     return a.real_interval(precision_bits)
@@ -586,11 +610,7 @@ class KPoly:
 
     @classmethod
     def const(cls, spec, value):
-        if isinstance(value, FieldElement):
-            if not _compatible(spec, value.spec):
-                raise FieldMismatchError("constant from a different field")
-            return cls(spec, (value.co,))
-        return cls(spec, (spec.raw_from_rational(value),))
+        return cls(spec, (spec.raw(value),))
 
     @classmethod
     def gen(cls, spec):
@@ -599,13 +619,7 @@ class KPoly:
     @classmethod
     def from_coeffs(cls, spec, values):
         """Ascending coefficients given as rationals or FieldElements."""
-        raw = []
-        for v in values:
-            if isinstance(v, FieldElement):
-                raw.append(v.co)
-            else:
-                raw.append(spec.raw_from_rational(v))
-        return cls(spec, raw)
+        return cls(spec, [spec.raw(v) for v in values])
 
     # -- structure -----------------------------------------------------------
 
@@ -629,12 +643,8 @@ class KPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, KPoly):
-            if not _compatible(self.spec, other.spec):
-                raise FieldMismatchError("mixed fields in polynomial arithmetic")
-            return other
-        if isinstance(other, FieldElement) or isinstance(other, _RAT_OK):
-            return KPoly.const(self.spec, other)
+        if isinstance(other, (KPoly,) + _SCALAR_TYPES):
+            return as_kpoly(self.spec, other)
         return None
 
     def __add__(self, other):
@@ -707,12 +717,7 @@ class KPoly:
 
     def __call__(self, x):
         sp = self.spec
-        if isinstance(x, FieldElement):
-            if not _compatible(sp, x.spec):
-                raise FieldMismatchError("evaluation point from a different field")
-            xr = x.co
-        else:
-            xr = sp.raw_from_rational(x)
+        xr = sp.raw(x)
         acc = sp.raw_zero()
         for a in reversed(self.co):
             acc = sp.raw_add(sp.raw_mul(acc, xr), a)
@@ -804,6 +809,16 @@ class KPoly:
 
     def __repr__(self):
         return f"<KPoly {self.to_string()}>"
+
+
+def as_kpoly(spec, value) -> KPoly:
+    """A KPoly, FieldElement or rational value as a KPoly over `spec`; a value
+    from another field raises FieldMismatchError."""
+    if isinstance(value, KPoly):
+        if not _compatible(spec, value.spec):
+            raise FieldMismatchError("mixed fields in polynomial arithmetic")
+        return value
+    return KPoly.const(spec, value)
 
 
 def kpoly_gcd(a: KPoly, b: KPoly) -> KPoly:

@@ -7,10 +7,10 @@ from coxdunkl.dunkl import (BFactorization, DunklDirection, b_poly, beta_form,
                             dunkl_apply_omega, dunkl_apply_root,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
                             verify_algebra_relations)
-from coxdunkl.errors import BudgetError
+from coxdunkl.errors import BudgetError, FieldMismatchError
 from coxdunkl.polynomials import (MultiPoly, build_discriminant,
-                                  divided_difference)
-from coxdunkl.scalars import KPoly, rat
+                                  divided_difference, reflection_forms)
+from coxdunkl.scalars import KPoly, cos_field, rat
 from coxdunkl.suite import group_context
 
 from conftest import random_multipoly
@@ -232,6 +232,38 @@ def test_b_poly_factorization_expands_back(ctx_a2):
     res = b_poly(ctx_a2.rs, ctx_a2.degrees)
     assert res.factorization.expand(ctx_a2.rs.spec) == res.computed
     assert res.factorization.b0.sign() > 0
+
+
+def test_exact_kernel_coordinates_are_ints():
+    # everything on the way to b(k) lies in Z[c] and nothing divides, so
+    # every coordinate is a plain int (no rational backend on the hot path)
+    for label in ("B3", "I2(7)", "I2(12)"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        res = b_poly(rs, ctx.degrees)
+        assert res.equal
+        raws = list(rs.roots_raw()) + list(rs.pair_vectors())
+        raws = [x for vec in raws for x in vec]
+        raws += [c for kco in build_discriminant(rs).terms.values() for c in kco]
+        raws += [c for a in range(rs.num_positive)
+                 for form in reflection_forms(rs, a) for _, (c,) in form]
+        tables = [memo for key, memo in rs._caches.items()
+                  if isinstance(key, tuple) and key[0] == "dd"]
+        assert len(tables) == rs.num_positive
+        raws += [c for memo in tables for table in memo.values()
+                 for (c,) in table.values()]
+        raws += list(res.computed.co)
+        assert len(raws) > 100
+        bad = {type(x).__name__ for raw in raws for x in raw if type(x) is not int}
+        assert not bad, (label, bad)
+
+
+def test_from_dual_coords_rejects_another_field(ctx_a2):
+    rs = ctx_a2.rs
+    with pytest.raises(FieldMismatchError):
+        DunklDirection.from_dual_coords(rs, [cos_field(5).gen(), 1])
+    d = DunklDirection.from_dual_coords(rs, [rat(2, 2), 0])
+    assert d.dual == DunklDirection.omega(rs, 0).dual
 
 
 def test_b_poly_heavy_gate():

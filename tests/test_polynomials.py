@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from coxdunkl.errors import FieldMismatchError
 from coxdunkl.polynomials import (MultiPoly, apply_reflection,
                                   build_discriminant, divided_difference,
                                   root_linear_form)
-from coxdunkl.scalars import KPoly, rat
+from coxdunkl.scalars import KPoly, cos_field, rat
 from coxdunkl.suite import group_context
 
 from conftest import random_kpoly, random_multipoly
@@ -178,3 +179,44 @@ def test_float_terms(ctx_a2):
     f = MultiPoly.from_terms(rs, {(1, 0): KPoly.from_coeffs(rs.spec, [1, 2])})
     terms = f.float_terms(rat(1, 2))
     assert terms == [((1, 0), 2.0)]
+
+
+# A value from another field must raise: zipped coordinate by coordinate
+# against the ring's own raw tuples it would silently lose data (A2 is over
+# QQ, so c = 2cos(pi/5) would drop its c-coordinate and read as 0).
+
+
+def test_constant_scale_and_product_reject_another_field(ctx_a2):
+    rs = ctx_a2.rs
+    c5 = cos_field(5).gen()
+    u1 = MultiPoly.variable(rs, 0)
+    for make in (lambda: MultiPoly.constant(rs, c5),
+                 lambda: MultiPoly.constant(rs, KPoly.gen(cos_field(5))),
+                 lambda: u1.scale(c5),
+                 lambda: u1 * c5,
+                 lambda: c5 * u1,
+                 lambda: u1 + c5):
+        with pytest.raises(FieldMismatchError):
+            make()
+    assert u1.scale(cos_field(3).from_rational(2)) == u1 * 2
+
+
+def test_from_terms_rejects_another_field(ctx_a2):
+    rs = ctx_a2.rs
+    for value in (cos_field(5).gen(), KPoly.gen(cos_field(5))):
+        with pytest.raises(FieldMismatchError):
+            MultiPoly.from_terms(rs, {(1, 0): value})
+
+
+def test_linear_form_rejects_another_field(ctx_a2):
+    rs = ctx_a2.rs
+    with pytest.raises(FieldMismatchError):
+        MultiPoly.linear_form(rs, [cos_field(5).gen(), 1])
+    assert MultiPoly.linear_form(rs, [rat(4, 2), 1]).to_string() == "2*u1 + u2"
+
+
+def test_eval_field_rejects_another_field(ctx_a2):
+    rs = ctx_a2.rs
+    f = build_discriminant(rs)
+    with pytest.raises(FieldMismatchError):
+        f.eval_field((cos_field(5).gen(), 1))

@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from coxdunkl.errors import FieldMismatchError
-from coxdunkl.scalars import (FieldSpec, KPoly, cos_field, kpoly_gcd,
-                              minimal_poly_2cos, rat, real_embed)
+from coxdunkl.scalars import (FieldSpec, KPoly, as_rational, cos_field,
+                              kpoly_gcd, minimal_poly_2cos, qdiv, rat,
+                              real_embed)
 
 
 def test_minimal_poly_small_cases():
@@ -172,3 +174,60 @@ def test_kpoly_strings():
 def test_fieldspec_rejects_non_monic():
     with pytest.raises(ValueError):
         FieldSpec((1, 2))
+
+
+def test_as_rational_demotes_integral_values_to_int():
+    # integral values are ints whatever the rational backend is
+    for x in (3, Fraction(6, 3), rat(4, 2), True):
+        q = as_rational(x)
+        assert type(q) is int and q == x
+    third = as_rational(Fraction(1, 3))
+    assert type(third) is rat and third == Fraction(1, 3)
+    with pytest.raises(TypeError):
+        as_rational(0.5)
+    spec = cos_field(5)
+    assert all(type(x) is int for x in spec.element(Fraction(4, 2), 3).co)
+    assert all(type(x) is int for x in spec.gen().co + spec.one().co)
+
+
+def test_divisions_of_ints_stay_exact():
+    # `/` on two ints would give a float; every quotient is exact instead
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(1, 3) == rat(1, 3) and type(qdiv(1, 3)) is rat
+    assert type(qdiv(rat(3, 2), rat(1, 2))) is int
+    qq = FieldSpec((0, 1))
+    inv = qq.raw_inv((3,))
+    assert inv == (rat(1, 3),) and type(inv[0]) is rat
+    assert qq.raw_inv((-1,)) == (-1,) and type(qq.raw_inv((-1,))[0]) is int
+    f5 = cos_field(5)
+    inv = f5.raw_inv(f5.gen().co)   # 1/phi = phi - 1
+    assert inv == (-1, 1) and all(type(x) is int for x in inv)
+    a = KPoly.from_coeffs(qq, [1, 0, 3])             # 3k^2 + 1
+    b = KPoly.from_coeffs(qq, [2, 2])                # 2k + 2
+    q, r = a.divmod(b)
+    assert q == KPoly.from_coeffs(qq, [rat(-3, 2), rat(3, 2)])
+    assert r == KPoly.from_coeffs(qq, [4])
+    assert q * b + r == a
+    g = kpoly_gcd(KPoly.from_coeffs(qq, [6, 5, 1]), KPoly.from_coeffs(qq, [3, 4, 1]))
+    assert g == KPoly.from_coeffs(qq, [3, 1])
+    for p in (q, r, g, kpoly_gcd(a, b)):
+        assert not any(isinstance(x, float) for c in p.co for x in c)
+    assert all(type(x) is int for c in g.co for x in c)
+    # degree-1 embedding and float conversion of ints
+    assert qq.raw_embed((7,), 53) == (7, 7)
+    assert qq.raw_float((7,)) == 7.0 and f5.raw_float((1, 0)) == 1.0
+
+
+def test_values_from_another_field_raise():
+    f5, f7 = cos_field(5), cos_field(7)
+    with pytest.raises(FieldMismatchError):
+        KPoly.from_coeffs(f5, [1, f7.gen()])
+    with pytest.raises(FieldMismatchError):
+        KPoly.const(f5, f7.gen())
+    with pytest.raises(FieldMismatchError):
+        KPoly.gen(f5)(f7.gen())
+    with pytest.raises(FieldMismatchError):
+        KPoly.gen(f5) * KPoly.gen(f7)
+    with pytest.raises(FieldMismatchError):
+        f5.raw(f7.gen())
+    assert f5.raw(f5.gen()) == (0, 1) and f5.raw(rat(2, 2)) == (1, 0)
