@@ -198,6 +198,10 @@ class McEstimate:
     seed: int
     shards: int
     rejected: int = 0
+    #: effective sample size (sum w)^2 / sum w^2, weights w = |Delta|^(2k)
+    ess: float = math.nan
+    #: the largest single weight as a share of sum w
+    max_weight_share: float = math.nan
 
 
 def _substream(seed, purpose, shard):
@@ -213,17 +217,40 @@ def _shard_sizes(samples, shards):
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-class _BlockSampler:
-    """Yields (U, dots) blocks of Gaussian samples mapped to root coordinates.
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
 
-    U has the simple-root pairings u_j = (alpha_j, x); dots has (alpha, x)
-    for every positive root.  Rows that hit a mirror exactly in float
-    arithmetic are redrawn and counted."""
+
+def _log_abs_delta(dots):
+    """L = log|prod_i dots[i, s]| for each sample s, from one product and
+    one log.
+
+    `dots` holds the pairings (alpha, x) as (|S|, samples), so the product
+    runs along contiguous rows.  Returns (L, zero), where `zero` indexes the
+    samples with an exact zero pairing (their L is -inf).  A sample whose
+    product leaves the normal float range (an underflow to a subnormal or to
+    0, an overflow to inf) takes the per-root sum of log|.| instead."""
+    with np.errstate(over="ignore", divide="ignore"):
+        p = np.abs(dots.prod(axis=0))
+        out = np.log(p)
+        odd = np.flatnonzero((p < _TINY) | (p > _HUGE))
+        if not odd.size:
+            return out, odd
+        sub = np.abs(dots[:, odd])
+        out[odd] = np.log(sub).sum(axis=0)
+    return out, odd[(sub == 0.0).any(axis=0)]
+
+
+class _BlockSampler:
+    """Yields (U, L) blocks of Gaussian samples mapped to root coordinates.
+
+    U is (rank, samples), with row j holding the simple-root pairings
+    u_j = (alpha_j, x); L is log|Delta(x)|, the log of the product of
+    (alpha, x) over the positive roots.  Samples that hit a mirror exactly
+    in float arithmetic are redrawn and counted."""
 
     def __init__(self, rs, rng):
-        a, c = rs.float_data()
-        self.at = a.T.copy()
-        self.ct = c.T.copy()
+        self.a, self.c = rs.float_data()
         self.rng = rng
         self.rank = rs.rank
         self.rejected = 0
@@ -233,48 +260,96 @@ class _BlockSampler:
         while remaining > 0:
             b = min(_MC_BLOCK, remaining)
             z = self.rng.standard_normal((b, self.rank))
-            u = z @ self.at
-            dots = u @ self.ct
-            bad = np.nonzero((dots == 0.0).any(axis=1))[0]
+            u = self.a @ z.T
+            logs, bad = _log_abs_delta(self.c @ u)
             while bad.size:
                 self.rejected += bad.size
                 z2 = self.rng.standard_normal((bad.size, self.rank))
-                u[bad] = z2 @ self.at
-                dots[bad] = u[bad] @ self.ct
-                bad = bad[(dots[bad] == 0.0).any(axis=1)]
-            yield u, dots
+                u[:, bad] = self.a @ z2.T
+                logs[bad], again = _log_abs_delta(self.c @ u[:, bad])
+                bad = bad[again]
+            yield u, logs
             remaining -= b
 
 
+class _Moments:
+    """Count, means and central moment sums of a stream of float samples.
+
+    For the variables x_i it keeps n, the means and the co-moments
+    C_ij = sum (x_i - mean_i)(x_j - mean_j); for a single variable it also
+    keeps M3 and M4, the sums of the third and fourth central powers.  Each
+    block is summarised by two passes, and states are merged by the pairwise
+    updates of Chan, Golub and LeVeque (1979) and Pebay (SAND2008-6212), so
+    no raw power sum is formed and a large common offset costs no digits."""
+
+    __slots__ = ("n", "mean", "cm", "m3", "m4")
+
+    def __init__(self, n=0, mean=(), cm=(), m3=0.0, m4=0.0):
+        self.n, self.mean, self.cm, self.m3, self.m4 = n, mean, cm, m3, m4
+
+    @classmethod
+    def of(cls, *xs):
+        """The state of one block of samples of each variable."""
+        mean = tuple(float(x.mean()) for x in xs)
+        ds = [x - m for x, m in zip(xs, mean)]
+        if len(ds) > 1:
+            return cls(xs[0].size, mean,
+                       tuple(tuple(float((a * b).sum()) for b in ds)
+                             for a in ds))
+        d = ds[0]
+        d2 = d * d
+        return cls(d.size, mean, ((float(d2.sum()),),),
+                   float((d2 * d).sum()), float((d2 * d2).sum()))
+
+    def merge(self, other):
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        na, nb = self.n, other.n
+        n = na + nb
+        delta = [mb - ma for ma, mb in zip(self.mean, other.mean)]
+        mean = tuple(ma + d * nb / n for ma, d in zip(self.mean, delta))
+        f = na * nb / n
+        cm = tuple(tuple(ca + cb + f * di * dj
+                         for ca, cb, dj in zip(ra, rb, delta))
+                   for ra, rb, di in zip(self.cm, other.cm, delta))
+        if len(delta) > 1:
+            return _Moments(n, mean, cm)
+        d = delta[0]
+        a2, b2 = self.cm[0][0], other.cm[0][0]
+        m3 = (self.m3 + other.m3 + d ** 3 * f * (na - nb) / n
+              + 3.0 * d * (na * b2 - nb * a2) / n)
+        m4 = (self.m4 + other.m4
+              + d ** 4 * f * (na * na - na * nb + nb * nb) / (n * n)
+              + 6.0 * d * d * (na * na * b2 + nb * nb * a2) / (n * n)
+              + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
+        return _Moments(n, mean, cm, m3, m4)
+
+    def mean_se(self):
+        """The first mean and its standard error (sample variance, n - 1)."""
+        n = self.n
+        var = self.cm[0][0] / (n - 1) if n > 1 else 0.0
+        return self.mean[0], math.sqrt(var / n)
+
+
 def _run_shards(samples, shards, worker, threads=1):
-    """Run per-shard workers and combine their sum-tuples in shard order."""
+    """Run per-shard workers; return their results in shard order."""
     sizes = _shard_sizes(samples, shards)
-    results = [None] * shards
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(worker, i, sizes[i]): i for i in range(shards)}
-            for fut, i in futs.items():
-                results[i] = fut.result()
-    else:
-        for i in range(shards):
-            results[i] = worker(i, sizes[i])
-    totals = None
-    for res in results:
-        if totals is None:
-            totals = list(res)
-        else:
-            for j, v in enumerate(res):
-                totals[j] += v
-    return totals
+            futs = [pool.submit(worker, i, sizes[i]) for i in range(shards)]
+            return [fut.result() for fut in futs]
+    return [worker(i, sizes[i]) for i in range(shards)]
 
 
-def _mean_se(n, s1, s2):
-    mean = s1 / n
-    var = (s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0
-    if var < 0.0:
-        var = 0.0
-    return mean, math.sqrt(var / n)
+def _merged(states):
+    """Merge moment states in order: blocks within a shard, then shards."""
+    acc = _Moments()
+    for st in states:
+        acc = acc.merge(st)
+    return acc
 
 
 def mm_monte_carlo(rs, k, samples, seed, shards=16, threads=1,
@@ -291,16 +366,22 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16, threads=1,
 
     def worker(shard, n):
         sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        s1 = s2 = 0.0
-        for _, dots in sampler.blocks(n):
-            w = np.exp((2.0 * kf) * np.log(np.abs(dots)).sum(axis=1))
-            s1 += float(w.sum())
-            s2 += float((w * w).sum())
-        return s1, s2, sampler.rejected
+        st, top = _Moments(), 0.0
+        for _, logs in sampler.blocks(n):
+            w = np.exp((2.0 * kf) * logs)
+            st = st.merge(_Moments.of(w))
+            top = max(top, float(w.max()))
+        return st, top, sampler.rejected
 
-    s1, s2, rejected = _run_shards(samples, shards, worker, threads)
-    mean, se = _mean_se(samples, s1, s2)
-    return McEstimate(mean, se, samples, seed, shards, int(rejected))
+    results = _run_shards(samples, shards, worker, threads)
+    st = _merged(r[0] for r in results)
+    mean, se = st.mean_se()
+    # sum w = n mean and sum w^2 = M2 + n mean^2, read from the merged state
+    sum_w = samples * mean
+    ess = samples / (1.0 + st.cm[0][0] / (sum_w * mean)) if mean else 0.0
+    share = max(r[1] for r in results) / sum_w if mean else math.nan
+    return McEstimate(mean, se, samples, seed, shards,
+                      sum(r[2] for r in results), ess, share)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +432,20 @@ def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
 
 
 def _poly_float_evaluator(poly, k_value):
+    """Vectorised float evaluation of poly at k = k_value on the columns of
+    u, the (rank, samples) simple-root pairings: each term is its coefficient
+    times u_j^e_j, one variable at a time."""
     terms = poly.float_terms(k_value)
-    if not terms:
-        return lambda u: np.zeros(u.shape[0])
-    exps = np.array([t[0] for t in terms], dtype=np.int64)
-    coeffs = np.array([t[1] for t in terms])
-    if (exps == 0).all():
-        const = float(coeffs.sum())
-        return lambda u: np.full(u.shape[0], const)
 
     def ev(u):
-        return (u[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+        acc = np.zeros(u.shape[1])
+        for exps, c in terms:
+            t = np.full(u.shape[1], c)
+            for j, e in enumerate(exps):
+                if e:
+                    t *= u[j] ** e
+            acc += t
+        return acc
 
     return ev
 
@@ -394,25 +478,18 @@ def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
 
     def worker(shard, n):
         sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        sn = sd = snn = sdd = snd = 0.0
-        for u, dots in sampler.blocks(n):
-            w = np.exp((2.0 * kf) * np.log(np.abs(dots)).sum(axis=1))
-            nvals = ev_f(u) * ev_g(u) * w
-            sn += float(nvals.sum())
-            sd += float(w.sum())
-            snn += float((nvals * nvals).sum())
-            sdd += float((w * w).sum())
-            snd += float((nvals * w).sum())
-        return sn, sd, snn, sdd, snd, sampler.rejected
+        st = _Moments()
+        for u, logs in sampler.blocks(n):
+            w = np.exp((2.0 * kf) * logs)
+            st = st.merge(_Moments.of(ev_f(u) * ev_g(u) * w, w))
+        return st
 
-    sn, sd, snn, sdd, snd, _ = _run_shards(samples, shards, worker, threads)
+    st = _merged(_run_shards(samples, shards, worker, threads))
     n = samples
-    nbar, dbar = sn / n, sd / n
+    (nbar, dbar), ((cnn, cnd), (_, cdd)) = st.mean, st.cm
     ratio = nbar / dbar
-    var_n = snn / n - nbar * nbar
-    var_d = sdd / n - dbar * dbar
-    cov = snd / n - nbar * dbar
-    var_ratio = (var_n - 2.0 * ratio * cov + ratio * ratio * var_d) / (dbar * dbar * n)
+    var_ratio = ((cnn - 2.0 * ratio * cnd + ratio * ratio * cdd)
+                 / (dbar * dbar * n * n))
     se = math.sqrt(var_ratio) if var_ratio > 0 else 0.0
     if se > 0:
         z = (ratio - exact_value) / se
@@ -443,25 +520,16 @@ def mm_log_moments(rs, samples, seed, shards=16, threads=1,
 
     def worker(shard, n):
         sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        m1 = m2 = m3 = m4 = 0.0
-        for _, dots in sampler.blocks(n):
-            x = 2.0 * np.log(np.abs(dots)).sum(axis=1)
-            x2 = x * x
-            m1 += float(x.sum())
-            m2 += float(x2.sum())
-            m3 += float((x2 * x).sum())
-            m4 += float((x2 * x2).sum())
-        return m1, m2, m3, m4, sampler.rejected
+        return _merged(_Moments.of(2.0 * logs) for _, logs in sampler.blocks(n))
 
-    m1, m2, m3, m4, _ = _run_shards(samples, shards, worker, threads)
+    st = _merged(_run_shards(samples, shards, worker, threads))
     n = samples
-    mean, se = _mean_se(n, m1, m2)
+    mean, se = st.mean_se()
     target = -EULER_GAMMA * rs.num_positive
     z = (mean - target) / se if se > 0 else math.inf
     # central moments for the variance band
-    mu = m1 / n
-    c2 = m2 / n - mu * mu
-    c4 = (m4 - 4 * mu * m3 + 6 * mu * mu * m2 - 3 * n * mu ** 4) / n
+    c2 = st.cm[0][0] / n
+    c4 = st.m4 / n
     var_of_var = (c4 - c2 * c2) / n
     var_se = math.sqrt(var_of_var) if var_of_var > 0 else 0.0
     var_target = math.nan

@@ -1,10 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conftest import random_multipoly
 from coxdunkl.errors import BudgetError
-from coxdunkl.mmintegral import (EULER_GAMMA, check_functional_equation,
+from coxdunkl.mmintegral import (EULER_GAMMA, _BlockSampler, _log_abs_delta,
+                                 _merged, _Moments, _poly_float_evaluator,
+                                 _substream, check_functional_equation,
                                  gamma_integral_cross_check,
                                  gamma_product_exact, gamma_product_rhs,
                                  log_gamma, log_gamma_product, mm_exact,
@@ -14,7 +18,7 @@ from coxdunkl.mmintegral import (EULER_GAMMA, check_functional_equation,
 from coxdunkl.dunkl import b_poly
 from coxdunkl.polynomials import MultiPoly
 from coxdunkl.scalars import rat
-from coxdunkl.suite import group_context
+from coxdunkl.suite import DEFAULT_GROUPS, group_context
 
 SAMPLES = 400_000   # unit-test scale; the acceptance suite uses 10^7
 
@@ -225,3 +229,156 @@ def test_predicted_relative_se(ctx_a1):
     assert log_gamma_product(h3, 12.0) > 600   # F(12) itself overflows float64
     assert predicted_relative_se(h3, 6.0, 10 ** 7) > 1e20
     assert predicted_relative_se(h3, 1.5, 10 ** 7) > 0.02
+
+
+# ---------------------------------------------------------------------------
+# the one-log block kernel
+# ---------------------------------------------------------------------------
+
+
+def _per_root_log(column):
+    return math.fsum(math.log(abs(v)) for v in column)
+
+
+def test_log_abs_delta_flags_an_exact_zero_pairing():
+    # one column per sample, one row per positive root
+    dots = np.array([[1.5, 0.0, -2.0, 3.0],
+                     [-0.5, 4.0, 0.25, 0.0],
+                     [2.0, 1.0, 1.0, 7.0]])
+    logs, zero = _log_abs_delta(dots)
+    assert zero.tolist() == [1, 3]
+    assert logs[1] == -math.inf and logs[3] == -math.inf
+    for s in (0, 2):
+        assert logs[s] == pytest.approx(_per_root_log(dots[:, s]), rel=1e-15)
+
+
+def test_log_abs_delta_out_of_range_products_take_per_root_logs():
+    dots = np.array([[1e-200, 1e200, -1e-160, 0.75],
+                     [1e-200, -1e200, 1e-160, -2.0]])
+    logs, zero = _log_abs_delta(dots)
+    assert zero.size == 0
+    # underflow to 0, overflow to inf and a subnormal product
+    for s in range(3):
+        assert logs[s] == _per_root_log(dots[:, s])
+    assert logs[3] == math.log(1.5)
+
+
+def test_log_abs_delta_matches_per_root_sum_on_default_groups():
+    for label in DEFAULT_GROUPS:
+        rs = group_context(label).rs
+        sampler = _BlockSampler(rs, _substream(7, "one-log", 0))
+        (u, logs), = sampler.blocks(20_000)
+        ref = np.log(np.abs(rs.float_data()[1] @ u)).sum(axis=0)
+        assert np.all(np.abs(logs - ref)
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref))), label
+
+
+class _MirrorFirstRng:
+    """Returns all zeros on the first draw (every sample on every mirror),
+    then defers to a real generator."""
+
+    def __init__(self):
+        self.first = True
+        self.rng = np.random.default_rng(3)
+
+    def standard_normal(self, shape):
+        if self.first:
+            self.first = False
+            return np.zeros(shape)
+        return self.rng.standard_normal(shape)
+
+
+def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2):
+    sampler = _BlockSampler(ctx_a2.rs, _MirrorFirstRng())
+    (u, logs), = sampler.blocks(1000)
+    assert sampler.rejected == 1000
+    assert u.shape == (2, 1000)
+    assert np.isfinite(logs).all()
+
+
+def test_poly_float_evaluator_matches_per_term_reference():
+    rng = random.Random(55)
+    nrng = np.random.default_rng(56)
+    for label in ("A2", "B2", "I2(5)"):
+        rs = group_context(label).rs
+        polys = [MultiPoly.zero(rs), MultiPoly.one(rs),
+                 MultiPoly.constant(rs, rat(-7, 3))]
+        polys += [random_multipoly(rs, rng, max_degree=6, terms=5, k_degree=2)
+                  for _ in range(6)]
+        u = nrng.standard_normal((rs.rank, 50))
+        for poly in polys:
+            for k in (rat(0), rat(1, 2), rat(3, 4)):
+                terms = poly.float_terms(k)
+                got = _poly_float_evaluator(poly, k)(u)
+                for s in range(u.shape[1]):
+                    parts = [c * math.prod(u[j, s] ** e
+                                           for j, e in enumerate(exps))
+                             for exps, c in terms]
+                    scale = math.fsum(abs(p) for p in parts)
+                    assert abs(got[s] - math.fsum(parts)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# stable moment merges and the weight diagnostics
+# ---------------------------------------------------------------------------
+
+
+def test_moment_merges_survive_a_large_offset():
+    rng = np.random.default_rng(8)
+    sizes = (1, 2, 17, 1000, 4096, 333)
+    blocks = [1e6 + rng.standard_normal(n) for n in sizes]
+    other = [2.0 * b - 5e5 + rng.standard_normal(b.size) for b in blocks]
+    x = [float(v) for b in blocks for v in b]
+    y = [float(v) for b in other for v in b]
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    ref = {p: math.fsum(d ** p for d in dx) for p in (2, 3, 4)}
+    ref_xy = math.fsum(a * b for a, b in zip(dx, dy))
+
+    one = _merged(_Moments.of(b) for b in blocks)
+    assert one.n == n
+    assert one.mean[0] == pytest.approx(mx, rel=1e-15)
+    assert one.cm[0][0] == pytest.approx(ref[2], rel=1e-9)
+    assert one.m4 == pytest.approx(ref[4], rel=1e-9)
+    assert abs(one.m3 - ref[3]) <= 1e-9 * ref[4]
+    two = _merged(_Moments.of(a, b) for a, b in zip(blocks, other))
+    assert two.mean[1] == pytest.approx(my, rel=1e-15)
+    assert two.cm[0][1] == two.cm[1][0] == pytest.approx(ref_xy, rel=1e-9)
+    assert two.cm[0][0] == pytest.approx(ref[2], rel=1e-9)
+    # the raw power sums these merges replace lose about five digits here
+    s1, s2 = math.fsum(x), sum(v * v for v in x)
+    assert abs((s2 - s1 * s1 / n) - ref[2]) > 1e-5 * ref[2]
+
+
+def test_empty_shards_merge_to_the_others(ctx_a2):
+    est = mm_monte_carlo(ctx_a2.rs, 0.5, 5, seed=4, shards=8)
+    assert est.samples == 5 and math.isfinite(est.mean) and est.mean > 0
+
+
+def test_estimates_do_not_depend_on_the_thread_count(ctx_b2):
+    rs = ctx_b2.rs
+    f = MultiPoly.variable(rs, 0, 2)
+    one = MultiPoly.one(rs)
+    for threads in (2, 3):
+        assert (mm_log_moments(rs, 150_000, 6, 8, threads=threads,
+                               dd=ctx_b2.degrees)
+                == mm_log_moments(rs, 150_000, 6, 8, dd=ctx_b2.degrees))
+        assert (gamma_integral_cross_check(rs, f, one, rat(1, 2), 150_000, 6,
+                                           8, threads=threads)
+                == gamma_integral_cross_check(rs, f, one, rat(1, 2), 150_000,
+                                              6, 8))
+        assert (mm_monte_carlo(rs, 0.75, 150_000, 6, 8, threads=threads)
+                == mm_monte_carlo(rs, 0.75, 150_000, 6, 8))
+
+
+def test_weight_diagnostics(ctx_a2):
+    est = mm_monte_carlo(ctx_a2.rs, 0, 100_000, seed=5, shards=8)
+    assert est.ess == 100_000
+    assert est.max_weight_share == 1 / 100_000
+    # heavier tails as k grows: fewer effective samples, a larger top weight
+    e1 = mm_monte_carlo(ctx_a2.rs, 0.5, 100_000, seed=5, shards=8)
+    e2 = mm_monte_carlo(ctx_a2.rs, 1.5, 100_000, seed=5, shards=8)
+    assert 100_000 > e1.ess > e2.ess > 0
+    assert 1 / 100_000 < e1.max_weight_share < e2.max_weight_share < 1
