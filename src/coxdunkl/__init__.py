@@ -19,7 +19,7 @@ from .mmintegral import (EULER_GAMMA, McEstimate, check_functional_equation,
 from .polynomials import (MultiPoly, apply_reflection, build_discriminant,
                           divided_difference, root_linear_form)
 from .scalars import (FieldElement, FieldSpec, KPoly, cos_field,
-                      minimal_poly_2cos, rat, real_embed)
+                      minimal_poly_2cos, rat)
 from .suite import (CheckReport, SuiteConfig, group_context, group_info,
                     parse_config, render_report, run_suite)
 

@@ -25,6 +25,17 @@ USAGE_ERROR = 2
 BUDGET_ERROR = 3
 
 
+def _positive_int(text):
+    """argparse type for sample and shard counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coxdunkl",
@@ -45,18 +56,18 @@ def _build_parser():
     p_verify.add_argument("--check", required=True, choices=CHECK_ORDER)
     p_verify.add_argument("--type", required=True, dest="group")
     p_verify.add_argument("--json", dest="json_path")
-    p_verify.add_argument("--samples", type=int, default=10_000_000)
+    p_verify.add_argument("--samples", type=_positive_int, default=10_000_000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--shards", type=int, default=16)
+    p_verify.add_argument("--shards", type=_positive_int, default=16)
     p_verify.add_argument("--heavy", action="store_true")
 
     p_int = sub.add_parser("integrate",
                            help="Monte Carlo Gaussian integral for one type")
     p_int.add_argument("--type", required=True, dest="group")
     p_int.add_argument("--k", required=True)
-    p_int.add_argument("--samples", type=int, default=10_000_000)
+    p_int.add_argument("--samples", type=_positive_int, default=10_000_000)
     p_int.add_argument("--seed", type=int, default=42)
-    p_int.add_argument("--shards", type=int, default=16)
+    p_int.add_argument("--shards", type=_positive_int, default=16)
     p_int.add_argument("--json", dest="json_path")
 
     p_suite = sub.add_parser("suite", help="run the configured suite")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, FactorizationError
-from .scalars import FieldElement, KPoly, _ip_divexact, cos_field, qdiv
+from .scalars import (QQ, FieldElement, KPoly, cos_field, kpoly_divexact,
+                      kpoly_gcd, qdiv)
 
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
@@ -435,30 +436,26 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
     Trial division from the highest plausible degree downwards is exact and
     deterministic; both bookkeeping identities are validated on the result.
     """
-    coeffs = []
-    for i in range(poincare.degree + 1):
-        fe = poincare.coeff(i)
-        q = fe.rational()
-        if q.denominator != 1:
-            raise FactorizationError("non-integer Poincare coefficient")
-        coeffs.append(int(q))
+    coeffs = [poincare.coeff(i).rational() for i in range(poincare.degree + 1)]
+    if any(type(q) is not int for q in coeffs):
+        raise FactorizationError("non-integer Poincare coefficient")
     order = sum(coeffs)
     degrees = []
-    work = list(coeffs)
-    while len(work) > 1:
-        for d in range(len(work), 1, -1):
-            qint = [1] * d
-            try:
-                quotient = _ip_divexact(work, qint)
-            except ArithmeticError:
-                continue
-            degrees.append(d)
-            work = quotient
-            break
+    work, size = KPoly.from_coeffs(QQ, coeffs), order
+    while work.degree > 0:
+        for d in range(work.degree + 1, 1, -1):
+            if size % d:
+                continue    # [d]_q divides work only if d = [d]_1 divides work(1)
+            quotient, rem = work.divmod(KPoly.from_coeffs(QQ, [1] * d))
+            if rem.is_zero():
+                break
         else:
             raise FactorizationError(
-                f"cannot factor {work} into q-integers (enumeration bug?)")
-    if work != [1]:
+                f"cannot factor {work.to_string('q')} into q-integers"
+                " (enumeration bug?)")
+        degrees.append(d)
+        work, size = quotient, size // d
+    if work != 1:
         raise FactorizationError("residual factor after q-integer division")
     degrees.sort()
     return DegreeData(tuple(degrees), order, rs.num_positive)
@@ -510,11 +507,10 @@ def _det_from_traces(spec, traces) -> KPoly:
 
 
 def _reduce_fraction(num: KPoly, den: KPoly):
-    from .scalars import kpoly_gcd
     g = kpoly_gcd(num, den)
     if g.degree > 0:
-        num = num // g
-        den = den // g
+        num = kpoly_divexact(num, g)
+        den = kpoly_divexact(den, g)
     lead = den.leading()
     inv = KPoly.const(den.spec, 1 / lead)
     return (num * inv, den * inv)

@@ -15,7 +15,7 @@ twisted-Leibniz step
     dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F),
 
 where s_alpha(u_i) comes from `polynomials.reflection_forms` and every
-product runs through the one sparse kernel `polynomials._mul_into`.  The
+product runs through the one sparse kernel `scalars._mul_into`.  The
 reflect-and-divide route (`apply_reflection`, `divided_difference`,
 `divide_by_root_form`) does not use these tables; the tests check the
 operators against it.
@@ -28,10 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _acc, _mul_into,
-                          _normalize, apply_reflection, build_discriminant,
-                          monomial_table, reflection_forms)
-from .scalars import FieldElement, KPoly, rat
+from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, apply_reflection,
+                          build_discriminant, monomial_table, reflection_forms)
+from .scalars import FieldElement, KPoly, _acc, _mul_into, _normalize, rat
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ variable) for fast dictionary arithmetic.
 from __future__ import annotations
 
 from .errors import ExactDivisionError, FieldMismatchError
-from .scalars import KPoly, _compatible, as_kpoly, as_rational
+from .scalars import (KPoly, _acc, _compatible, _mul_into, _normalize, _trim,
+                      as_kpoly, as_rational, join_terms)
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -32,69 +33,6 @@ def unpack_exponents(key, rank):
 
 def key_degree(key, rank):
     return sum((key >> (EXP_BITS * i)) & EXP_MASK for i in range(rank))
-
-
-def _trim(spec, kco):
-    """Normalize a k-coefficient list: drop trailing zeros, None -> zero."""
-    zero = spec.raw_zero()
-    out = [zero if c is None else c for c in kco]
-    while out and not any(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _acc(spec, dst, key, kco):
-    """dst[key] += kco, where kco is a sequence of raw coefficients."""
-    cur = dst.get(key)
-    if cur is None:
-        cur = []
-        dst[key] = cur
-    while len(cur) < len(kco):
-        cur.append(None)
-    for i, c in enumerate(kco):
-        if c is None or spec.raw_is_zero(c):
-            continue
-        prev = cur[i]
-        cur[i] = c if prev is None else spec.raw_add(prev, c)
-
-
-def _mul_into(spec, dst, a, b, shift=0):
-    """dst += a * b * k^shift: the one sparse product of the package.
-
-    `a` and `b` iterate over (packed key, raw k-coefficients) pairs, and `b`
-    is iterated once per term of `a`.  `dst` maps keys to lists of raw
-    coefficients (None for an empty slot), as `_acc` and `_normalize` use.
-    The innermost loop runs over the nonzero coefficients of the `a` term."""
-    mul = spec.raw_mul
-    add = spec.raw_add
-    for ka, va in a:
-        nz = [(shift + i, c) for i, c in enumerate(va) if any(c)]
-        if not nz:
-            continue
-        top = nz[-1][0]
-        for kb, vb in b:
-            key = ka + kb
-            cur = dst.get(key)
-            need = top + len(vb)
-            if cur is None:
-                cur = dst[key] = [None] * need
-            elif len(cur) < need:
-                cur.extend([None] * (need - len(cur)))
-            for j, cb in enumerate(vb):
-                for i, ca in nz:
-                    i += j
-                    p = mul(ca, cb)
-                    prev = cur[i]
-                    cur[i] = p if prev is None else add(prev, p)
-
-
-def _normalize(spec, dst):
-    out = {}
-    for key, kco in dst.items():
-        t = _trim(spec, kco)
-        if t:
-            out[key] = t
-    return out
 
 
 class MultiPoly:
@@ -167,11 +105,6 @@ class MultiPoly:
         r = self.ring.rank
         degs = {key_degree(k, r) for k in self.terms}
         return len(degs) == 1
-
-    def constant_kpoly(self) -> KPoly:
-        """Coefficient of the constant monomial (evaluation at the origin)."""
-        kco = self.terms.get(0, ())
-        return KPoly(self.ring.spec, kco)
 
     def term_items(self):
         """Deterministic list of (exponent tuple, KPoly) pairs, graded order."""
@@ -284,7 +217,7 @@ class MultiPoly:
                 for _ in range(e):
                     mono = sp.raw_mul(mono, raws[i])
             _acc(sp, acc, 0, [sp.raw_mul(c, mono) for c in v])
-        return KPoly(sp, _trim(sp, acc.get(0, [])))
+        return KPoly(sp, acc.get(0, ()))
 
     def float_terms(self, k_value):
         """[(exponent tuple, float coefficient)] with k specialized to k_value."""
@@ -305,8 +238,6 @@ class MultiPoly:
     # -- serialization ---------------------------------------------------------
 
     def to_string(self, var_prefix="u"):
-        if not self.terms:
-            return "0"
         parts = []
         for exps, kp in self.term_items():
             mono = "*".join(
@@ -325,10 +256,7 @@ class MultiPoly:
             else:
                 s = f"({cs})*{mono}"
             parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return join_terms(parts)
 
     def __str__(self):
         return self.to_string()

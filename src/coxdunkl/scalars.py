@@ -17,7 +17,11 @@ and never returns a float.
 
 KPoly is a dense univariate polynomial over such a field.  It carries the
 formal deformation parameter k through the Dunkl calculus and doubles as
-the q-variable for length generating functions.
+the q-variable for length generating functions.  Its coefficient lists go
+through the same kernels (`_trim`, `_acc`, `_mul_into`, `_normalize`) as the
+sparse multivariate polynomials, `KPoly.divmod` is the one long division
+and `kpoly_xgcd` the one Euclid: field inverses, gcds and the minimal
+polynomials of 2cos(pi/m) (worked over `QQ`) all go through them.
 """
 
 from __future__ import annotations
@@ -57,6 +61,14 @@ def as_rational(x):
     raise TypeError(f"not a rational value: {x!r}")
 
 
+def _demoted(co):
+    """A coordinate tuple with its integral values as ints."""
+    for x in co:
+        if type(x) is not int:
+            return tuple(map(as_rational, co))
+    return tuple(co)
+
+
 def qdiv(a, b):
     """The exact quotient a / b of two exact scalars (`/` on two ints would
     give a float)."""
@@ -64,91 +76,6 @@ def qdiv(a, b):
         q, r = divmod(a, b)
         return rat(a, b) if r else q
     return as_rational(a / b)   # a or b is a rat, so `/` is exact
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-
-def _ip_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _ip_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ip_trim(out)
-
-
-def _ip_divexact(num, den):
-    """Exact division of integer polynomials, den monic."""
-    assert den and den[-1] == 1
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, y in enumerate(den):
-                num[i + j] -= c * y
-    if any(num):
-        raise ArithmeticError("inexact integer polynomial division")
-    return _ip_trim(q)
-
-
-def _dickson(m):
-    """D_m with D_0 = 2, D_1 = x, D_n = x D_{n-1} - D_{n-2}; D_m(2cos t) = 2cos(mt)."""
-    prev, cur = [2], [0, 1]
-    for _ in range(m - 1):
-        nxt = [0] + cur
-        for j, y in enumerate(prev):
-            nxt[j] -= y
-        prev, cur = cur, _ip_trim(nxt)
-    return cur if m else prev
-
-
-@lru_cache(maxsize=None)
-def minimal_poly_2cos(m: int) -> tuple:
-    """Monic integer minimal polynomial of 2cos(pi/m), ascending coefficients.
-
-    2cos(pi/m) is a root of D_m(x) + 2, whose roots are 2cos((2j+1)pi/m).
-    Stripping the factor (x+2) for odd m and the squared minimal polynomials
-    of 2cos(pi/m') for proper divisors m' of m with 2m' not dividing m leaves
-    exactly the square of the wanted polynomial; its square root is recovered
-    as gcd(f, f').
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    f = _dickson(m)
-    if not f:
-        f = [0]
-    f = list(f) + [0] * max(0, m + 1 - len(f))
-    f[0] += 2
-    f = _ip_trim(f)
-    if m % 2:
-        f = _ip_divexact(f, [2, 1])
-    for mp in range(2, m):
-        if m % mp == 0 and m % (2 * mp) != 0:
-            g = list(minimal_poly_2cos(mp))
-            f = _ip_divexact(f, _ip_mul(g, g))
-    # f == h^2 with h squarefree, so h = gcd(f, f')
-    deriv = [i * c for i, c in enumerate(f)][1:]
-    qq = FieldSpec((0, 1))
-    h = kpoly_gcd(KPoly.from_coeffs(qq, f), KPoly.from_coeffs(qq, deriv))
-    out = []
-    for (x,) in h.co:
-        if x.denominator != 1:
-            raise ArithmeticError("non-integral minimal polynomial candidate")
-        out.append(int(x))
-    if _ip_mul(out, out) != list(f):
-        raise ArithmeticError("square-root extraction failed")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -288,46 +215,12 @@ class FieldSpec:
             raise ZeroDivisionError("field inverse of zero")
         if self.degree == 1:
             return (qdiv(1, a[0]),)
-        # extended Euclid: s*a + t*p = g with g a nonzero constant
-        p = list(self.min_poly)
-        r0, r1 = p, list(a)
-        s0, s1 = [0], [1]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            if not r1:
-                raise ZeroDivisionError("zero divisor in field inverse")
-            lead = r1[-1]
-            q = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = qdiv(rem[i + len(r1) - 1], lead)
-                q[i] = c
-                if c:
-                    for j, y in enumerate(r1):
-                        rem[i + j] -= c * y
-            while rem and not rem[-1]:
-                rem.pop()
-            # s_next = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs1[i + j] += x * y
-            snext = [0] * max(len(s0), len(qs1))
-            for i, x in enumerate(s0):
-                snext[i] += x
-            for i, x in enumerate(qs1):
-                snext[i] -= x
-            r0, r1 = r1, rem
-            s0, s1 = s1, snext
-        g = r1[0]
-        inv = [qdiv(x, g) for x in s1]
-        inv = inv[:self.degree] + [0] * max(0, self.degree - len(inv))
-        # reduce modulo p in case deg(s) >= degree (cannot happen, but be safe)
-        return tuple(inv[:self.degree])
+        # s*a == g (mod min_poly), and g == 1 unless a is a zero divisor
+        g, inv = kpoly_xgcd(KPoly(QQ, [(x,) for x in a]),
+                            KPoly(QQ, [(x,) for x in self.min_poly]))
+        if g.degree:
+            raise ZeroDivisionError("zero divisor in field inverse")
+        return tuple(x for (x,) in inv.co) + (0,) * (self.degree - len(inv.co))
 
     def raw_div(self, a, b):
         return self.raw_mul(a, self.raw_inv(b))
@@ -388,11 +281,9 @@ class FieldSpec:
     # -- misc ----------------------------------------------------------------
 
     def element(self, *coords):
-        co = [as_rational(x) for x in coords]
-        co += [0] * (self.degree - len(co))
-        if len(co) != self.degree:
+        if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        return FieldElement(self, tuple(co))
+        return FieldElement(self, coords + (0,) * (self.degree - len(coords)))
 
     def zero(self):
         return FieldElement(self, self._zero)
@@ -419,10 +310,9 @@ def _compatible(s1, s2):
     return s1 is s2 or s1.min_poly == s2.min_poly
 
 
-@lru_cache(maxsize=None)
-def cos_field(m: int) -> FieldSpec:
-    """The field QQ(2cos(pi/m)) with its designated real embedding."""
-    return FieldSpec(minimal_poly_2cos(m))
+#: the rationals: minimal polynomials, field inverses and the degrees of a
+#: Poincare polynomial are worked out over them
+QQ = FieldSpec((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +321,14 @@ def cos_field(m: int) -> FieldSpec:
 
 
 class FieldElement:
-    """Immutable element of a FieldSpec, stored in reduced coordinates."""
+    """Immutable element of a FieldSpec, stored in reduced coordinates
+    (integral ones as ints)."""
 
     __slots__ = ("spec", "co")
 
     def __init__(self, spec, co):
         self.spec = spec
-        self.co = co
+        self.co = _demoted(co)
 
     def _coerce(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -486,18 +377,6 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.raw_neg(self.co))
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.spec.raw_one()
-        base = self.co
-        while n:
-            if n & 1:
-                out = self.spec.raw_mul(out, base)
-            base = self.spec.raw_mul(base, base)
-            n >>= 1
-        return FieldElement(self.spec, out)
 
     def __eq__(self, other):
         oc = self._coerce(other) if not isinstance(other, FieldElement) else None
@@ -559,10 +438,7 @@ class FieldElement:
             else:
                 s = f"{q}*{mono}"
             parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"<{self}>"
@@ -572,21 +448,85 @@ class FieldElement:
 _SCALAR_TYPES = (FieldElement,) + _RAT_OK
 
 
-def real_embed(a: FieldElement, precision_bits: int):
-    """Enclosing interval of a under the designated embedding."""
-    return a.real_interval(precision_bits)
+def join_terms(parts):
+    """Signed term strings joined as `a + b - c`; "0" for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+                              for s in parts[1:])
+
+
+# ---------------------------------------------------------------------------
+# coefficient-list kernels
+# ---------------------------------------------------------------------------
+
+
+def _trim(spec, kco):
+    """Normalize a k-coefficient list: drop trailing zeros, None -> zero."""
+    zero = spec.raw_zero()
+    out = [zero if c is None else c for c in kco]
+    while out and not any(out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+def _acc(spec, dst, key, kco):
+    """dst[key] += kco, where kco is a sequence of raw coefficients."""
+    cur = dst.get(key)
+    if cur is None:
+        cur = []
+        dst[key] = cur
+    while len(cur) < len(kco):
+        cur.append(None)
+    for i, c in enumerate(kco):
+        if c is None or spec.raw_is_zero(c):
+            continue
+        prev = cur[i]
+        cur[i] = c if prev is None else spec.raw_add(prev, c)
+
+
+def _mul_into(spec, dst, a, b, shift=0):
+    """dst += a * b * k^shift: the one sparse product of the package.
+
+    `a` and `b` iterate over (packed key, raw k-coefficients) pairs, and `b`
+    is iterated once per term of `a`.  `dst` maps keys to lists of raw
+    coefficients (None for an empty slot), as `_acc` and `_normalize` use.
+    The innermost loop runs over the nonzero coefficients of the `a` term."""
+    mul = spec.raw_mul
+    add = spec.raw_add
+    for ka, va in a:
+        nz = [(shift + i, c) for i, c in enumerate(va) if any(c)]
+        if not nz:
+            continue
+        top = nz[-1][0]
+        for kb, vb in b:
+            key = ka + kb
+            cur = dst.get(key)
+            need = top + len(vb)
+            if cur is None:
+                cur = dst[key] = [None] * need
+            elif len(cur) < need:
+                cur.extend([None] * (need - len(cur)))
+            for j, cb in enumerate(vb):
+                for i, ca in nz:
+                    i += j
+                    p = mul(ca, cb)
+                    prev = cur[i]
+                    cur[i] = p if prev is None else add(prev, p)
+
+
+def _normalize(spec, dst):
+    out = {}
+    for key, kco in dst.items():
+        t = _trim(spec, kco)
+        if t:
+            out[key] = t
+    return out
 
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over a field
 # ---------------------------------------------------------------------------
-
-
-def _norm_raw_coeffs(spec, co):
-    co = list(co)
-    while co and spec.raw_is_zero(co[-1]):
-        co.pop()
-    return tuple(co)
 
 
 class KPoly:
@@ -596,7 +536,7 @@ class KPoly:
 
     def __init__(self, spec, raw_coeffs):
         self.spec = spec
-        self.co = _norm_raw_coeffs(spec, raw_coeffs)
+        self.co = tuple(map(_demoted, _trim(spec, raw_coeffs)))
 
     # -- constructors --------------------------------------------------------
 
@@ -651,14 +591,9 @@ class KPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.co), len(o.co))
-        sp = self.spec
-        out = []
-        for i in range(n):
-            a = self.co[i] if i < len(self.co) else sp.raw_zero()
-            b = o.co[i] if i < len(o.co) else sp.raw_zero()
-            out.append(sp.raw_add(a, b))
-        return KPoly(sp, out)
+        dst = {0: list(self.co)}
+        _acc(self.spec, dst, 0, o.co)
+        return KPoly(self.spec, dst[0])
 
     __radd__ = __add__
 
@@ -668,12 +603,6 @@ class KPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         sp = self.spec
         return KPoly(sp, [sp.raw_neg(a) for a in self.co])
@@ -682,18 +611,9 @@ class KPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        sp = self.spec
-        if not self.co or not o.co:
-            return KPoly.zero(sp)
-        out = [sp.raw_zero()] * (len(self.co) + len(o.co) - 1)
-        for i, a in enumerate(self.co):
-            if sp.raw_is_zero(a):
-                continue
-            for j, b in enumerate(o.co):
-                if sp.raw_is_zero(b):
-                    continue
-                out[i + j] = sp.raw_add(out[i + j], sp.raw_mul(a, b))
-        return KPoly(sp, out)
+        dst = {}
+        _mul_into(self.spec, dst, ((0, self.co),), ((0, o.co),))
+        return KPoly(self.spec, dst.get(0, ()))
 
     __rmul__ = __mul__
 
@@ -708,12 +628,6 @@ class KPoly:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, n):
-        """Multiply by the n-th power of the variable."""
-        if not self.co:
-            return self
-        return KPoly(self.spec, (self.spec.raw_zero(),) * n + self.co)
 
     def __call__(self, x):
         sp = self.spec
@@ -744,19 +658,6 @@ class KPoly:
                     rem[i + j] = sp.raw_sub(rem[i + j], sp.raw_mul(c, y))
         return KPoly(sp, q), KPoly(sp, rem[:len(o.co) - 1])
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        sp = self.spec
-        inv = sp.raw_inv(self.co[-1])
-        return KPoly(sp, [sp.raw_mul(a, inv) for a in self.co])
-
     def __eq__(self, other):
         if isinstance(other, KPoly):
             return _compatible(self.spec, other.spec) and self.co == other.co
@@ -772,8 +673,6 @@ class KPoly:
         return all(not any(a[1:]) for a in self.co)
 
     def to_string(self, var="k"):
-        if not self.co:
-            return "0"
         parts = []
         for i in range(len(self.co) - 1, -1, -1):
             a = self.co[i]
@@ -799,10 +698,7 @@ class KPoly:
             else:
                 s = f"({cs})*{mono}"
             parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return join_terms(parts)
 
     def __str__(self):
         return self.to_string()
@@ -821,8 +717,75 @@ def as_kpoly(spec, value) -> KPoly:
     return KPoly.const(spec, value)
 
 
+def kpoly_divexact(a: KPoly, b: KPoly) -> KPoly:
+    """a / b; raises ArithmeticError when b does not divide a."""
+    q, r = a.divmod(b)
+    if not r.is_zero():
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def kpoly_xgcd(a: KPoly, b: KPoly):
+    """(g, s): g the monic gcd of a and b, and s*a == g modulo b."""
+    sp = a.spec
+    r0, r1 = a, b
+    s0, s1 = KPoly.one(sp), KPoly.zero(sp)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.is_zero():
+        return r0, s0
+    scale = KPoly(sp, (sp.raw_inv(r0.co[-1]),))
+    return r0 * scale, s0 * scale
+
+
 def kpoly_gcd(a: KPoly, b: KPoly) -> KPoly:
     """Monic gcd over the coefficient field."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return kpoly_xgcd(a, b)[0]
+
+
+# ---------------------------------------------------------------------------
+# the fields QQ(2cos(pi/m))
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def minimal_poly_2cos(m: int) -> tuple:
+    """Monic integer minimal polynomial of 2cos(pi/m), ascending coefficients.
+
+    2cos(pi/m) is a root of D_m(x) + 2, where D_0 = 2, D_1 = x and
+    D_n = x D_(n-1) - D_(n-2), so that D_m(2cos t) = 2cos(mt); its roots are
+    2cos((2j+1)pi/m).  Stripping the factor (x+2) for odd m and the squared
+    minimal polynomials of 2cos(pi/m') for proper divisors m' of m with 2m'
+    not dividing m leaves exactly the square of the wanted polynomial; its
+    square root is recovered as gcd(f, f').
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    x = KPoly.gen(QQ)
+    prev, f = KPoly.const(QQ, 2), x
+    for _ in range(m - 1):
+        prev, f = f, x * f - prev
+    f = f + 2
+    if m % 2:
+        f = kpoly_divexact(f, KPoly.from_coeffs(QQ, [2, 1]))
+    for mp in range(2, m):
+        if m % mp == 0 and m % (2 * mp) != 0:
+            g = KPoly.from_coeffs(QQ, minimal_poly_2cos(mp))
+            f = kpoly_divexact(f, g * g)
+    # f == h^2 with h squarefree, so h = gcd(f, f')
+    deriv = KPoly.from_coeffs(QQ, [i * c for i, (c,) in enumerate(f.co)][1:])
+    h = kpoly_gcd(f, deriv)
+    out = tuple(c for (c,) in h.co)
+    if any(type(c) is not int for c in out):
+        raise ArithmeticError("non-integral minimal polynomial candidate")
+    if h * h != f:
+        raise ArithmeticError("square-root extraction failed")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cos_field(m: int) -> FieldSpec:
+    """The field QQ(2cos(pi/m)) with its designated real embedding."""
+    return FieldSpec(minimal_poly_2cos(m))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coxdunkl.coxeter import chevalley_q_identity
 from coxdunkl.dunkl import (BFactorization, DunklDirection, b_poly, beta_form,
                             closed_form_b, closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
@@ -10,7 +11,7 @@ from coxdunkl.dunkl import (BFactorization, DunklDirection, b_poly, beta_form,
 from coxdunkl.errors import BudgetError, FieldMismatchError
 from coxdunkl.polynomials import (MultiPoly, build_discriminant,
                                   divided_difference, reflection_forms)
-from coxdunkl.scalars import KPoly, cos_field, rat
+from coxdunkl.scalars import QQ, KPoly, cos_field, kpoly_gcd, rat
 from coxdunkl.suite import group_context
 
 from conftest import random_multipoly
@@ -256,6 +257,40 @@ def test_exact_kernel_coordinates_are_ints():
         assert len(raws) > 100
         bad = {type(x).__name__ for raw in raws for x in raw if type(x) is not int}
         assert not bad, (label, bad)
+
+
+def test_exact_results_demote_integral_coordinates_to_ints():
+    # values that pass through a rational step but come out integral are
+    # ints wherever FieldElements, KPolys and field inverses are built
+    def ints(raws):
+        raws = list(raws)
+        assert raws
+        return all(type(x) is int for raw in raws for x in raw)
+
+    f5, f12 = cos_field(5), cos_field(12)
+    half = f5.element(rat(1, 2)) * 2
+    assert half.co == (1, 0) and ints([half.co])
+    units = [(f5, (1, 2)), (f5, (0, 1)), (f5, (-1, 1)),
+             (f12, (0, 1, 0, 0)), (f12, (4, 0, -1, 0)), (f12, (0, 0, 1, 0))]
+    for spec, a in units:
+        inv = spec.raw_inv(a)
+        assert spec.raw_mul(a, inv) == spec.raw_one() and ints([inv]), (a, inv)
+    for label in ("B2", "I2(5)", "H3"):
+        ctx = group_context(label)
+        res = chevalley_q_identity(ctx.rs, ctx.elements, ctx.degrees)
+        assert res.equal
+        assert ints(c for frac in (res.lhs, res.rhs) for p in frac for c in p.co)
+    for label in ("B2", "I2(5)"):
+        ctx = group_context(label)
+        fac = b_poly(ctx.rs, ctx.degrees).factorization
+        assert fac is not None and ints([fac.b0.co])
+    a = KPoly.from_coeffs(QQ, [2, 3, 1])                    # (k+1)(k+2)
+    b = KPoly.from_coeffs(QQ, [rat(1, 2), rat(1, 2)])       # (k+1)/2
+    q, r = a.divmod(b)
+    g = kpoly_gcd(a, b)
+    assert q == KPoly.from_coeffs(QQ, [4, 2]) and r.is_zero()
+    assert g == KPoly.from_coeffs(QQ, [1, 1])
+    assert ints(q.co) and ints(g.co)
 
 
 def test_from_dual_coords_rejects_another_field(ctx_a2):

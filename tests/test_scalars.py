@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from coxdunkl.errors import FieldMismatchError
-from coxdunkl.scalars import (FieldSpec, KPoly, as_rational, cos_field,
-                              kpoly_gcd, minimal_poly_2cos, qdiv, rat,
-                              real_embed)
+from coxdunkl.scalars import (QQ, FieldSpec, KPoly, as_rational, cos_field,
+                              kpoly_gcd, kpoly_xgcd, minimal_poly_2cos, qdiv,
+                              rat)
 
 
 def test_minimal_poly_small_cases():
@@ -17,6 +17,14 @@ def test_minimal_poly_small_cases():
     assert minimal_poly_2cos(5) == (-1, -1, 1)
     assert minimal_poly_2cos(2) == (0, 1)
     assert minimal_poly_2cos(6) == (-3, 0, 1)
+    # composite and odd m, where factors of D_m + 2 are stripped
+    assert minimal_poly_2cos(7) == (1, -2, -1, 1)
+    assert minimal_poly_2cos(8) == (2, 0, -4, 0, 1)
+    assert minimal_poly_2cos(9) == (-1, -3, 0, 1)
+    assert minimal_poly_2cos(10) == (5, 0, -5, 0, 1)
+    assert minimal_poly_2cos(12) == (1, 0, -4, 0, 1)
+    assert minimal_poly_2cos(15) == (1, -4, -4, 1, 1)
+    assert minimal_poly_2cos(30) == (1, 0, -8, 0, 14, 0, -7, 0, 1)
 
 
 def test_minimal_poly_numeric_root():
@@ -89,12 +97,12 @@ def test_division_errors():
 def test_real_embed_values():
     f5 = cos_field(5)
     phi = f5.gen()
-    lo, hi = real_embed(phi, 40)
+    lo, hi = phi.real_interval(40)
     golden = (1 + math.sqrt(5)) / 2
     assert float(lo) <= golden <= float(hi)
     assert float(hi - lo) <= 2 ** -40 * max(1.0, golden) * 1.0001
     z = f5.zero()
-    assert real_embed(z, 53) == (0, 0)
+    assert z.real_interval(53) == (0, 0)
     f4 = cos_field(4)
     val = f4.gen() - 1
     assert abs(float(val) - (math.sqrt(2) - 1)) < 1e-12
@@ -104,7 +112,7 @@ def test_real_embed_high_precision():
     # width contract holds at 200 bits, checked in exact rational arithmetic
     f5 = cos_field(5)
     phi = f5.gen()
-    lo, hi = real_embed(phi, 200)
+    lo, hi = phi.real_interval(200)
     assert (hi - lo) * (1 << 200) <= 2
     # the interval brackets a genuine root: p(lo) and p(hi) straddle zero
     assert f5._peval(lo) <= 0 <= f5._peval(hi)
@@ -119,9 +127,9 @@ def test_real_embed_ring_homomorphism():
                          for _ in range(3)])
         b = f7.element(*[rat(rng.randint(-5, 5), rng.randint(1, 4))
                          for _ in range(3)])
-        alo, ahi = real_embed(a, 60)
-        blo, bhi = real_embed(b, 60)
-        plo, phi_ = real_embed(a * b, 60)
+        alo, ahi = a.real_interval(60)
+        blo, bhi = b.real_interval(60)
+        plo, phi_ = (a * b).real_interval(60)
         prods = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
         assert min(prods) <= phi_ and plo <= max(prods)
 
@@ -162,6 +170,34 @@ def test_kpoly_divmod_and_gcd():
     assert r.is_zero() and q == KPoly.from_coeffs(spec, [2, 1])
     c = KPoly.from_coeffs(spec, [3, 4, 1])          # (k+1)(k+3)
     assert kpoly_gcd(a, c) == KPoly.from_coeffs(spec, [1, 1])
+
+
+def test_kpoly_xgcd_bezout():
+    # g is the monic gcd and s*a == g modulo b, over QQ and over QQ(phi)
+    f5 = cos_field(5)
+    for spec, c in ((QQ, rat(1, 3)), (f5, f5.gen())):
+        x = KPoly.gen(spec)
+        zero = KPoly.zero(spec)
+        p = x * x + c                     # no root in either (real) field
+        q = 2 * x - 3 + c
+        common = x + c
+        cases = [(p, q, KPoly.one(spec)),
+                 (p * common, q * common * common, common),
+                 (p * common * common, common, common),
+                 (q, zero, x + (c - 3) / 2),
+                 (zero, p, p),
+                 (zero, zero, zero)]
+        for a, b, expected in cases:
+            g, s = kpoly_xgcd(a, b)
+            assert g == expected and kpoly_gcd(a, b) == g
+            assert g.is_zero() or g.leading() == 1
+            if b.is_zero():
+                assert s * a == g
+            else:
+                assert (s * a - g).divmod(b)[1].is_zero()
+                assert s.degree < b.degree
+            for f in (a, b):
+                assert g.is_zero() or f.divmod(g)[1].is_zero()
 
 
 def test_kpoly_strings():

@@ -232,6 +232,21 @@ def test_cli_integrate_bad_k(capsys):
     assert main(["integrate", "--type", "A1", "--k", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "log_moments", "--type", "A2", "--samples", "0"],
+    ["verify", "--check", "log_moments", "--type", "A2", "--shards", "0"],
+    ["integrate", "--type", "A1", "--k", "1", "--samples", "0"],
+    ["integrate", "--type", "A1", "--k", "1", "--shards", "-3"],
+    ["verify", "--check", "b_poly", "--type", "A2", "--samples", "many"],
+])
+def test_cli_rejects_nonpositive_samples_and_shards(argv, capsys):
+    # a usage error with a message, as parse_config gives, not a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err or "--shards" in err
+    assert "must be positive" in err or "needs an integer" in err
+
+
 def test_cli_suite(tmp_path, capsys):
     cfg_path = tmp_path / "suite.cfg"
     json_path = tmp_path / "report.json"
