@@ -14,9 +14,13 @@ twisted-Leibniz step
 
     dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F),
 
-where s_alpha(u_i) comes from `polynomials.reflection_forms` and every
-product runs through the one sparse kernel `scalars._mul_into`.  The
-reflect-and-divide route (`apply_reflection`, `divided_difference`,
+where s_alpha(u_i) comes from `polynomials.reflection_forms`.  The kernel
+works on flat {key: int} dicts (a `rat` only where a denominator appears): a
+key packs the u exponents, c's exponent above them (bit EXP_BITS * rank) and
+k's above that, so a product is one int multiply and one dict update, and
+c^e with e >= d is folded by the minimal polynomial.  An application builds
+each input monomial's image once and applies it to all of its (c, k) slots.
+The reflect-and-divide route (`apply_reflection`, `divided_difference`,
 `divide_by_root_form`) does not use these tables; the tests check the
 operators against it.
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, apply_reflection,
                           build_discriminant, monomial_table, reflection_forms)
-from .scalars import FieldElement, KPoly, _acc, _mul_into, _normalize, rat
+from .scalars import FieldElement, KPoly, rat
 
 
 # ---------------------------------------------------------------------------
@@ -89,26 +93,68 @@ def _root_directions(rs):
 
 
 # ---------------------------------------------------------------------------
-# divided-difference kernel
+# integer divided-difference kernel
 # ---------------------------------------------------------------------------
 
 
+def _flatten(rs, terms):
+    """MultiPoly terms as a flat {u^E c^e k^j: coordinate} dict."""
+    cs = EXP_BITS * rs.rank
+    return {u + (e << cs) + (j << (cs + EXP_BITS)): x
+            for u, kco in terms.items()
+            for j, co in enumerate(kco) for e, x in enumerate(co) if x}
+
+
+def _unflatten(rs, flat):
+    """The MultiPoly terms of a zero-free flat dict."""
+    cs = EXP_BITS * rs.rank
+    rows = {}
+    for key, x in flat.items():
+        rows.setdefault(key & ((1 << cs) - 1), {})[key >> cs] = x
+    slots = range(rs.spec.degree)
+    return {u: tuple(tuple(ck.get((j << EXP_BITS) + e, 0) for e in slots)
+                     for j in range((max(ck) >> EXP_BITS) + 1))
+            for u, ck in rows.items()}
+
+
+def _fold(rs, flat):
+    """Reduce c^e (d <= e <= 2d - 2) by c's minimal polynomial; drop zeros."""
+    d = rs.spec.degree
+    if d > 1:
+        cs = EXP_BITS * rs.rank
+        for key in [key for key in flat if key >> cs & EXP_MASK >= d]:
+            e = key >> cs & EXP_MASK
+            x = flat.pop(key)
+            for j, r in enumerate(rs.spec._pow[e - d]):
+                if r:
+                    kj = key - ((e - j) << cs)
+                    flat[kj] = flat.get(kj, 0) + x * r
+    return {key: x for key, x in flat.items() if x}
+
+
 def _dd_monomial(rs, root_index, key):
-    """(u^E - s_alpha u^E) / (alpha, x) as {packed: (raw,)}.
+    """(u^E - s_alpha u^E) / (alpha, x) as a flat {u^F c^e: int} table.
 
     Twisted Leibniz on u^E = u_i * u^(E - e_i):
         dd(u^E) = (alpha_i, alpha) u^(E-e_i) + s_alpha(u_i) * dd(u^(E-e_i)).
     """
-    sp = rs.spec
+    cs = EXP_BITS * rs.rank
     pair = rs.pair_vectors()[root_index]
     forms = reflection_forms(rs, root_index)
 
-    def step(dst, i, prev_key, prev):
-        if any(pair[i]):
-            dst[prev_key] = [pair[i]]
-        _mul_into(sp, dst, forms[i], prev.items())
+    def step(i, prev_key, prev):
+        dst = {prev_key + (e << cs): x for e, x in enumerate(pair[i]) if x}
+        for u, (co,) in forms[i]:
+            for e, y in enumerate(co):
+                if y:
+                    ue = u + (e << cs)
+                    for tk, x in prev.items():
+                        tk += ue
+                        dst[tk] = dst.get(tk, 0) + x * y
+        return _fold(rs, dst)
 
-    return monomial_table(rs, ("dd", root_index), {}, step, key)
+    return monomial_table(rs._cache(("dd", root_index), lambda: {0: {}}),
+                          step, key)
 
 
 def clear_dunkl_caches(rs):
@@ -117,38 +163,46 @@ def clear_dunkl_caches(rs):
         rs._caches.pop(key, None)
 
 
-def _apply_direction(rs, direction, terms):
-    """Raw Dunkl application on a packed term dict; k-degree rises by <= 1."""
-    sp = rs.spec
+def _apply_direction(rs, direction, flat):
+    """Dunkl application on a flat dict; k-degree rises by <= 1.  The image
+    d_a u^E + k sum_alpha (alpha, a) dd_alpha(u^E) of each u^E is built once."""
+    cs = EXP_BITS * rs.rank
+    umask = (1 << cs) - 1
+    grad = [[(e << cs, x) for e, x in enumerate(w) if x] for w in direction.dual]
+    refl = [(alpha, [((e << cs) + (1 << (cs + EXP_BITS)), x)
+                     for e, x in enumerate(w) if x])
+            for alpha, w in enumerate(direction.pairings) if any(w)]
+    slots = {}
+    for key, x in flat.items():
+        slots.setdefault(key & umask, []).append((key & ~umask, x))
     out = {}
-    # derivative part
-    for i, a in enumerate(direction.dual):
-        if not any(a):
-            continue
-        step = 1 << (EXP_BITS * i)
-        for key, kco in terms.items():
-            e = (key >> (EXP_BITS * i)) & EXP_MASK
-            if not e:
-                continue
-            w = sp.raw_scale(a, e)
-            _acc(sp, out, key - step, [sp.raw_mul(c, w) for c in kco])
-    # reflection part, shifted by one power of k
-    for alpha, w in enumerate(direction.pairings):
-        if not any(w):
-            continue
-        for key, kco in terms.items():
-            table = _dd_monomial(rs, alpha, key)
-            if table:
-                _mul_into(sp, out, ((0, [sp.raw_mul(c, w) for c in kco]),),
-                          table.items(), shift=1)
-    return _normalize(sp, out)
+    for u, ux in slots.items():
+        image = {}
+        for i, ws in enumerate(grad):
+            e = u >> (EXP_BITS * i) & EXP_MASK
+            if e:
+                for wk, w in ws:
+                    image[u - (1 << (EXP_BITS * i)) + wk] = e * w
+        for alpha, ws in refl:
+            for tk, x in _dd_monomial(rs, alpha, u).items():
+                for wk, w in ws:
+                    wk += tk
+                    image[wk] = image.get(wk, 0) + x * w
+        image = _fold(rs, image).items()
+        for sk, y in ux:
+            for key, x in image:
+                key += sk
+                out[key] = out.get(key, 0) + x * y
+    return _fold(rs, out)
 
 
 def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:
     """Apply the Dunkl operator for the given direction."""
     if direction.ring is not f.ring:
         raise ValueError("direction and polynomial from different rings")
-    return MultiPoly(f.ring, _apply_direction(f.ring, direction, f.terms))
+    rs = f.ring
+    return MultiPoly(rs, _unflatten(rs, _apply_direction(
+        rs, direction, _flatten(rs, f.terms))))
 
 
 def dunkl_apply_omega(rs, i, f: MultiPoly) -> MultiPoly:
@@ -173,27 +227,19 @@ def beta_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     f._check_ring(g)
     rs = f.ring
     sp = rs.spec
-    y_dirs = [_root_directions(rs)[i] for i in range(rs.rank)]
-    nodes = {0: g.terms}
+    umask = (1 << (EXP_BITS * rs.rank)) - 1
+    y_dirs = _root_directions(rs)
+    memo = {0: _flatten(rs, g.terms)}
 
-    def node(key):
-        got = nodes.get(key)
-        if got is not None:
-            return got
-        i = 0
-        while not (key >> (EXP_BITS * i)) & EXP_MASK:
-            i += 1
-        prev = node(key - (1 << (EXP_BITS * i)))
-        res = _apply_direction(rs, y_dirs[i], prev)
-        nodes[key] = res
-        return res
+    def step(i, prev_key, prev):
+        return _apply_direction(rs, y_dirs[i], prev)
 
     total = KPoly.zero(sp)
     for key, kco in sorted(f.terms.items()):
-        const = node(key).get(0)
-        if not const:
-            continue
-        total = total + KPoly(sp, kco) * KPoly(sp, const)
+        node = monomial_table(memo, step, key)
+        const = _unflatten(rs, {k: x for k, x in node.items() if not k & umask})
+        if const:
+            total = total + KPoly(sp, kco) * KPoly(sp, const[0])
     return total
 
 
@@ -202,16 +248,15 @@ def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
 
     Computed basis-independently as sum_j T_{omega_j} (y_{alpha_j} f)."""
     rs = f.ring
-    sp = rs.spec
+    flat = _flatten(rs, f.terms)
     omega = _omega_directions(rs)
     ydirs = _root_directions(rs)
     out = {}
     for j in range(rs.rank):
-        h = _apply_direction(rs, ydirs[j], f.terms)
-        h = _apply_direction(rs, omega[j], h)
-        for key, kco in h.items():
-            _acc(sp, out, key, kco)
-    return MultiPoly(rs, _normalize(sp, out))
+        h = _apply_direction(rs, ydirs[j], flat)
+        for key, x in _apply_direction(rs, omega[j], h).items():
+            out[key] = out.get(key, 0) + x
+    return MultiPoly(rs, _unflatten(rs, {k: x for k, x in out.items() if x}))
 
 
 def gaussian_exponential(f: MultiPoly) -> MultiPoly:
@@ -291,6 +336,12 @@ def closed_form_b_string(dd) -> str:
     return "*".join(parts)
 
 
+def b_poly_is_heavy(rs):
+    """Whether b(k) is outside the default budget: `b_poly` then needs
+    allow_heavy=True and the suite heavy_types_enabled."""
+    return rs.num_positive > 15 or rs.rank > 4
+
+
 def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     """The pairing of the discriminant with itself, three ways.
 
@@ -299,14 +350,14 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     product of the root linear forms, so this is its image under the
     x -> y substitution).  `closed_form` is the degree product formula, and
     the factorization certifies that the rational roots are exactly -m/d_i."""
-    if not allow_heavy and (rs.num_positive > 15 or rs.rank > 4):
+    if not allow_heavy and b_poly_is_heavy(rs):
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
     sp = rs.spec
-    delta = build_discriminant(rs)
-    terms = delta.terms
-    for idx in range(rs.num_positive):
-        terms = _apply_direction(rs, _root_directions(rs)[idx], terms)
+    flat = _flatten(rs, build_discriminant(rs).terms)
+    for direction in _root_directions(rs):
+        flat = _apply_direction(rs, direction, flat)
+    terms = _unflatten(rs, flat)
     if set(terms) - {0}:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
     computed = KPoly(sp, terms.get(0, ()))

@@ -296,16 +296,9 @@ def reflection_forms(rs, root_index):
     return rs._cache(("refl_forms", root_index), build)
 
 
-def monomial_table(rs, name, seed, step, key):
-    """Memoized per-monomial table T(u^E), cached on the root system as `name`.
-
-    T(0) = seed, and T(E) is built by peeling the lowest variable u_i of E:
-    `step(dst, i, E - e_i, T(E - e_i))` accumulates T(E) into the empty
-    dict `dst`.  Tables are k-free {packed: (raw coeff,)} term dicts, so
-    every entry of `dst` holds exactly one slot."""
-    memo = rs._caches.get(name)
-    if memo is None:
-        memo = rs._caches[name] = {0: seed}
+def monomial_table(memo, step, key):
+    """Memoized per-monomial table T(u^E), for memo = {0: T(0), ...}:
+    T(E) = `step(i, E - e_i, T(E - e_i))` peels the lowest variable u_i of E."""
     table = memo.get(key)
     if table is not None:
         return table
@@ -318,9 +311,7 @@ def monomial_table(rs, name, seed, step, key):
         key -= 1 << (EXP_BITS * i)
     table = memo[key]
     for key, i in reversed(path):
-        dst = {}
-        step(dst, i, key - (1 << (EXP_BITS * i)), table)
-        table = memo[key] = {k: (c,) for k, (c,) in dst.items() if any(c)}
+        table = memo[key] = step(i, key - (1 << (EXP_BITS * i)), table)
     return table
 
 
@@ -329,11 +320,14 @@ def _reflected_monomial(rs, root_index, key):
     sp = rs.spec
     forms = reflection_forms(rs, root_index)
 
-    def step(dst, i, prev_key, prev):
+    def step(i, prev_key, prev):
+        dst = {}
         _mul_into(sp, dst, forms[i], prev.items())
+        return _normalize(sp, dst)
 
-    return monomial_table(rs, ("refl_img", root_index),
-                          {0: (sp.raw_one(),)}, step, key)
+    memo = rs._cache(("refl_img", root_index),
+                     lambda: {0: {0: (sp.raw_one(),)}})
+    return monomial_table(memo, step, key)
 
 
 def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:

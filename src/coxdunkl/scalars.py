@@ -488,26 +488,28 @@ def _acc(spec, dst, key, kco):
 def _mul_into(spec, dst, a, b, shift=0):
     """dst += a * b * k^shift: the one sparse product of the package.
 
-    `a` and `b` iterate over (packed key, raw k-coefficients) pairs, and `b`
-    is iterated once per term of `a`.  `dst` maps keys to lists of raw
-    coefficients (None for an empty slot), as `_acc` and `_normalize` use.
-    The innermost loop runs over the nonzero coefficients of the `a` term."""
+    `a` and `b` iterate over (packed key, raw k-coefficients) pairs.  `dst`
+    maps keys to lists of raw coefficients (None for an empty slot), as
+    `_acc` and `_normalize` use.  Zero coefficients of either side are
+    skipped."""
     mul = spec.raw_mul
     add = spec.raw_add
+    b = [(kb, nzb) for kb, vb in b
+         if (nzb := [(j, c) for j, c in enumerate(vb) if any(c)])]
     for ka, va in a:
         nz = [(shift + i, c) for i, c in enumerate(va) if any(c)]
         if not nz:
             continue
-        top = nz[-1][0]
-        for kb, vb in b:
+        top = nz[-1][0] + 1
+        for kb, nzb in b:
             key = ka + kb
             cur = dst.get(key)
-            need = top + len(vb)
+            need = top + nzb[-1][0]
             if cur is None:
                 cur = dst[key] = [None] * need
             elif len(cur) < need:
                 cur.extend([None] * (need - len(cur)))
-            for j, cb in enumerate(vb):
+            for j, cb in nzb:
                 for i, ca in nz:
                     i += j
                     p = mul(ca, cb)

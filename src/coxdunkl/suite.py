@@ -18,7 +18,7 @@ from .coxeter import (DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS,
                       enumerate_group, known_label, poincare_polynomial,
                       psi_invariant, rank2_parabolics, standard_diagram,
                       verify_psi_identities)
-from .dunkl import b_poly, closed_form_b_string, gamma_form
+from .dunkl import b_poly, b_poly_is_heavy, closed_form_b_string, gamma_form
 from .errors import BudgetError, ConfigError
 from .mmintegral import (DEFAULT_WICK_BUDGET, check_functional_equation,
                          gamma_integral_cross_check, gamma_product_exact,
@@ -208,8 +208,7 @@ def _check_psi(ctx, cfg):
 
 
 def _b_gated(ctx, cfg):
-    rs = ctx.rs
-    return (rs.num_positive > 15 or rs.rank > 4) and not cfg.heavy_types_enabled
+    return b_poly_is_heavy(ctx.rs) and not cfg.heavy_types_enabled
 
 
 def _b_result(ctx, cfg):

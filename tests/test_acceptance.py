@@ -12,8 +12,8 @@ import time
 import pytest
 
 from coxdunkl.coxeter import chevalley_q_identity, verify_psi_identities
-from coxdunkl.dunkl import (b_poly, beta_form, dunkl_apply_root,
-                            dunkl_laplacian, gamma_form,
+from coxdunkl.dunkl import (b_poly, beta_form, closed_form_b,
+                            dunkl_apply_root, dunkl_laplacian, gamma_form,
                             verify_algebra_relations)
 from coxdunkl.mmintegral import (EULER_GAMMA, check_functional_equation,
                                  gamma_integral_cross_check,
@@ -83,6 +83,22 @@ def test_criterion_02_b_roots():
                 expected[key] = expected.get(key, 0) + 1
         assert dict(res.factorization.roots) == expected, label
     _report(2, "roots of b are -m/d_i", True, f"({len(B_POLY_TYPES)} types)")
+
+
+@pytest.mark.skipif(not os.environ.get("COXDUNKL_HEAVY"),
+                    reason="heavy b(k) (B4 takes seconds); set COXDUNKL_HEAVY=1")
+def test_criterion_01_heavy_b_equals_closed_form():
+    # past the default b(k) budget.  F4 is not run: its divided-difference
+    # memos would hold about 9e7 entries at the first operator application
+    for label in ("B4",):
+        ctx = group_context(label)
+        start = time.perf_counter()
+        res = b_poly(ctx.rs, ctx.degrees, allow_heavy=True)
+        elapsed = time.perf_counter() - start
+        assert res.computed == closed_form_b(ctx.rs.spec, ctx.degrees), label
+        assert res.roots_exact, label
+        _report(1, f"b(k) exact identity, heavy {label}", True,
+                f"({elapsed:.1f}s)")
 
 
 def test_criterion_03_exact_integral_integer_k():

@@ -54,14 +54,22 @@ def test_dunkl_lowers_degree_and_raises_k(ctx_a2):
 def test_dunkl_operators_match_the_divided_difference_definition():
     # T_a f = d_a f + k sum_alpha (alpha, a) (f - s_alpha f) / (alpha, x), with
     # the divided differences from the reflect-and-divide route, against the
-    # memoized twisted-Leibniz tables inside dunkl_apply_*
-    for label in ("A2", "B2", "I2(5)"):
+    # memoized twisted-Leibniz tables inside dunkl_apply_*.  I2(7) and I2(12)
+    # (field degrees 3 and 4) fold powers of c by the minimal polynomial at
+    # every table step and application; the last polynomial has coefficients
+    # with denominator 3
+    for label in ("A2", "B2", "I2(5)", "I2(7)", "I2(12)"):
         rs = group_context(label).rs
         roots = rs.positive_roots
         k = MultiPoly.constant(rs, KPoly.gen(rs.spec))
         rng = random.Random(23)
-        for _ in range(6):
-            f = random_multipoly(rs, rng, max_degree=4, k_degree=2)
+        polys = [random_multipoly(rs, rng, max_degree=4, k_degree=2)
+                 for _ in range(6)]
+        polys.append(random_multipoly(rs, rng, max_degree=4, k_degree=1)
+                     .scale(rat(1, 3)))
+        assert any(type(x) is not int for kco in polys[-1].terms.values()
+                   for co in kco for x in co)
+        for f in polys:
             dds = [divided_difference(f, a) for a in range(rs.num_positive)]
             # a = omega_i: d_a = d/du_i and (alpha, omega_i) = alpha's i-th coordinate
             for i in range(rs.rank):
@@ -78,6 +86,10 @@ def test_dunkl_operators_match_the_divided_difference_definition():
                 for a, dd in enumerate(dds):
                     refl = refl + dd.scale(rs.inner(roots[a], beta))
                 assert dunkl_apply_root(rs, b, f) == deriv + k * refl
+    # the operator product of b_poly against the pairing in a degree-3 field
+    i27 = group_context("I2(7)")
+    delta = build_discriminant(i27.rs)
+    assert beta_form(delta, delta) == b_poly(i27.rs, i27.degrees).computed
 
 
 def test_algebra_relations():
@@ -248,14 +260,16 @@ def test_exact_kernel_coordinates_are_ints():
         raws += [c for kco in build_discriminant(rs).terms.values() for c in kco]
         raws += [c for a in range(rs.num_positive)
                  for form in reflection_forms(rs, a) for _, (c,) in form]
+        raws += list(res.computed.co)
+        values = [x for raw in raws for x in raw]
+        # the divided-difference memos hold flat {u^F c^e: coordinate} tables
         tables = [memo for key, memo in rs._caches.items()
                   if isinstance(key, tuple) and key[0] == "dd"]
         assert len(tables) == rs.num_positive
-        raws += [c for memo in tables for table in memo.values()
-                 for (c,) in table.values()]
-        raws += list(res.computed.co)
-        assert len(raws) > 100
-        bad = {type(x).__name__ for raw in raws for x in raw if type(x) is not int}
+        values += [x for memo in tables for table in memo.values()
+                   for x in table.values()]
+        assert len(values) > 100
+        bad = {type(x).__name__ for x in values if type(x) is not int}
         assert not bad, (label, bad)
 
 

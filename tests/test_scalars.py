@@ -267,3 +267,26 @@ def test_values_from_another_field_raise():
     with pytest.raises(FieldMismatchError):
         f5.raw(f7.gen())
     assert f5.raw(f5.gen()) == (0, 1) and f5.raw(rat(2, 2)) == (1, 0)
+
+
+def test_kpoly_products_skip_zero_coefficients(monkeypatch):
+    # a sparse factor such as 1 - q^3 (Poincare and Chevalley products) must
+    # not send its zero coefficients to the field multiplication, on either side
+    f5 = cos_field(5)
+    c = f5.gen()
+    sparse = KPoly.from_coeffs(f5, [1, 0, 0, -1])
+    dense = KPoly.from_coeffs(f5, [c, 0, 2 * c + 1])
+    calls = []
+    raw_mul = FieldSpec.raw_mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "raw_mul", counted)
+    products = [sparse * dense, dense * sparse, sparse * sparse]
+    monkeypatch.undo()
+    assert calls and all(any(a) and any(b) for a, b in calls)
+    assert products[0] == products[1] == KPoly.from_coeffs(
+        f5, [c, 0, 2 * c + 1, -c, 0, -2 * c - 1])
+    assert products[2] == KPoly.from_coeffs(f5, [1, 0, 0, -2, 0, 0, 1])
