@@ -6,9 +6,12 @@ has 2 on the diagonal and -2cos(pi/m_ij) off it, and every coordinate lies
 in the single field QQ(2cos(pi/m*)) for the largest bond label m*.
 
 A group element is the permutation it induces on the 2|S| roots (Casselman,
-"Machine calculations in Weyl groups", 1994): composition is indexing,
-length counts positive roots sent negative, and the matrix, traces and
-det(1 - q w) are read off the permutation only where a check needs them.
+"Machine calculations in Weyl groups", 1994), held as an immutable `bytes`
+object (every finite group here has 2|S| <= 240).  Composition is one
+`bytes.translate` (g * s_i is `s_i.translate(g + pad)`), length counts the
+positive roots sent negative, and the matrix, traces and det(1 - q w) are
+read off the permutation only where a check needs them.  numpy is loaded
+only by `RootSystem.float_data`, for the Monte Carlo sampler.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetError, FactorizationError
 from .scalars import (QQ, FieldElement, KPoly, cos_field, kpoly_divexact,
@@ -218,28 +219,20 @@ class RootSystem:
             return pos + tuple(tuple(sp.raw_neg(x) for x in c) for c in pos)
         return self._cache("signed_roots_raw", build)
 
-    def signed_roots_int(self):
-        """(2|S|, r, d) int64 array of the signed roots' coordinates in the
-        power basis of c; they lie in Z[c] because the Gram matrix does."""
-        def build():
-            roots = self.signed_roots_raw()
-            assert all(type(q) is int for c in roots for x in c for q in x)
-            arr = np.array(roots, dtype=np.int64)
-            arr.flags.writeable = False
-            return arr
-        return self._cache("signed_roots_int", build)
-
     def simple_reflection_perms(self):
-        """(r, 2|S|) int16 array: row j is s_j as a permutation of the signed
-        root indices, from s_j(beta) = beta - (alpha_j, beta) alpha_j."""
+        """r `bytes` of length 2|S|: byte b of row j is the index of
+        s_j(beta_b), from s_j(beta) = beta - (alpha_j, beta) alpha_j."""
         def build():
             sp = self.spec
             n = self.num_positive
+            if 2 * n > 256:
+                raise BudgetError(f"{self.label}: {2 * n} roots exceed a byte index")
             roots = self.signed_roots_raw()
             index = {c: b for b, c in enumerate(roots)}
             pv = self.pair_vectors()
-            perms = np.empty((self.rank, 2 * n), dtype=np.int16)
+            perms = []
             for j in range(self.rank):
+                row = bytearray(2 * n)
                 for b, c in enumerate(roots):
                     pair = pv[b][j] if b < n else sp.raw_neg(pv[b - n][j])
                     img = list(c)
@@ -248,9 +241,9 @@ class RootSystem:
                     if img is None:
                         raise ArithmeticError(
                             "simple reflection image is not a root (internal bug)")
-                    perms[j, b] = img
-            perms.flags.writeable = False
-            return perms
+                    row[b] = img
+                perms.append(bytes(row))
+            return tuple(perms)
         return self._cache("simple_reflection_perms", build)
 
     # -- float data for the Monte Carlo sampler ------------------------------
@@ -259,6 +252,7 @@ class RootSystem:
         """(A, C) with A the Cholesky factor of the Gram matrix and C the
         root coordinate matrix, both float64."""
         def build():
+            import numpy as np
             g = np.array([[float(e) for e in row] for row in self.gram])
             a = np.linalg.cholesky(g)
             c = np.array([[float(e) for e in root] for root in self.positive_roots])
@@ -347,7 +341,7 @@ class GroupElement:
     `length` is the number of positive roots w sends negative."""
 
     rs: RootSystem
-    perm: np.ndarray
+    perm: bytes
     word: tuple
     length: int
 
@@ -366,39 +360,35 @@ def enumerate_group(rs: RootSystem,
     """All group elements by breadth-first search over reduced words.
 
     The result is ordered by (length, word) lexicographically; BFS guarantees
-    every stored word is reduced.  The permutation of g*s_i is g[s_i], and an
-    element is identified by the images of the simple roots.
+    every stored word is reduced.  The permutation of g*s_i is
+    s_i.translate(g + pad), and an element is identified by the images of
+    the simple roots.
     """
     r, n = rs.rank, rs.num_positive
     gens = rs.simple_reflection_perms()
-    level = np.arange(2 * n, dtype=np.int16)[None, :]
-    words = [()]
-    seen = {level[0, :r].tobytes()}
-    width = level[0, :r].nbytes
-    elements = []
-    while len(level):
-        level.flags.writeable = False
-        lengths = np.count_nonzero(level[:, :n] >= n, axis=1).tolist()
-        if any(ln != len(words[0]) for ln in lengths):
-            raise ArithmeticError("inversion count differs from word length "
-                                  "(internal bug)")
-        elements += map(GroupElement, [rs] * len(words), level, words, lengths)
-        # row g * r + i of the products is g * s_i: frontier order first,
-        # then generator order, so words come out sorted
-        products = level[:, gens].reshape(-1, 2 * n)
-        heads = products[:, :r].tobytes()
-        rows, nxt = [], []
-        for t in range(len(products)):
-            key = heads[t * width:(t + 1) * width]
-            if key in seen:
+    pad = bytes(256 - 2 * n)
+    negatives = bytes(range(n, 2 * n))
+    identity = bytes(range(2 * n))
+    elements = [GroupElement(rs, identity, (), 0)]
+    seen = {identity[:r]}
+    # the list grows behind the loop, a BFS queue: frontier order first,
+    # then generator order, so words come out sorted
+    for g in elements:
+        table = g.perm + pad
+        for i, s in enumerate(gens):
+            if g.perm[i] >= n:
+                continue    # g sends alpha_i negative: g * s_i is shorter
+            p = s.translate(table)
+            if p[:r] in seen:
                 continue
-            if len(elements) + len(rows) >= budget:
+            if len(elements) >= budget:
                 raise BudgetError(
                     f"group enumeration for {rs.label} exceeded budget {budget}")
-            seen.add(key)
-            rows.append(t)
-            nxt.append(words[t // r] + (t % r,))
-        level, words = products[rows], nxt
+            if n - len(p[:n].translate(None, negatives)) != g.length + 1:
+                raise ArithmeticError("inversion count differs from word "
+                                      "length (internal bug)")
+            seen.add(p[:r])
+            elements.append(GroupElement(rs, p, g.word + (i,), g.length + 1))
     return elements
 
 
@@ -473,28 +463,36 @@ class ChevalleyResult:
     rhs: tuple
 
 
-def _char_traces(rs: RootSystem, elements) -> np.ndarray:
-    """(|W|, r*d) int64 array: row w holds tr(w^j), j = 1..r, in Z[c].
+def _char_traces(rs: RootSystem, elements) -> Counter:
+    """How many elements w share each (tr(w), ..., tr(w^r)), in order of
+    first occurrence; a trace is a coordinate tuple in Z[c].
 
-    tr(w^j) = sum_b coord_b(w^j(alpha_b)), read off the permutation powers."""
+    tr(v) = sum_b coord_b(v(alpha_b)) is read once per element v off its
+    simple-root images; the images under w^j are those under w^(j-1)
+    translated by w."""
     r = rs.rank
-    coords = rs.signed_roots_int()
-    perms = np.stack([g.perm for g in elements])
-    power = perms
-    traces = []
-    for j in range(r):
-        if j:
-            power = np.take_along_axis(power, perms, axis=1)
-        traces.append(coords[power[:, :r], np.arange(r)].sum(axis=1))
-    return np.concatenate(traces, axis=1)
+    roots = rs.signed_roots_raw()
+    pad = bytes(256 - len(roots))
+    trace = {}
+    for g in elements:
+        head = g.perm[:r]
+        trace[head] = tuple(map(sum, zip(*(roots[x][b]
+                                           for b, x in enumerate(head)))))
+    out = Counter()
+    for g in elements:
+        table = g.perm + pad
+        head = g.perm[:r]
+        key = [trace[head]]
+        for _ in range(r - 1):
+            head = head.translate(table)
+            key.append(trace[head])
+        out[tuple(key)] += 1
+    return out
 
 
-def _det_from_traces(spec, traces) -> KPoly:
+def _det_from_traces(spec, p) -> KPoly:
     """det(1 - q w) = sum_k (-1)^k e_k q^k from the power sums p_j = tr(w^j)
     by Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i."""
-    d = spec.degree
-    p = [tuple(int(x) for x in traces[j * d:(j + 1) * d])
-         for j in range(len(traces) // d)]
     e = [spec.raw_one()]
     for k in range(1, len(p) + 1):
         acc = spec.raw_zero()
@@ -526,10 +524,8 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
     spec = rs.spec
     # (p_1..p_r) fixes det(1 - q w); grouping by it leaves few distinct
     # terms, which keeps the sum small
-    keys, first, counts = np.unique(_char_traces(rs, elements), axis=0,
-                                    return_index=True, return_counts=True)
-    terms = [(_det_from_traces(spec, keys[u].tolist()), int(counts[u]))
-             for u in np.argsort(first)]
+    terms = [(_det_from_traces(spec, p), count)
+             for p, count in _char_traces(rs, elements).items()]
     num = KPoly.zero(spec)
     den = KPoly.one(spec)
     for cp, count in sorted(terms, key=lambda t: t[0].degree):

@@ -5,15 +5,16 @@ The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
 is the polynomial Delta^(2k), so F(k) is an exact pairing-sum moment; for
 real k it is estimated by counter-based, bit-reproducible Monte Carlo.
+numpy is imported by the Monte Carlo functions when they first run, so the
+exact side never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetError
 from .scalars import FieldElement, KPoly, as_rational, qdiv
@@ -207,6 +208,7 @@ class McEstimate:
 def _substream(seed, purpose, shard):
     """Deterministic counter-based substream: SHA-256(seed|purpose|shard)
     keys a Philox generator.  Reproducible for fixed numpy."""
+    import numpy as np
     digest = hashlib.sha256(f"{seed}|{purpose}|{shard}".encode()).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -217,8 +219,8 @@ def _shard_sizes(samples, shards):
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-_TINY = np.finfo(np.float64).tiny
-_HUGE = np.finfo(np.float64).max
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 
 def _log_abs_delta(dots):
@@ -230,6 +232,7 @@ def _log_abs_delta(dots):
     samples with an exact zero pairing (their L is -inf).  A sample whose
     product leaves the normal float range (an underflow to a subnormal or to
     0, an overflow to inf) takes the per-root sum of log|.| instead."""
+    import numpy as np
     with np.errstate(over="ignore", divide="ignore"):
         p = np.abs(dots.prod(axis=0))
         out = np.log(p)
@@ -357,6 +360,7 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16, threads=1,
     """Estimate F(k) for real k >= 0 by averaging |Delta|^(2k) over standard
     Gaussian samples.  Identical (seed, samples, shards, type, k) give a
     bit-identical estimate."""
+    import numpy as np
     kf = float(k)
     if kf < 0:
         raise ValueError("k must be >= 0")
@@ -435,6 +439,7 @@ def _poly_float_evaluator(poly, k_value):
     """Vectorised float evaluation of poly at k = k_value on the columns of
     u, the (rank, samples) simple-root pairings: each term is its coefficient
     times u_j^e_j, one variable at a time."""
+    import numpy as np
     terms = poly.float_terms(k_value)
 
     def ev(u):
@@ -467,6 +472,8 @@ def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
 
     Numerator and denominator share samples; the ratio band comes from the
     delta method with the sample covariance."""
+    import numpy as np
+
     from .dunkl import gamma_form
 
     kq = as_rational(k)

@@ -3,9 +3,11 @@
 Every exact quantity in the library is a rational combination of powers of
 c = 2cos(pi/m) for a single m fixed by the reflection group: arithmetic is
 done modulo the minimal polynomial of c, and the real embedding sends c to
-the largest real root of that polynomial.  Sign decisions refine an exact
-rational bracket of c by bisection until the interval of the evaluated
-element excludes zero.
+the largest real root of that polynomial.  That root is isolated exactly,
+with no float: a Sturm sequence over QQ counts the real roots in a rational
+interval, and bisection from the Cauchy bound narrows to a bracket holding
+that root alone.  Sign decisions refine the bracket by bisection until the
+interval of the evaluated element excludes zero.
 
 A field element is a tuple of coordinates in the power basis of c.  Integral
 values are `int`; `rat` (mpq, or Fraction without gmpy2) appears only where
@@ -28,9 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction as _Fraction
 from functools import lru_cache
-from operator import add, neg, sub
-
-import numpy as np
+from operator import add, ne, neg, sub
 
 try:
     from gmpy2 import mpq as rat
@@ -122,21 +122,34 @@ class FieldSpec:
         return acc
 
     def _init_bracket(self):
+        p = self.min_poly
         if self.degree == 1:
-            self._lo = self._hi = -self.min_poly[0]
+            self._lo = self._hi = -p[0]
             return
-        roots = np.roots(list(reversed(self.min_poly)))
-        reals = sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9)
-        x0 = reals[-1]
-        gap = (x0 - reals[-2]) if len(reals) >= 2 else 1.0
-        h = max(gap / 4.0, 1e-12)
-        for _ in range(60):
-            lo, hi = rat(x0 - h), rat(x0 + h)
-            if self._peval(lo) < 0 < self._peval(hi):
-                self._lo, self._hi = lo, hi
-                return
-            h /= 2.0
-        raise ValueError("could not bracket the largest real root")
+        # Sturm sequence p, p', -rem(p, p'), ...: V(lo) - V(hi) counts the
+        # distinct roots in (lo, hi]
+        seq = [KPoly(QQ, [(a,) for a in p]),
+               KPoly(QQ, [(i * a,) for i, a in enumerate(p)][1:])]
+        while seq[-1].degree > 0:
+            seq.append(-seq[-2].divmod(seq[-1])[1])
+
+        def changes(x):
+            signs = [v > 0 for f in seq if (v := f(x).co[0])]
+            return sum(map(ne, signs, signs[1:]))
+
+        hi = rat(1 + max(map(abs, p[:-1])))   # Cauchy: every root is below
+        lo = -hi
+        v_lo, v_hi = changes(lo), changes(hi)
+        if v_lo == v_hi:
+            raise ValueError("minimal polynomial has no real root")
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = changes(mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        self._lo, self._hi = lo, hi
 
     def refine_to(self, bits):
         """Shrink the generator bracket to width <= 2^-bits (exact bisection)."""

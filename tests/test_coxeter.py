@@ -90,7 +90,9 @@ def test_roots_have_norm_two_and_reflections_permute():
         signed = rs.signed_roots_raw()
         root_set = {tuple(e.co for e in r) for r in rs.positive_roots}
         perms = rs.simple_reflection_perms()
-        assert not perms.flags.writeable
+        assert all(type(row) is bytes for row in perms)
+        with pytest.raises(TypeError):
+            perms[0][0] = 0
         for i, root in enumerate(rs.positive_roots):
             assert rs.inner(root, root) == two
             mat = _reflection(rs, root)
@@ -149,6 +151,15 @@ def test_enumeration_budget_error():
     assert main(["info", "--type", "E6"]) == 3
 
 
+def test_byte_permutations_stop_at_256_roots():
+    # A15 has 2|S| = 240 roots, A16 has 272: a byte no longer indexes them
+    assert len(build_root_system(standard_diagram("A15"))
+               .simple_reflection_perms()[0]) == 240
+    with pytest.raises(BudgetError):
+        build_root_system(standard_diagram("A16")).simple_reflection_perms()
+    assert main(["info", "--type", "A16"]) == 3
+
+
 def test_e6_enumerates_under_an_explicit_budget():
     rs = build_root_system(standard_diagram("E6"))
     elements = enumerate_group(rs, budget=60000)
@@ -188,9 +199,9 @@ def test_elements_preserve_gram_and_word_rebuilds_matrix():
 def test_permutations_are_read_only_and_lengths_are_ints():
     ctx = group_context("B3")
     for g in ctx.elements:
-        assert not g.perm.flags.writeable
+        assert type(g.perm) is bytes
         assert type(g.length) is int
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ctx.elements[5].perm[0] = 0
 
 

@@ -108,6 +108,29 @@ def test_real_embed_values():
     assert abs(float(val) - (math.sqrt(2) - 1)) < 1e-12
 
 
+def test_generator_bracket_isolates_the_largest_root():
+    for m in range(2, 41):
+        spec = FieldSpec(minimal_poly_2cos(m))
+        # the conjugates of 2cos(pi/m) are 2cos(j pi/m), j odd and prime to m
+        conj = sorted(2 * math.cos(j * math.pi / m) for j in range(1, m, 2)
+                      if math.gcd(j, m) == 1)
+        assert len(conj) == spec.degree
+        lo, hi = spec._lo, spec._hi
+        if spec.degree == 1:
+            assert lo == hi == round(conj[0]) and spec._peval(lo) == 0
+            continue
+        assert spec._peval(lo) < 0 < spec._peval(hi)
+        # exactly one root in (lo, hi], none above hi
+        assert conj[-2] < float(lo) < conj[-1] < float(hi)
+        c = float(cos_field(m).gen())
+        assert abs(c - 2 * math.cos(math.pi / m)) <= math.ulp(c), m
+    # complex roots are skipped: x^3 - 2 embeds c as the real cube root of 2
+    spec = FieldSpec((-2, 0, 0, 1))
+    assert spec._peval(spec._lo) < 0 < spec._peval(spec._hi)
+    c = float(spec.gen())
+    assert abs(c - 2 ** (1 / 3)) <= math.ulp(c)
+
+
 def test_real_embed_high_precision():
     # width contract holds at 200 bits, checked in exact rational arithmetic
     f5 = cos_field(5)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +282,36 @@ def test_cli_suite_budget_exit(tmp_path, capsys):
     cfg_path.write_text("groups = E6\nchecks = degrees_consistency\n"
                         "enumeration_budget = 2000\n")
     assert main(["suite", "--config", str(cfg_path)]) == 3
+
+
+_COLD_START = """
+import sys
+sys.path.insert(0, {src!r})
+import coxdunkl
+from coxdunkl.suite import SuiteConfig, group_context, group_info, run_check
+
+cfg = SuiteConfig()
+for label in ("A3", "B3", "I2(5)", "I2(12)"):
+    ctx = group_context(label)
+    for check in ("poincare_identity", "chevalley", "psi_identities",
+                  "b_poly", "mm_exact_k1"):
+        status = run_check(check, ctx, cfg).status
+        # I2(12) at k = 1 needs 2k|S| = 24, over the moment budget of 20
+        want = "skipped" if (label, check) == ("I2(12)", "mm_exact_k1") else "pass"
+        assert status == want, (label, check, status)
+assert group_info("F4")["order"] == 1152
+assert "numpy" not in sys.modules, "exact work loaded numpy"
+rep = run_check("log_moments", group_context("A3"),
+                SuiteConfig(mc_samples=20000, shards=2))
+assert rep.status == "pass", rep
+assert "numpy" in sys.modules
+"""
+
+
+def test_exact_work_runs_without_numpy():
+    # a fresh isolated interpreter: only the Monte Carlo sampler loads numpy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c",
+                           _COLD_START.format(src=src)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
