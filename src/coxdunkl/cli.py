@@ -26,7 +26,7 @@ BUDGET_ERROR = 3
 
 
 def _positive_int(text):
-    """argparse type for sample and shard counts: an integer >= 1."""
+    """argparse type for counts (samples, shards, threads, budget): >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -41,7 +41,7 @@ def _build_parser():
         prog="coxdunkl",
         description="Exact and statistical verification of reflection-group "
                     "integral identities.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="worker threads (default: COXDUNKL_THREADS or "
                              "available parallelism)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,7 +50,7 @@ def _build_parser():
     p_info.add_argument("--type", required=True, dest="group")
     p_info.add_argument("--heavy", action="store_true",
                         help="allow F4/H4")
-    p_info.add_argument("--budget", type=int, default=20000)
+    p_info.add_argument("--budget", type=_positive_int, default=20000)
 
     p_verify = sub.add_parser("verify", help="run a single check")
     p_verify.add_argument("--check", required=True, choices=CHECK_ORDER)
@@ -78,9 +78,6 @@ def _build_parser():
 
 
 def _cmd_info(args):
-    if not known_label(args.group):
-        print(f"unknown type {args.group!r}", file=sys.stderr)
-        return USAGE_ERROR
     if args.group in HEAVY_LABELS and not args.heavy:
         print(f"{args.group} is gated; pass --heavy", file=sys.stderr)
         return USAGE_ERROR
@@ -90,9 +87,6 @@ def _cmd_info(args):
 
 
 def _cmd_verify(args, threads):
-    if not known_label(args.group):
-        print(f"unknown type {args.group!r}", file=sys.stderr)
-        return USAGE_ERROR
     cfg = SuiteConfig(groups=(args.group,), checks=(args.check,),
                       mc_samples=args.samples, seed=args.seed,
                       shards=args.shards,
@@ -106,9 +100,6 @@ def _cmd_verify(args, threads):
 
 
 def _cmd_integrate(args, threads):
-    if not known_label(args.group):
-        print(f"unknown type {args.group!r}", file=sys.stderr)
-        return USAGE_ERROR
     try:
         k = rat(Fraction(args.k))
     except (ValueError, ZeroDivisionError):
@@ -167,7 +158,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    threads = args.threads if args.threads else default_threads()
+    threads = args.threads or default_threads()
+    if args.command != "suite" and not known_label(args.group):
+        print(f"unknown type {args.group!r}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         if args.command == "info":
             return _cmd_info(args)

@@ -561,6 +561,9 @@ def rank2_parabolics(rs: RootSystem) -> list:
 
     Every unordered pair of reflections lands in exactly one entry; the
     partition is verified by the pair count identity."""
+    if rs.rank == 2:   # a dihedral group: one plane, holding every root
+        every = tuple(range(rs.num_positive))
+        return [Rank2Parabolic(every, len(every), every)]
     sp = rs.spec
     gram = rs.root_gram()
     n = len(gram)

@@ -3,8 +3,9 @@ seeded Monte Carlo for real k, and the statistical identity checks.
 
 The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
-is the polynomial Delta^(2k), so F(k) is an exact pairing-sum moment; for
-real k it is estimated by counter-based, bit-reproducible Monte Carlo.
+is the polynomial Delta^(2k), so F(k) is an exact Gaussian moment, taken by
+Stein's recursion on its monomials; for real k it is estimated by
+counter-based, bit-reproducible Monte Carlo.
 numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
@@ -17,12 +18,11 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .scalars import FieldElement, KPoly, as_rational, qdiv
+from .polynomials import EXP_BITS, EXP_MASK, MultiPoly, build_discriminant
+from .scalars import FieldElement, KPoly, _acc, as_rational, qdiv
 
 #: Euler's constant, accurate to well below 1e-15
 EULER_GAMMA = 0.5772156649015328606065120900824
-
-DEFAULT_WICK_BUDGET = 20
 
 _MC_BLOCK = 1 << 16
 
@@ -59,88 +59,79 @@ def log_gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact moments via pairing recursion
+# exact moments by Stein's recursion
 # ---------------------------------------------------------------------------
 
-
-def wick_moment(rs, factors, budget=DEFAULT_WICK_BUDGET) -> FieldElement:
-    """E[prod (alpha_j, x)] under the standard Gaussian, exactly.
-
-    Pairs the first factor with each remaining one and recurses on the
-    leftover multiset, memoized on the sorted index tuple; the covariance of
-    two root linear forms is their inner product."""
-    factors = tuple(sorted(factors))
-    if len(factors) > budget:
-        raise BudgetError(
-            f"moment with {len(factors)} factors exceeds budget {budget}")
-    sp = rs.spec
-    gram = rs.root_gram()
-    memo = rs._cache("wick_memo", dict)
-
-    def rec(key):
-        if not key:
-            return sp.raw_one()
-        if len(key) % 2:
-            return sp.raw_zero()
-        got = memo.get(key)
-        if got is not None:
-            return got
-        first = key[0]
-        rest = key[1:]
-        acc = sp.raw_zero()
-        j = 0
-        while j < len(rest):
-            v = rest[j]
-            mult = 1
-            while j + mult < len(rest) and rest[j + mult] == v:
-                mult += 1
-            # pairing `first` with any of the `mult` copies leaves the same multiset
-            sub = rec(rest[:j] + rest[j + 1:])
-            cov = gram[first][v]
-            if any(cov) and any(sub):
-                term = sp.raw_mul(cov, sub)
-                term = sp.raw_scale(term, mult)
-                acc = sp.raw_add(acc, term)
-            j += mult
-        memo[key] = acc
-        return acc
-
-    return FieldElement(sp, rec(factors))
+#: the largest degree 2k|S| of Delta^(2k) that `mm_exact` takes on (2 cores:
+#: H3 at k = 2, degree 60, about 0.5 s; B4 at k = 2, degree 64, 10-15 s)
+MOMENT_DEGREE_LIMIT = 60
 
 
-def mm_exact(rs, k: int, budget=DEFAULT_WICK_BUDGET) -> FieldElement:
+def mm_exact_is_heavy(rs, k) -> bool:
+    """Whether F(k) is past the exact-moment bound, so `mm_exact` refuses it."""
+    return 2 * k * rs.num_positive > MOMENT_DEGREE_LIMIT
+
+
+def gaussian_moment(p) -> KPoly:
+    """E[p] for a MultiPoly p, where u ~ N(0, G) with G = `rs.gram_raw()`.
+
+    Stein's identity E[u_i f] = sum_j G_ij E[d_j f] peels the lowest variable
+    u_i of each monomial: E[u_i u^F] = sum_j G_ij F_j E[u^(F - e_j)]."""
+    sp = p.ring.spec
+    rows = [[(j, g) for j, g in enumerate(row) if any(g)]
+            for row in p.ring.gram_raw()]
+    memo = {0: sp.raw_one()}   # packed key -> moment, for this call only
+
+    def moment(key):
+        if key not in memo:
+            i = ((key & -key).bit_length() - 1) // EXP_BITS
+            rest = key - (1 << (EXP_BITS * i))
+            acc = sp.raw_zero()   # zero at degree 1, so at every odd degree
+            for j, g in rows[i]:
+                f = (rest >> (EXP_BITS * j)) & EXP_MASK
+                if f:
+                    sub = moment(rest - (1 << (EXP_BITS * j)))
+                    acc = sp.raw_add(acc, sp.raw_scale(sp.raw_mul(g, sub), f))
+            memo[key] = acc
+        return memo[key]
+
+    out = {}
+    for key, kco in p.terms.items():
+        m = moment(key)
+        _acc(sp, out, 0, [sp.raw_mul(c, m) for c in kco])
+    return KPoly(sp, out.get(0, ()))
+
+
+def mm_exact(rs, k: int) -> FieldElement:
     """F(k) for a nonnegative integer k: the moment of Delta^(2k)."""
     if k < 0 or k != int(k):
         raise ValueError("exact evaluation needs a nonnegative integer k")
     k = int(k)
-    factors = []
-    for i in range(rs.num_positive):
-        factors.extend([i] * (2 * k))
-    if len(factors) > budget:
-        raise BudgetError(
-            f"k={k} on {rs.label} needs {len(factors)} factors (> {budget})")
-    return wick_moment(rs, factors, budget=budget)
+    if mm_exact_is_heavy(rs, k):
+        raise BudgetError(f"k={k} on {rs.label} needs a moment of degree "
+                          f"{2 * k * rs.num_positive} > {MOMENT_DEGREE_LIMIT}")
+    p = MultiPoly.one(rs)
+    for _ in range(2 * k):
+        p = p * build_discriminant(rs)
+    return gaussian_moment(p).coeff(0)
 
 
 def wick_moment_bruteforce(rs, factors) -> FieldElement:
     """Independent oracle: sum over all perfect pairings (no memoization)."""
     sp = rs.spec
     gram = rs.root_gram()
-    factors = list(factors)
-    if len(factors) % 2:
-        return rs.spec.zero()
 
     def rec(items):
         if not items:
             return sp.raw_one()
         first = items[0]
-        acc = sp.raw_zero()
+        acc = sp.raw_zero()   # zero for one item left, so for odd counts
         for j in range(1, len(items)):
             sub = rec(items[1:j] + items[j + 1:])
             acc = sp.raw_add(acc, sp.raw_mul(gram[first][items[j]], sub))
         return acc
 
-    return FieldElement(sp, rec(factors))
+    return FieldElement(sp, rec(list(factors)))
 
 
 def gamma_product_exact(dd, k: int):
@@ -177,13 +168,7 @@ def gamma_product_rhs(dd, k):
     kq = as_rational(k) if not isinstance(k, float) else None
     if kq is not None and kq.denominator == 1 and kq >= 0:
         return gamma_product_exact(dd, int(kq))
-    kf = float(k)
-    if kf < 0:
-        raise ValueError("k must be >= 0")
-    acc = 0.0
-    for d in dd.degrees:
-        acc += log_gamma(1.0 + kf * d) - log_gamma(1.0 + kf)
-    return math.exp(acc)
+    return math.exp(log_gamma_product(dd, float(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +392,16 @@ class FunctionalEquationReport:
 
 
 def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
-                              shards=16, threads=1,
-                              wick_budget=DEFAULT_WICK_BUDGET
-                              ) -> FunctionalEquationReport:
+                              shards=16, threads=1) -> FunctionalEquationReport:
     """F(k+1) = b(k) F(k): exact when both sides are exact moments within
-    budget, otherwise two independent substreams with a propagated 4-sigma band."""
+    bound, otherwise two independent substreams with a propagated 4-sigma band."""
     kq = as_rational(k)
     if kq < 0:
         raise ValueError("k must be >= 0")
     b_at_k = b_computed(kq)
-    if kq.denominator == 1 and 2 * (int(kq) + 1) * rs.num_positive <= wick_budget:
-        f0 = mm_exact(rs, int(kq), budget=wick_budget)
-        f1 = mm_exact(rs, int(kq) + 1, budget=wick_budget)
+    if kq.denominator == 1 and not mm_exact_is_heavy(rs, int(kq) + 1):
+        f0 = mm_exact(rs, int(kq))
+        f1 = mm_exact(rs, int(kq) + 1)
         rhs = b_at_k * f0
         ok = (f1 == rhs)
         return FunctionalEquationReport(kq, float(f1), float(rhs),

@@ -304,9 +304,8 @@ def monomial_table(memo, step, key):
         return table
     path = []
     while key not in memo:
-        i = 0
-        while not (key >> (EXP_BITS * i)) & EXP_MASK:
-            i += 1
+        # the lowest set bit lies in the lowest nonzero exponent
+        i = ((key & -key).bit_length() - 1) // EXP_BITS
         path.append((key, i))
         key -= 1 << (EXP_BITS * i)
     table = memo[key]

@@ -20,9 +20,10 @@ from .coxeter import (DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS,
                       verify_psi_identities)
 from .dunkl import b_poly, b_poly_is_heavy, closed_form_b_string, gamma_form
 from .errors import BudgetError, ConfigError
-from .mmintegral import (DEFAULT_WICK_BUDGET, check_functional_equation,
+from .mmintegral import (MOMENT_DEGREE_LIMIT, check_functional_equation,
                          gamma_integral_cross_check, gamma_product_exact,
-                         mm_exact, mm_log_moments, predicted_relative_se)
+                         mm_exact, mm_exact_is_heavy, mm_log_moments,
+                         predicted_relative_se)
 from .polynomials import MultiPoly
 from .scalars import KPoly, rat
 
@@ -239,10 +240,10 @@ def _check_b_poly(ctx, cfg):
 
 def _check_mm_exact(ctx, cfg, k):
     rs = ctx.rs
-    if 2 * k * rs.num_positive > DEFAULT_WICK_BUDGET:
+    if mm_exact_is_heavy(rs, k):
         return ("exact", None,
-                f"2k|S|={2 * k * rs.num_positive} exceeds moment budget "
-                f"{DEFAULT_WICK_BUDGET}", "skipped", None)
+                f"2k|S|={2 * k * rs.num_positive} exceeds moment degree bound "
+                f"{MOMENT_DEGREE_LIMIT}", "skipped", None)
     value = mm_exact(rs, k)
     target = gamma_product_exact(ctx.degrees, k)
     ok = value == rs.spec.from_rational(target)

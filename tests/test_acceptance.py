@@ -18,7 +18,8 @@ from coxdunkl.dunkl import (b_poly, beta_form, closed_form_b,
 from coxdunkl.mmintegral import (EULER_GAMMA, check_functional_equation,
                                  gamma_integral_cross_check,
                                  gamma_product_exact, gamma_product_rhs,
-                                 mm_exact, mm_log_moments, mm_monte_carlo)
+                                 mm_exact, mm_exact_is_heavy, mm_log_moments,
+                                 mm_monte_carlo)
 from coxdunkl.polynomials import (MultiPoly, apply_reflection,
                                   build_discriminant)
 from coxdunkl.scalars import KPoly, rat
@@ -102,23 +103,42 @@ def test_criterion_01_heavy_b_equals_closed_form():
 
 
 def test_criterion_03_exact_integral_integer_k():
-    k1_types = (["A1", "A2", "A3", "A4", "B2", "B3"]
+    k1_types = (["A1", "A2", "A3", "A4", "B2", "B3", "D4", "H3"]
                 + [f"I2({m})" for m in range(3, 11)])
     for label in k1_types:
         ctx = group_context(label)
-        assert 2 * ctx.rs.num_positive <= 20
+        assert not mm_exact_is_heavy(ctx.rs, 1)
         value = mm_exact(ctx.rs, 1)
         target = gamma_product_exact(ctx.degrees, 1)
         assert value == ctx.rs.spec.from_rational(target), (label, 1)
     a3 = group_context("A3")
     assert mm_exact(a3.rs, 1) == a3.rs.spec.from_rational(288)
-    for label in ["A1", "A2", "I2(3)", "I2(4)", "I2(5)"]:
+    k2_types = ["A1", "A2", "I2(3)", "I2(4)", "I2(5)", "D4", "H3"]
+    for label in k2_types:
         ctx = group_context(label)
+        assert not mm_exact_is_heavy(ctx.rs, 2)
         value = mm_exact(ctx.rs, 2)
         target = gamma_product_exact(ctx.degrees, 2)
         assert value == ctx.rs.spec.from_rational(target), (label, 2)
     _report(3, "integer-k integral equals Gamma product", True,
-            f"({len(k1_types)} types at k=1, 5 at k=2)")
+            f"({len(k1_types)} types at k=1, {len(k2_types)} at k=2)")
+
+
+@pytest.mark.skipif(not os.environ.get("COXDUNKL_HEAVY"),
+                    reason="heavy exact moment (F4 takes seconds); "
+                           "set COXDUNKL_HEAVY=1")
+def test_criterion_03_heavy_exact_integral():
+    # F4 at k = 1 is a moment of degree 48, inside the bound, but F4 is a
+    # heavy type; Garvan (1989) checked it by the same kind of moment
+    ctx = group_context("F4")
+    assert not mm_exact_is_heavy(ctx.rs, 1)
+    start = time.perf_counter()
+    value = mm_exact(ctx.rs, 1)
+    elapsed = time.perf_counter() - start
+    target = gamma_product_exact(ctx.degrees, 1)
+    assert value == ctx.rs.spec.from_rational(target)
+    _report(3, "integer-k integral, heavy F4 at k=1", True,
+            f"({elapsed:.1f}s)")
 
 
 def test_criterion_04_monte_carlo_real_k():

@@ -273,6 +273,15 @@ def test_rank2_parabolic_censuses():
     assert census("B3") == {4: 3, 3: 4, 2: 6}
 
 
+def test_dihedral_census_is_one_plane():
+    # every root of I2(m) lies in its one plane
+    for m in list(range(3, 13)) + [96]:
+        rs = build_root_system(standard_diagram(f"I2({m})"))
+        planes = rank2_parabolics(rs)
+        assert dict(Counter(p.m for p in planes)) == {m: 1}, m
+        assert planes[0].member_roots == tuple(range(m))
+
+
 def _in_span(u, v, w):
     # w lies in the span of u and v iff every 3x3 minor of [u v w] vanishes
     for p, q, t in itertools.combinations(range(len(u)), 3):

@@ -28,10 +28,7 @@ REPORTS = {
         '(10) / (q^5 + 2q^4 + 2q^3 + 2q^2 + 2q + 1)',
         '(10) / (q^5 + 2q^4 + 2q^3 + 2q^2 + 2q + 1)'),
     'A3/mm_exact_k1': ('pass', '288', '288'),
-    'A3/mm_exact_k2': (
-        'skipped',
-        '2k|S|=24 exceeds moment budget 20',
-        'skipped'),
+    'A3/mm_exact_k2': ('pass', '87091200', '87091200'),
     'A3/chevalley': (
         'pass',
         '(24) / (q^6 + 3q^5 + 5q^4 + 6q^3 + 5q^2 + 3q + 1)',

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import random_multipoly
+import coxdunkl.mmintegral
 from coxdunkl.errors import BudgetError
 from coxdunkl.mmintegral import (EULER_GAMMA, _BlockSampler, _log_abs_delta,
                                  _merged, _Moments, _poly_float_evaluator,
                                  _substream, check_functional_equation,
-                                 gamma_integral_cross_check,
+                                 gamma_integral_cross_check, gaussian_moment,
                                  gamma_product_exact, gamma_product_rhs,
                                  log_gamma, log_gamma_product, mm_exact,
-                                 mm_log_moments, mm_monte_carlo,
-                                 predicted_relative_se, wick_moment,
+                                 mm_exact_is_heavy, mm_log_moments,
+                                 mm_monte_carlo, predicted_relative_se,
                                  wick_moment_bruteforce)
 from coxdunkl.dunkl import b_poly
-from coxdunkl.polynomials import MultiPoly
-from coxdunkl.scalars import rat
-from coxdunkl.suite import DEFAULT_GROUPS, group_context
+from coxdunkl.polynomials import MultiPoly, apply_reflection, root_linear_form
+from coxdunkl.scalars import KPoly, rat
+from coxdunkl.suite import DEFAULT_GROUPS, SuiteConfig, group_context, run_check
 
 SAMPLES = 400_000   # unit-test scale; the acceptance suite uses 10^7
 
@@ -32,17 +33,24 @@ def test_log_gamma_accuracy():
     assert abs(log_gamma(3.7) - math.lgamma(3.7)) < 1e-13
 
 
+def _form_moment(rs, factors):
+    """E[prod (alpha_j, x)] by Stein's recursion on the expanded product."""
+    p = MultiPoly.one(rs)
+    for j in factors:
+        p = p * root_linear_form(rs, j)
+    return gaussian_moment(p)
+
+
 def test_wick_small_cases(ctx_a2):
     rs = ctx_a2.rs
-    spec = rs.spec
     # (alpha, alpha) = 2 for every root
     for i in range(rs.num_positive):
-        assert wick_moment(rs, [i, i]) == spec.from_rational(2)
+        assert _form_moment(rs, [i, i]) == 2
     # odd moments vanish
-    assert wick_moment(rs, [0]) == spec.zero()
-    assert wick_moment(rs, [0, 1, 2]) == spec.zero()
+    assert _form_moment(rs, [0]) == 0
+    assert _form_moment(rs, [0, 1, 2]) == 0
     # {a,a,b,b} -> 4 + 2 (a,b)^2; for adjacent simple roots (a,b) = -1
-    assert wick_moment(rs, [0, 0, 1, 1]) == spec.from_rational(6)
+    assert _form_moment(rs, [0, 0, 1, 1]) == 6
 
 
 def test_wick_against_bruteforce_oracle():
@@ -52,25 +60,54 @@ def test_wick_against_bruteforce_oracle():
         for _ in range(20):
             n = rng.choice([2, 4, 6, 8])
             factors = [rng.randrange(rs.num_positive) for _ in range(n)]
-            assert wick_moment(rs, factors) == wick_moment_bruteforce(rs, factors)
+            assert (_form_moment(rs, factors)
+                    == wick_moment_bruteforce(rs, factors)), (label, factors)
 
 
 def test_wick_permutation_invariance(ctx_b2):
     rs = ctx_b2.rs
     rng = random.Random(42)
     factors = [0, 1, 2, 3, 0, 1]
-    base = wick_moment(rs, factors)
+    base = _form_moment(rs, factors)
     for _ in range(5):
         rng.shuffle(factors)
-        assert wick_moment(rs, factors) == base
+        assert _form_moment(rs, factors) == base
+    # the Gaussian is W-invariant: E[p o s_alpha] = E[p], here for
+    # k-dependent polynomials with field coefficients too
+    for label in ("B2", "I2(5)", "A3"):
+        rs = group_context(label).rs
+        p = random_multipoly(rs, random.Random(43), max_degree=6, terms=6,
+                             k_degree=2)
+        m = gaussian_moment(p)
+        assert not m.is_zero(), label
+        for j in range(rs.num_positive):
+            assert gaussian_moment(apply_reflection(p, j)) == m, (label, j)
+        # each k-coefficient is carried through: E[sum k^j p_j] = sum k^j E[p_j]
+        slots = KPoly.zero(rs.spec)
+        for j in range(3):
+            pj = MultiPoly(rs, {key: (kco[j],) for key, kco in p.terms.items()
+                                if len(kco) > j and any(kco[j])})
+            slots = slots + gaussian_moment(pj) * KPoly.gen(rs.spec) ** j
+        assert m == slots, label
 
 
-def test_wick_budget():
+def test_wick_budget(monkeypatch):
     rs = group_context("A2").rs
+    # A2 at k = 10 is degree 60, the bound itself; k = 11 is past it
+    assert not mm_exact_is_heavy(rs, 10) and mm_exact_is_heavy(rs, 11)
+    assert mm_exact_is_heavy(group_context("B4").rs, 2)   # degree 64
+
+    def refuse(*args):
+        raise AssertionError("mm_exact computed past its bound")
+
+    monkeypatch.setattr(coxdunkl.mmintegral, "build_discriminant", refuse)
+    monkeypatch.setattr(coxdunkl.mmintegral, "gaussian_moment", refuse)
     with pytest.raises(BudgetError):
-        wick_moment(rs, [0] * 22)
+        mm_exact(rs, 11)
     with pytest.raises(BudgetError):
-        mm_exact(rs, 4)    # 24 factors
+        mm_exact(group_context("B4").rs, 2)
+    monkeypatch.undo()
+    assert mm_exact(rs, 10) == gamma_product_exact(group_context("A2").degrees, 10)
 
 
 def test_mm_exact_values():
@@ -91,6 +128,15 @@ def test_mm_exact_matches_gamma_product():
         ctx = group_context(label)
         val = mm_exact(ctx.rs, k)
         assert val == ctx.rs.spec.from_rational(gamma_product_exact(ctx.degrees, k))
+
+
+def test_mm_exact_checks_pass_on_every_default_group():
+    cfg = SuiteConfig()
+    for label in DEFAULT_GROUPS:
+        ctx = group_context(label)
+        for check in ("mm_exact_k1", "mm_exact_k2"):
+            rep = run_check(check, ctx, cfg)
+            assert rep.status == "pass", (label, check, rep)
 
 
 def test_gamma_product_rhs():

@@ -158,8 +158,8 @@ def test_budget_exhaustion_exit_code():
 
 
 def test_mm_exact_skipped_when_over_budget():
-    # D4 has 12 positive roots, so k=1 needs 24 factors > 20
-    cfg = SuiteConfig(groups=("D4",), checks=("mm_exact_k1",))
+    # B4 has 16 positive roots, so k=2 needs a moment of degree 64 > 60
+    cfg = SuiteConfig(groups=("B4",), checks=("mm_exact_k2",))
     reports, code = run_suite(cfg, threads=1)
     assert code == 0
     assert reports[0].status == "skipped"
@@ -250,6 +250,19 @@ def test_cli_rejects_nonpositive_samples_and_shards(argv, capsys):
     assert "must be positive" in err or "needs an integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--threads", "-2", "info", "--type", "A2"],
+    ["--threads", "0", "info", "--type", "A2"],
+    ["info", "--type", "A2", "--budget", "0"],
+])
+def test_cli_rejects_nonpositive_threads_and_budget(argv, capsys):
+    # not a silent sequential run, a silent default, or a budget exit (3)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err or "--budget" in err
+    assert "must be positive" in err
+
+
 def test_cli_suite(tmp_path, capsys):
     cfg_path = tmp_path / "suite.cfg"
     json_path = tmp_path / "report.json"
@@ -296,9 +309,7 @@ for label in ("A3", "B3", "I2(5)", "I2(12)"):
     for check in ("poincare_identity", "chevalley", "psi_identities",
                   "b_poly", "mm_exact_k1"):
         status = run_check(check, ctx, cfg).status
-        # I2(12) at k = 1 needs 2k|S| = 24, over the moment budget of 20
-        want = "skipped" if (label, check) == ("I2(12)", "mm_exact_k1") else "pass"
-        assert status == want, (label, check, status)
+        assert status == "pass", (label, check, status)
 assert group_info("F4")["order"] == 1152
 assert "numpy" not in sys.modules, "exact work loaded numpy"
 rep = run_check("log_moments", group_context("A3"),
