@@ -158,11 +158,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    threads = args.threads or default_threads()
     if args.command != "suite" and not known_label(args.group):
         print(f"unknown type {args.group!r}", file=sys.stderr)
         return USAGE_ERROR
     try:
+        threads = args.threads or default_threads()
         if args.command == "info":
             return _cmd_info(args)
         if args.command == "verify":

@@ -15,11 +15,10 @@ twisted-Leibniz step
     dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F),
 
 where s_alpha(u_i) comes from `polynomials.reflection_forms`.  The kernel
-works on flat {key: int} dicts (a `rat` only where a denominator appears): a
-key packs the u exponents, c's exponent above them (bit EXP_BITS * rank) and
-k's above that, so a product is one int multiply and one dict update, and
-c^e with e >= d is folded by the minimal polynomial.  An application builds
-each input monomial's image once and applies it to all of its (c, k) slots.
+works directly on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
+`polynomials`, with its one product `_mul_into` and its c-fold `_fold`.  An
+application builds each input monomial's image once and applies it to all
+of its (c, k) slots.
 The reflect-and-divide route (`apply_reflection`, `divided_difference`,
 `divide_by_root_form`) does not use these tables; the tests check the
 operators against it.
@@ -32,7 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, apply_reflection,
+from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold,
+                          _kpoly, _mul_into, apply_reflection,
                           build_discriminant, monomial_table, reflection_forms)
 from .scalars import FieldElement, KPoly, rat
 
@@ -97,60 +97,18 @@ def _root_directions(rs):
 # ---------------------------------------------------------------------------
 
 
-def _flatten(rs, terms):
-    """MultiPoly terms as a flat {u^E c^e k^j: coordinate} dict."""
-    cs = EXP_BITS * rs.rank
-    return {u + (e << cs) + (j << (cs + EXP_BITS)): x
-            for u, kco in terms.items()
-            for j, co in enumerate(kco) for e, x in enumerate(co) if x}
-
-
-def _unflatten(rs, flat):
-    """The MultiPoly terms of a zero-free flat dict."""
-    cs = EXP_BITS * rs.rank
-    rows = {}
-    for key, x in flat.items():
-        rows.setdefault(key & ((1 << cs) - 1), {})[key >> cs] = x
-    slots = range(rs.spec.degree)
-    return {u: tuple(tuple(ck.get((j << EXP_BITS) + e, 0) for e in slots)
-                     for j in range((max(ck) >> EXP_BITS) + 1))
-            for u, ck in rows.items()}
-
-
-def _fold(rs, flat):
-    """Reduce c^e (d <= e <= 2d - 2) by c's minimal polynomial; drop zeros."""
-    d = rs.spec.degree
-    if d > 1:
-        cs = EXP_BITS * rs.rank
-        for key in [key for key in flat if key >> cs & EXP_MASK >= d]:
-            e = key >> cs & EXP_MASK
-            x = flat.pop(key)
-            for j, r in enumerate(rs.spec._pow[e - d]):
-                if r:
-                    kj = key - ((e - j) << cs)
-                    flat[kj] = flat.get(kj, 0) + x * r
-    return {key: x for key, x in flat.items() if x}
-
-
 def _dd_monomial(rs, root_index, key):
     """(u^E - s_alpha u^E) / (alpha, x) as a flat {u^F c^e: int} table.
 
     Twisted Leibniz on u^E = u_i * u^(E - e_i):
         dd(u^E) = (alpha_i, alpha) u^(E-e_i) + s_alpha(u_i) * dd(u^(E-e_i)).
     """
-    cs = EXP_BITS * rs.rank
     pair = rs.pair_vectors()[root_index]
     forms = reflection_forms(rs, root_index)
 
     def step(i, prev_key, prev):
-        dst = {prev_key + (e << cs): x for e, x in enumerate(pair[i]) if x}
-        for u, (co,) in forms[i]:
-            for e, y in enumerate(co):
-                if y:
-                    ue = u + (e << cs)
-                    for tk, x in prev.items():
-                        tk += ue
-                        dst[tk] = dst.get(tk, 0) + x * y
+        dst = _flat(rs, (pair[i],), prev_key)
+        _mul_into(dst, forms[i], prev.items())
         return _fold(rs, dst)
 
     return monomial_table(rs._cache(("dd", root_index), lambda: {0: {}}),
@@ -181,18 +139,10 @@ def _apply_direction(rs, direction, flat):
         for i, ws in enumerate(grad):
             e = u >> (EXP_BITS * i) & EXP_MASK
             if e:
-                for wk, w in ws:
-                    image[u - (1 << (EXP_BITS * i)) + wk] = e * w
+                _mul_into(image, ((u - (1 << (EXP_BITS * i)), e),), ws)
         for alpha, ws in refl:
-            for tk, x in _dd_monomial(rs, alpha, u).items():
-                for wk, w in ws:
-                    wk += tk
-                    image[wk] = image.get(wk, 0) + x * w
-        image = _fold(rs, image).items()
-        for sk, y in ux:
-            for key, x in image:
-                key += sk
-                out[key] = out.get(key, 0) + x * y
+            _mul_into(image, _dd_monomial(rs, alpha, u).items(), ws)
+        _mul_into(out, ux, _fold(rs, image).items())
     return _fold(rs, out)
 
 
@@ -200,9 +150,7 @@ def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:
     """Apply the Dunkl operator for the given direction."""
     if direction.ring is not f.ring:
         raise ValueError("direction and polynomial from different rings")
-    rs = f.ring
-    return MultiPoly(rs, _unflatten(rs, _apply_direction(
-        rs, direction, _flatten(rs, f.terms))))
+    return MultiPoly(f.ring, _apply_direction(f.ring, direction, f.terms))
 
 
 def dunkl_apply_omega(rs, i, f: MultiPoly) -> MultiPoly:
@@ -226,21 +174,19 @@ def beta_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     different degrees pair to zero."""
     f._check_ring(g)
     rs = f.ring
-    sp = rs.spec
     umask = (1 << (EXP_BITS * rs.rank)) - 1
     y_dirs = _root_directions(rs)
-    memo = {0: _flatten(rs, g.terms)}
+    memo = {0: g.terms}
 
     def step(i, prev_key, prev):
         return _apply_direction(rs, y_dirs[i], prev)
 
-    total = KPoly.zero(sp)
-    for key, kco in sorted(f.terms.items()):
-        node = monomial_table(memo, step, key)
-        const = _unflatten(rs, {k: x for k, x in node.items() if not k & umask})
-        if const:
-            total = total + KPoly(sp, kco) * KPoly(sp, const[0])
-    return total
+    out = {}
+    for u, row in f._rows().items():
+        node = monomial_table(memo, step, u)
+        _mul_into(out, ((key - u, x) for key, x in row),
+                  [(k, y) for k, y in node.items() if not k & umask])
+    return _kpoly(rs, _fold(rs, out).items())
 
 
 def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
@@ -248,15 +194,11 @@ def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
 
     Computed basis-independently as sum_j T_{omega_j} (y_{alpha_j} f)."""
     rs = f.ring
-    flat = _flatten(rs, f.terms)
     omega = _omega_directions(rs)
     ydirs = _root_directions(rs)
-    out = {}
-    for j in range(rs.rank):
-        h = _apply_direction(rs, ydirs[j], flat)
-        for key, x in _apply_direction(rs, omega[j], h).items():
-            out[key] = out.get(key, 0) + x
-    return MultiPoly(rs, _unflatten(rs, {k: x for k, x in out.items() if x}))
+    return sum((MultiPoly(rs, _apply_direction(
+        rs, omega[j], _apply_direction(rs, ydirs[j], f.terms)))
+        for j in range(rs.rank)), MultiPoly.zero(rs))
 
 
 def gaussian_exponential(f: MultiPoly) -> MultiPoly:
@@ -354,13 +296,13 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
     sp = rs.spec
-    flat = _flatten(rs, build_discriminant(rs).terms)
+    flat = build_discriminant(rs).terms
     for direction in _root_directions(rs):
         flat = _apply_direction(rs, direction, flat)
-    terms = _unflatten(rs, flat)
-    if set(terms) - {0}:
+    image = MultiPoly(rs, flat)
+    if image.degree() > 0:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
-    computed = KPoly(sp, terms.get(0, ()))
+    computed = image.coefficient((0,) * rs.rank)
     if rs.rank >= 4:
         clear_dunkl_caches(rs)
 

@@ -18,8 +18,9 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .polynomials import EXP_BITS, EXP_MASK, MultiPoly, build_discriminant
-from .scalars import FieldElement, KPoly, _acc, as_rational, qdiv
+from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold, _kpoly,
+                          _mul_into, build_discriminant)
+from .scalars import FieldElement, KPoly, as_rational, qdiv
 
 #: Euler's constant, accurate to well below 1e-15
 EULER_GAMMA = 0.5772156649015328606065120900824
@@ -76,30 +77,32 @@ def gaussian_moment(p) -> KPoly:
     """E[p] for a MultiPoly p, where u ~ N(0, G) with G = `rs.gram_raw()`.
 
     Stein's identity E[u_i f] = sum_j G_ij E[d_j f] peels the lowest variable
-    u_i of each monomial: E[u_i u^F] = sum_j G_ij F_j E[u^(F - e_j)]."""
-    sp = p.ring.spec
-    rows = [[(j, g) for j, g in enumerate(row) if any(g)]
-            for row in p.ring.gram_raw()]
-    memo = {0: sp.raw_one()}   # packed key -> moment, for this call only
+    u_i of each monomial: E[u_i u^F] = sum_j G_ij F_j E[u^(F - e_j)].  Each
+    moment is a flat {c^e: coordinate} dict, worked by the polynomial kernel."""
+    rs = p.ring
+    umask = (1 << (EXP_BITS * rs.rank)) - 1
+    rows = [[(j, _flat(rs, (g,)).items()) for j, g in enumerate(row) if any(g)]
+            for row in rs.gram_raw()]
+    memo = {0: {0: 1}}   # packed key -> moment, for this call only
 
     def moment(key):
         if key not in memo:
             i = ((key & -key).bit_length() - 1) // EXP_BITS
             rest = key - (1 << (EXP_BITS * i))
-            acc = sp.raw_zero()   # zero at degree 1, so at every odd degree
+            acc = {}   # empty at degree 1, so at every odd degree
             for j, g in rows[i]:
                 f = (rest >> (EXP_BITS * j)) & EXP_MASK
                 if f:
-                    sub = moment(rest - (1 << (EXP_BITS * j)))
-                    acc = sp.raw_add(acc, sp.raw_scale(sp.raw_mul(g, sub), f))
-            memo[key] = acc
+                    _mul_into(acc, [(k, x * f) for k, x in g],
+                              moment(rest - (1 << (EXP_BITS * j))).items())
+            memo[key] = _fold(rs, acc)
         return memo[key]
 
     out = {}
-    for key, kco in p.terms.items():
-        m = moment(key)
-        _acc(sp, out, 0, [sp.raw_mul(c, m) for c in kco])
-    return KPoly(sp, out.get(0, ()))
+    for key, x in p.terms.items():
+        u = key & umask
+        _mul_into(out, ((key - u, x),), moment(u).items())
+    return _kpoly(rs, _fold(rs, out).items())
 
 
 def mm_exact(rs, k: int) -> FieldElement:

@@ -1,17 +1,28 @@
 """Sparse multivariate polynomials in the root pairing coordinates u_i.
 
 A polynomial lives over a fixed root system: the variables are the linear
-functionals u_i = (alpha_i, x) attached to the simple roots, coefficients
-are KPoly values in the deformation parameter k, and every operation is
-exact.  Exponent vectors are packed into a single integer key (10 bits per
-variable) for fast dictionary arithmetic.
+functionals u_i = (alpha_i, x) attached to the simple roots, the
+coefficients are polynomials in the deformation parameter k over the field
+QQ(c), c = 2cos(pi/m), of the root system, and every operation is exact.
+
+This module owns the one sparse layout, `MultiPoly.terms`: a flat dict
+{u^E c^e k^j: coordinate}.  A key packs the u exponents (EXP_BITS bits per
+variable from bit 0), c's exponent above them (bit EXP_BITS * rank) and k's
+above that; a coordinate is an int, or a `rat` once a denominator has
+entered.  The dict holds no zeros and no c^e with e >= d, the degree of the
+field.  A product (`_mul_into`) is one int multiply and one dict update per
+pair of terms and leaves e <= 2d - 2, which `_fold` reduces by c's minimal
+polynomial.  `term_items` and `coefficient` give the k-coefficients of a
+monomial back as `KPoly` values.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import ExactDivisionError, FieldMismatchError
-from .scalars import (KPoly, _acc, _compatible, _mul_into, _normalize, _trim,
-                      as_kpoly, as_rational, join_terms)
+from .scalars import (FieldElement, KPoly, _compatible, as_kpoly, as_rational,
+                      join_terms)
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -35,6 +46,58 @@ def key_degree(key, rank):
     return sum((key >> (EXP_BITS * i)) & EXP_MASK for i in range(rank))
 
 
+# ---------------------------------------------------------------------------
+# flat terms
+# ---------------------------------------------------------------------------
+
+
+def _mul_into(dst, a, b):
+    """dst += a * b for two iterables of flat (key, coordinate) terms, with
+    c left unfolded: the one sparse product of the package.  `b` is walked
+    once per term of `a`, so it is a list, tuple or dict view."""
+    get = dst.get
+    for ka, x in a:
+        for kb, y in b:
+            kb += ka
+            dst[kb] = get(kb, 0) + x * y
+
+
+def _fold(rs, flat):
+    """Reduce c^e (d <= e <= 2d - 2) by c's minimal polynomial; drop zeros."""
+    d = rs.spec.degree
+    if d > 1:
+        cs = EXP_BITS * rs.rank
+        for key in [key for key in flat if key >> cs & EXP_MASK >= d]:
+            e = key >> cs & EXP_MASK
+            x = flat.pop(key)
+            for j, r in enumerate(rs.spec._pow[e - d]):
+                if r:
+                    kj = key - ((e - j) << cs)
+                    flat[kj] = flat.get(kj, 0) + x * r
+    return {key: x for key, x in flat.items() if x}
+
+
+def _flat(rs, kco, key=0):
+    """u^E times the k-coefficients `kco` (coordinate tuples, ascending in
+    k) as flat terms; `key` packs E."""
+    cs = EXP_BITS * rs.rank
+    return {key + (e << cs) + (j << (cs + EXP_BITS)): x
+            for j, co in enumerate(kco) for e, x in enumerate(co) if x}
+
+
+def _kpoly(rs, terms):
+    """The KPoly sum of x c^e k^j over the flat (key, x) terms of one
+    monomial (its u exponents are ignored)."""
+    cs = EXP_BITS * rs.rank
+    sp = rs.spec
+    kco = {}
+    for key, x in terms:
+        kco.setdefault(key >> (cs + EXP_BITS), [0] * sp.degree)[
+            key >> cs & EXP_MASK] = x
+    return KPoly(sp, [kco.get(j, sp.raw_zero())
+                      for j in range(max(kco, default=-1) + 1)])
+
+
 class MultiPoly:
     """Exact sparse polynomial over a root system's coordinate ring."""
 
@@ -42,7 +105,7 @@ class MultiPoly:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms  # dict: packed exponent -> tuple of raw k-coeffs
+        self.terms = terms  # zero-free, c-folded {u^E c^e k^j: coordinate}
 
     # -- constructors ---------------------------------------------------------
 
@@ -52,8 +115,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ring, value):
-        kco = as_kpoly(ring.spec, value).co
-        return cls(ring, {0: kco} if kco else {})
+        return cls(ring, _flat(ring, as_kpoly(ring.spec, value).co))
 
     @classmethod
     def one(cls, ring):
@@ -63,30 +125,24 @@ class MultiPoly:
     def variable(cls, ring, i, power=1):
         if not 0 <= i < ring.rank:
             raise ValueError("variable index out of range")
-        if power == 0:
-            return cls.one(ring)
-        key = pack_exponents(tuple(power if j == i else 0 for j in range(ring.rank)))
-        return cls(ring, {key: (ring.spec.raw_one(),)})
+        return cls.from_terms(
+            ring, {tuple(power if j == i else 0 for j in range(ring.rank)): 1})
 
     @classmethod
     def from_terms(cls, ring, mapping):
         """Build from {exponent tuple: coefficient} with KPoly / field / rational values."""
-        sp = ring.spec
-        dst = {}
+        terms = {}
         for exps, value in mapping.items():
-            _acc(sp, dst, pack_exponents(exps), as_kpoly(sp, value).co)
-        return cls(ring, _normalize(sp, dst))
+            terms.update(_flat(ring, as_kpoly(ring.spec, value).co,
+                               pack_exponents(exps)))
+        return cls(ring, terms)
 
     @classmethod
     def linear_form(cls, ring, coeffs):
         """sum_j coeffs[j] * u_j for field/rational coefficients."""
-        sp = ring.spec
-        dst = {}
-        for j, cf in enumerate(coeffs):
-            raw = sp.raw(cf)
-            if not sp.raw_is_zero(raw):
-                _acc(sp, dst, 1 << (EXP_BITS * j), (raw,))
-        return cls(ring, _normalize(sp, dst))
+        return cls.from_terms(ring, {
+            tuple(int(l == j) for l in range(ring.rank)): cf
+            for j, cf in enumerate(coeffs)})
 
     # -- inspection -----------------------------------------------------------
 
@@ -106,17 +162,26 @@ class MultiPoly:
         degs = {key_degree(k, r) for k in self.terms}
         return len(degs) == 1
 
+    def _rows(self):
+        """{packed u^E: [its flat terms]}, in the order the terms come."""
+        umask = (1 << (EXP_BITS * self.ring.rank)) - 1
+        rows = {}
+        for key, x in self.terms.items():
+            rows.setdefault(key & umask, []).append((key, x))
+        return rows
+
     def term_items(self):
         """Deterministic list of (exponent tuple, KPoly) pairs, graded order."""
         r = self.ring.rank
-        sp = self.ring.spec
-        keys = sorted(self.terms,
+        rows = self._rows()
+        keys = sorted(rows,
                       key=lambda k: (-key_degree(k, r),
                                      tuple(-e for e in unpack_exponents(k, r))))
-        return [(unpack_exponents(k, r), KPoly(sp, self.terms[k])) for k in keys]
+        return [(unpack_exponents(k, r), _kpoly(self.ring, rows[k]))
+                for k in keys]
 
     def coefficient(self, exps) -> KPoly:
-        return KPoly(self.ring.spec, self.terms.get(pack_exponents(exps), ()))
+        return _kpoly(self.ring, self._rows().get(pack_exponents(exps), ()))
 
     def _check_ring(self, other):
         if self.ring is other.ring:
@@ -131,18 +196,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.ring, other)
         self._check_ring(other)
-        sp = self.ring.spec
-        dst = {k: list(v) for k, v in self.terms.items()}
-        for k, v in other.terms.items():
-            _acc(sp, dst, k, v)
-        return MultiPoly(self.ring, _normalize(sp, dst))
+        terms = dict(self.terms)
+        for k, x in other.terms.items():
+            terms[k] = terms.get(k, 0) + x
+        return MultiPoly(self.ring, {k: x for k, x in terms.items() if x})
 
     __radd__ = __add__
 
     def __neg__(self):
-        sp = self.ring.spec
-        return MultiPoly(self.ring, {
-            k: tuple(sp.raw_neg(c) for c in v) for k, v in self.terms.items()})
+        return MultiPoly(self.ring, {k: -x for k, x in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -156,10 +218,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_ring(other)
-        sp = self.ring.spec
         dst = {}
-        _mul_into(sp, dst, self.terms.items(), other.terms.items())
-        return MultiPoly(self.ring, _normalize(sp, dst))
+        _mul_into(dst, self.terms.items(), other.terms.items())
+        return MultiPoly(self.ring, _fold(self.ring, dst))
 
     __rmul__ = __mul__
 
@@ -169,23 +230,18 @@ class MultiPoly:
 
     def k_shift(self, n):
         """Multiply every coefficient by k^n."""
-        sp = self.ring.spec
-        pad = (sp.raw_zero(),) * n
-        return MultiPoly(self.ring, {k: pad + v for k, v in self.terms.items()})
+        shift = n << (EXP_BITS * (self.ring.rank + 1))
+        return MultiPoly(self.ring,
+                         {k + shift: x for k, x in self.terms.items()})
 
     def partial(self, i):
         """Derivative with respect to u_i (the dual-basis direction omega_i)."""
         if not 0 <= i < self.ring.rank:
             raise ValueError("variable index out of range")
-        sp = self.ring.spec
-        step = 1 << (EXP_BITS * i)
-        dst = {}
-        for k, v in self.terms.items():
-            e = (k >> (EXP_BITS * i)) & EXP_MASK
-            if not e:
-                continue
-            _acc(sp, dst, k - step, [sp.raw_scale(c, e) for c in v])
-        return MultiPoly(self.ring, _normalize(sp, dst))
+        shift = EXP_BITS * i
+        return MultiPoly(self.ring, {
+            k - (1 << shift): x * (k >> shift & EXP_MASK)
+            for k, x in self.terms.items() if k >> shift & EXP_MASK})
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -200,39 +256,30 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_field(self, point):
         """Exact evaluation at a tuple of FieldElements / rationals (k stays formal)."""
         sp = self.ring.spec
-        raws = [sp.raw(p) for p in point]
-        acc = {}
-        r = self.ring.rank
-        for k, v in self.terms.items():
-            mono = sp.raw_one()
-            for i in range(r):
-                e = (k >> (EXP_BITS * i)) & EXP_MASK
-                for _ in range(e):
-                    mono = sp.raw_mul(mono, raws[i])
-            _acc(sp, acc, 0, [sp.raw_mul(c, mono) for c in v])
-        return KPoly(sp, acc.get(0, ()))
+        point = [FieldElement(sp, sp.raw(p)) for p in point]
+        total = KPoly.zero(sp)
+        for exps, kp in self.term_items():
+            total = total + kp * prod(
+                (p for p, e in zip(point, exps) for _ in range(e)),
+                start=sp.one())
+        return total
 
     def float_terms(self, k_value):
         """[(exponent tuple, float coefficient)] with k specialized to k_value."""
-        sp = self.ring.spec
         kq = as_rational(k_value)
-        out = []
         r = self.ring.rank
-        for k, v in self.terms.items():
-            acc = sp.raw_zero()
-            p = 1
-            for c in v:
-                acc = sp.raw_add(acc, sp.raw_scale(c, p))
-                p = p * kq
-            if not sp.raw_is_zero(acc):
-                out.append((unpack_exponents(k, r), sp.raw_float(acc)))
+        out = []
+        for u, row in self._rows().items():
+            value = _kpoly(self.ring, row)(kq)
+            if value:
+                out.append((unpack_exponents(u, r), float(value)))
         return out
 
     # -- serialization ---------------------------------------------------------
@@ -277,22 +324,13 @@ def root_linear_form(rs, root_index) -> MultiPoly:
 
 def reflection_forms(rs, root_index):
     """s_alpha(u_i) = u_i - (alpha_i, alpha) * (alpha, x) for each i, as
-    ((packed, (raw coeff,)), ...) term tuples (cached per root)."""
+    tuples of flat (key, coordinate) terms (cached per root)."""
     def build():
-        sp = rs.spec
-        pair = rs.pair_vectors()[root_index]
-        croot = rs.roots_raw()[root_index]
-        forms = []
-        for i in range(rs.rank):
-            form = []
-            for l in range(rs.rank):
-                cf = sp.raw_neg(sp.raw_mul(pair[i], croot[l]))
-                if l == i:
-                    cf = sp.raw_add(cf, sp.raw_one())
-                if not sp.raw_is_zero(cf):
-                    form.append((1 << (EXP_BITS * l), (cf,)))
-            forms.append(tuple(form))
-        return tuple(forms)
+        form = root_linear_form(rs, root_index)
+        return tuple(
+            tuple((MultiPoly.variable(rs, i)
+                   - form.scale(FieldElement(rs.spec, w))).terms.items())
+            for i, w in enumerate(rs.pair_vectors()[root_index]))
     return rs._cache(("refl_forms", root_index), build)
 
 
@@ -316,28 +354,27 @@ def monomial_table(memo, step, key):
 
 def _reflected_monomial(rs, root_index, key):
     """Image of the monomial u^E under s_alpha: s(u^E) = s(u_i) s(u^(E-e_i))."""
-    sp = rs.spec
     forms = reflection_forms(rs, root_index)
 
     def step(i, prev_key, prev):
         dst = {}
-        _mul_into(sp, dst, forms[i], prev.items())
-        return _normalize(sp, dst)
+        _mul_into(dst, forms[i], prev.items())
+        return _fold(rs, dst)
 
-    memo = rs._cache(("refl_img", root_index),
-                     lambda: {0: {0: (sp.raw_one(),)}})
-    return monomial_table(memo, step, key)
+    return monomial_table(rs._cache(("refl_img", root_index),
+                                    lambda: {0: {0: 1}}), step, key)
 
 
 def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:
     """f composed with the reflection in the given positive root (an involution)."""
     rs = f.ring
-    sp = rs.spec
+    umask = (1 << (EXP_BITS * rs.rank)) - 1
     dst = {}
-    for key, kco in f.terms.items():
-        _mul_into(sp, dst, ((0, kco),),
-                  _reflected_monomial(rs, root_index, key).items())
-    return MultiPoly(rs, _normalize(sp, dst))
+    for key, x in f.terms.items():
+        u = key & umask
+        _mul_into(dst, ((key - u, x),),
+                  _reflected_monomial(rs, root_index, u).items())
+    return MultiPoly(rs, _fold(rs, dst))
 
 
 def divided_difference(f: MultiPoly, root_index) -> MultiPoly:
@@ -350,47 +387,43 @@ def divided_difference(f: MultiPoly, root_index) -> MultiPoly:
 def divide_by_root_form(g: MultiPoly, root_index) -> MultiPoly:
     """Exact division by the linear form (alpha, x); raises if a remainder is left.
 
-    Synthetic division along the pivot variable: terms are peeled in strictly
-    decreasing pivot exponent, so every key is final before it is processed."""
+    Synthetic division along the pivot variable: monomials are peeled in
+    strictly decreasing pivot exponent, so every one is final before it is
+    processed."""
     rs = g.ring
-    sp = rs.spec
     croot = rs.roots_raw()[root_index]
-    pivot = None
-    for j in range(rs.rank):
-        if any(croot[j]):
-            pivot = j
-            break
-    inv = sp.raw_inv(croot[pivot])
+    pivot = next(j for j, co in enumerate(croot) if any(co))
     step = 1 << (EXP_BITS * pivot)
-    others = [(1 << (EXP_BITS * l), croot[l])
-              for l in range(rs.rank) if l != pivot and any(croot[l])]
-
-    def pivot_exp(key):
-        return (key >> (EXP_BITS * pivot)) & EXP_MASK
-
-    rem = {k: list(v) for k, v in g.terms.items()}
+    inv = _flat(rs, (rs.spec.raw_inv(croot[pivot]),)).items()
+    others = []   # (u_l, the flat terms of -croot[l] u_l) for l != pivot
+    for l, co in enumerate(croot):
+        if l != pivot and any(co):
+            ul = 1 << (EXP_BITS * l)
+            others.append((ul, [(k, -x) for k, x in _flat(rs, (co,), ul).items()]))
+    rows = {u: dict(row) for u, row in g._rows().items()}
     buckets = {}
-    for k in rem:
-        buckets.setdefault(pivot_exp(k), set()).add(k)
+    for u in rows:
+        buckets.setdefault(u >> (EXP_BITS * pivot) & EXP_MASK, []).append(u)
     quot = {}
     for e in range(max(buckets, default=0), 0, -1):
-        for key in sorted(buckets.get(e, ())):
-            kco = _trim(sp, rem.pop(key, ()))
-            if not kco:
+        for u in sorted(buckets.get(e, ())):
+            row = _fold(rs, rows.pop(u))
+            if not row:
                 continue
-            qk = key - step
-            qco = [sp.raw_mul(c, inv) for c in kco]
-            _acc(sp, quot, qk, qco)
-            for step2, cf in others:
-                k2 = qk + step2
-                if k2 not in rem:
-                    rem[k2] = []
-                    buckets.setdefault(e - 1, set()).add(k2)
-                _acc(sp, rem, k2, [sp.raw_neg(sp.raw_mul(c, cf)) for c in qco])
-    if _normalize(sp, rem):
+            q = {}
+            _mul_into(q, ((k - step, x) for k, x in row.items()), inv)
+            q = _fold(rs, q).items()
+            quot.update(q)
+            for ul, form in others:
+                u2 = u - step + ul
+                if u2 not in rows:
+                    rows[u2] = {}
+                    buckets.setdefault(e - 1, []).append(u2)
+                _mul_into(rows[u2], q, form)
+    if any(_fold(rs, row) for row in rows.values()):
         raise ExactDivisionError(
             f"division by root form {root_index} left remainder")
-    return MultiPoly(rs, _normalize(sp, quot))
+    return MultiPoly(rs, quot)
 
 
 def build_discriminant(rs) -> MultiPoly:

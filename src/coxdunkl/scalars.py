@@ -19,10 +19,10 @@ and never returns a float.
 
 KPoly is a dense univariate polynomial over such a field.  It carries the
 formal deformation parameter k through the Dunkl calculus and doubles as
-the q-variable for length generating functions.  Its coefficient lists go
-through the same kernels (`_trim`, `_acc`, `_mul_into`, `_normalize`) as the
-sparse multivariate polynomials, `KPoly.divmod` is the one long division
-and `kpoly_xgcd` the one Euclid: field inverses, gcds and the minimal
+the q-variable for length generating functions.  It has its own dense add
+and convolution (the sparse multivariate polynomials keep flat int dicts,
+see `polynomials`); `KPoly.divmod` is the one long division and
+`kpoly_xgcd` the one Euclid: field inverses, gcds and the minimal
 polynomials of 2cos(pi/m) (worked over `QQ`) all go through them.
 """
 
@@ -200,9 +200,6 @@ class FieldSpec:
 
     def raw_neg(self, a):
         return tuple(map(neg, a))
-
-    def raw_scale(self, a, q):
-        return tuple(x * q for x in a)
 
     def raw_mul(self, a, b):
         d = self.degree
@@ -470,76 +467,6 @@ def join_terms(parts):
 
 
 # ---------------------------------------------------------------------------
-# coefficient-list kernels
-# ---------------------------------------------------------------------------
-
-
-def _trim(spec, kco):
-    """Normalize a k-coefficient list: drop trailing zeros, None -> zero."""
-    zero = spec.raw_zero()
-    out = [zero if c is None else c for c in kco]
-    while out and not any(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _acc(spec, dst, key, kco):
-    """dst[key] += kco, where kco is a sequence of raw coefficients."""
-    cur = dst.get(key)
-    if cur is None:
-        cur = []
-        dst[key] = cur
-    while len(cur) < len(kco):
-        cur.append(None)
-    for i, c in enumerate(kco):
-        if c is None or spec.raw_is_zero(c):
-            continue
-        prev = cur[i]
-        cur[i] = c if prev is None else spec.raw_add(prev, c)
-
-
-def _mul_into(spec, dst, a, b, shift=0):
-    """dst += a * b * k^shift: the one sparse product of the package.
-
-    `a` and `b` iterate over (packed key, raw k-coefficients) pairs.  `dst`
-    maps keys to lists of raw coefficients (None for an empty slot), as
-    `_acc` and `_normalize` use.  Zero coefficients of either side are
-    skipped."""
-    mul = spec.raw_mul
-    add = spec.raw_add
-    b = [(kb, nzb) for kb, vb in b
-         if (nzb := [(j, c) for j, c in enumerate(vb) if any(c)])]
-    for ka, va in a:
-        nz = [(shift + i, c) for i, c in enumerate(va) if any(c)]
-        if not nz:
-            continue
-        top = nz[-1][0] + 1
-        for kb, nzb in b:
-            key = ka + kb
-            cur = dst.get(key)
-            need = top + nzb[-1][0]
-            if cur is None:
-                cur = dst[key] = [None] * need
-            elif len(cur) < need:
-                cur.extend([None] * (need - len(cur)))
-            for j, cb in nzb:
-                for i, ca in nz:
-                    i += j
-                    p = mul(ca, cb)
-                    prev = cur[i]
-                    cur[i] = p if prev is None else add(prev, p)
-
-
-def _normalize(spec, dst):
-    out = {}
-    for key, kco in dst.items():
-        t = _trim(spec, kco)
-        if t:
-            out[key] = t
-    return out
-
-
-# ---------------------------------------------------------------------------
 # univariate polynomials over a field
 # ---------------------------------------------------------------------------
 
@@ -551,7 +478,10 @@ class KPoly:
 
     def __init__(self, spec, raw_coeffs):
         self.spec = spec
-        self.co = tuple(map(_demoted, _trim(spec, raw_coeffs)))
+        co = list(raw_coeffs)
+        while co and not any(co[-1]):
+            co.pop()
+        self.co = tuple(map(_demoted, co))
 
     # -- constructors --------------------------------------------------------
 
@@ -606,9 +536,10 @@ class KPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        dst = {0: list(self.co)}
-        _acc(self.spec, dst, 0, o.co)
-        return KPoly(self.spec, dst[0])
+        a, b = sorted((self.co, o.co), key=len)
+        add = self.spec.raw_add
+        return KPoly(self.spec, [add(x, y) if any(x) else y
+                                 for x, y in zip(a, b)] + list(b[len(a):]))
 
     __radd__ = __add__
 
@@ -623,12 +554,20 @@ class KPoly:
         return KPoly(sp, [sp.raw_neg(a) for a in self.co])
 
     def __mul__(self, other):
+        """Dense convolution; zero coefficients of either side are skipped."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        dst = {}
-        _mul_into(self.spec, dst, ((0, self.co),), ((0, o.co),))
-        return KPoly(self.spec, dst.get(0, ()))
+        sp = self.spec
+        mul, add = sp.raw_mul, sp.raw_add
+        b = [(j, y) for j, y in enumerate(o.co) if any(y)]
+        out = [sp.raw_zero()] * (len(self.co) + len(o.co))
+        for i, x in enumerate(self.co):
+            if any(x):
+                for j, y in b:
+                    p = mul(x, y)
+                    out[i + j] = add(out[i + j], p) if any(out[i + j]) else p
+        return KPoly(sp, out)
 
     __rmul__ = __mul__
 

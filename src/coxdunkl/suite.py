@@ -336,13 +336,19 @@ def run_check(name, ctx, cfg):
 
 
 def default_threads():
+    """COXDUNKL_THREADS when set (a positive integer, else ConfigError), or
+    the available parallelism."""
     env = os.environ.get("COXDUNKL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(
+            f"COXDUNKL_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def run_suite(cfg: SuiteConfig, threads=None):

@@ -85,8 +85,8 @@ def test_wick_permutation_invariance(ctx_b2):
         # each k-coefficient is carried through: E[sum k^j p_j] = sum k^j E[p_j]
         slots = KPoly.zero(rs.spec)
         for j in range(3):
-            pj = MultiPoly(rs, {key: (kco[j],) for key, kco in p.terms.items()
-                                if len(kco) > j and any(kco[j])})
+            pj = MultiPoly.from_terms(rs, {e: kp.coeff(j)
+                                           for e, kp in p.term_items()})
             slots = slots + gaussian_moment(pj) * KPoly.gen(rs.spec) ** j
         assert m == slots, label
 

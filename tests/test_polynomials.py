@@ -34,13 +34,17 @@ def test_leibniz_rule_for_partials(ctx_b2):
 
 def test_products_with_k_dependent_coefficients():
     # the sparse product against a coefficientwise reference in dense KPoly
-    # arithmetic, over QQ and over the degree-2 field of I2(5)
-    for label in ("A2", "B2", "I2(5)"):
+    # arithmetic, over QQ and the fields of degree 2 (I2(5)), 3 (I2(7)) and
+    # 4 (I2(12)), where products fold powers of c; the first f has
+    # coefficients with denominator 3
+    for label in ("A2", "B2", "I2(5)", "I2(7)", "I2(12)"):
         rs = group_context(label).rs
         rng = random.Random(15)
-        for _ in range(8):
+        for n in range(8):
             f, g, h = (random_multipoly(rs, rng, max_degree=3, k_degree=2)
                        for _ in range(3))
+            if n == 0:
+                f = f.scale(rat(1, 3))
             fg = f * g
             expected = {}
             for ef, cf in f.term_items():
@@ -49,7 +53,8 @@ def test_products_with_k_dependent_coefficients():
                     expected[e] = expected.get(e, KPoly.zero(rs.spec)) + cf * cg
             for e, c in expected.items():
                 assert fg.coefficient(e) == c
-            assert len(fg.terms) == sum(1 for c in expected.values() if not c.is_zero())
+            assert len(fg.term_items()) == sum(1 for c in expected.values()
+                                               if not c.is_zero())
             assert fg == g * f
             assert fg * h == f * (g * h)
             assert f * (g + h) == fg + f * h

@@ -10,8 +10,8 @@ from coxdunkl.cli import main
 from coxdunkl.errors import ConfigError
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, SuiteConfig,
-                            group_context, parse_config, render_report,
-                            run_check, run_suite)
+                            default_threads, group_context, parse_config,
+                            render_report, run_check, run_suite)
 
 FAST_EXACT = ("poincare_identity", "degrees_consistency", "chevalley",
               "psi_identities", "mm_exact_k1", "mm_exact_k2")
@@ -261,6 +261,17 @@ def test_cli_rejects_nonpositive_threads_and_budget(argv, capsys):
     err = capsys.readouterr().err
     assert "--threads" in err or "--budget" in err
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_threads_variable_rejects_nonpositive_and_non_integers(
+        value, monkeypatch, capsys):
+    # as --threads does: not a silent single thread or CPU count
+    monkeypatch.setenv("COXDUNKL_THREADS", value)
+    with pytest.raises(ConfigError, match="COXDUNKL_THREADS"):
+        default_threads()
+    assert main(["info", "--type", "A2"]) == 2
+    assert "COXDUNKL_THREADS" in capsys.readouterr().err
 
 
 def test_cli_suite(tmp_path, capsys):
