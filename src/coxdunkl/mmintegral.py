@@ -193,11 +193,11 @@ class McEstimate:
     max_weight_share: float = math.nan
 
 
-def _substream(seed, purpose, shard):
-    """Deterministic counter-based substream: SHA-256(seed|purpose|shard)
+def _substream(seed, label, shard):
+    """Deterministic counter-based substream: SHA-256(seed|label|shard)
     keys a Philox generator.  Reproducible for fixed numpy."""
     import numpy as np
-    digest = hashlib.sha256(f"{seed}|{purpose}|{shard}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}|{label}|{shard}".encode()).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -250,8 +250,8 @@ class _BlockSampler:
         remaining = n
         while remaining > 0:
             b = min(_MC_BLOCK, remaining)
-            z = self.rng.standard_normal((b, self.rank))
-            u = self.a @ z.T
+            # no draw is kept alive while the block's stats run
+            u = self.a @ self.rng.standard_normal((b, self.rank)).T
             logs, bad = _log_abs_delta(self.c @ u)
             while bad.size:
                 self.rejected += bad.size
@@ -266,31 +266,34 @@ class _BlockSampler:
 class _Moments:
     """Count, means and central moment sums of a stream of float samples.
 
-    For the variables x_i it keeps n, the means and the co-moments
-    C_ij = sum (x_i - mean_i)(x_j - mean_j); for a single variable it also
-    keeps M3 and M4, the sums of the third and fourth central powers.  Each
-    block is summarised by two passes, and states are merged by the pairwise
-    updates of Chan, Golub and LeVeque (1979) and Pebay (SAND2008-6212), so
-    no raw power sum is formed and a large common offset costs no digits."""
+    For the variables x_i it keeps n, the means, the co-moments
+    C_ij = sum (x_i - mean_i)(x_j - mean_j) and the largest x_0; for a single
+    variable it also keeps M3 and M4, the sums of the third and fourth
+    central powers.  Each block is summarised by two passes, and states are
+    merged by the pairwise updates of Chan, Golub and LeVeque (1979) and
+    Pebay (SAND2008-6212), so no raw power sum is formed and a large common
+    offset costs no digits."""
 
-    __slots__ = ("n", "mean", "cm", "m3", "m4")
+    __slots__ = ("n", "mean", "cm", "m3", "m4", "top")
 
-    def __init__(self, n=0, mean=(), cm=(), m3=0.0, m4=0.0):
-        self.n, self.mean, self.cm, self.m3, self.m4 = n, mean, cm, m3, m4
+    def __init__(self, n=0, mean=(), cm=(), m3=0.0, m4=0.0, top=-math.inf):
+        self.n, self.mean, self.cm = n, mean, cm
+        self.m3, self.m4, self.top = m3, m4, top
 
     @classmethod
     def of(cls, *xs):
         """The state of one block of samples of each variable."""
         mean = tuple(float(x.mean()) for x in xs)
         ds = [x - m for x, m in zip(xs, mean)]
+        top = float(xs[0].max())
         if len(ds) > 1:
             return cls(xs[0].size, mean,
                        tuple(tuple(float((a * b).sum()) for b in ds)
-                             for a in ds))
+                             for a in ds), top=top)
         d = ds[0]
         d2 = d * d
         return cls(d.size, mean, ((float(d2.sum()),),),
-                   float((d2 * d).sum()), float((d2 * d2).sum()))
+                   float((d2 * d).sum()), float((d2 * d2).sum()), top)
 
     def merge(self, other):
         if not other.n:
@@ -305,8 +308,9 @@ class _Moments:
         cm = tuple(tuple(ca + cb + f * di * dj
                          for ca, cb, dj in zip(ra, rb, delta))
                    for ra, rb, di in zip(self.cm, other.cm, delta))
+        top = max(self.top, other.top)
         if len(delta) > 1:
-            return _Moments(n, mean, cm)
+            return _Moments(n, mean, cm, top=top)
         d = delta[0]
         a2, b2 = self.cm[0][0], other.cm[0][0]
         m3 = (self.m3 + other.m3 + d ** 3 * f * (na - nb) / n
@@ -315,24 +319,17 @@ class _Moments:
               + d ** 4 * f * (na * na - na * nb + nb * nb) / (n * n)
               + 6.0 * d * d * (na * na * b2 + nb * nb * a2) / (n * n)
               + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
-        return _Moments(n, mean, cm, m3, m4)
+        return _Moments(n, mean, cm, m3, m4, top)
 
-    def mean_se(self):
-        """The first mean and its standard error (sample variance, n - 1)."""
+    def mean_se(self, coef=(1.0,)):
+        """The mean of sum_i coef[i] x_i and its standard error (sample
+        variance, n - 1), from the means and the co-moments."""
         n = self.n
-        var = self.cm[0][0] / (n - 1) if n > 1 else 0.0
-        return self.mean[0], math.sqrt(var / n)
-
-
-def _run_shards(samples, shards, worker, threads=1):
-    """Run per-shard workers; return their results in shard order."""
-    sizes = _shard_sizes(samples, shards)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(worker, i, sizes[i]) for i in range(shards)]
-            return [fut.result() for fut in futs]
-    return [worker(i, sizes[i]) for i in range(shards)]
+        mean = sum(c * m for c, m in zip(coef, self.mean))
+        var = sum(a * b * cij for a, row in zip(coef, self.cm)
+                  for b, cij in zip(coef, row))
+        var = var / (n - 1) if n > 1 else 0.0
+        return mean, math.sqrt(max(var, 0.0) / n)
 
 
 def _merged(states):
@@ -343,8 +340,36 @@ def _merged(states):
     return acc
 
 
-def mm_monte_carlo(rs, k, samples, seed, shards=16, threads=1,
-                   purpose="mm") -> McEstimate:
+def mc_pass(rs, samples, seed, shards, stats, threads=1):
+    """One seeded pass serving every stat in `stats`: shard i draws from the
+    substream (seed, rs.label, i), and a stat maps each block (u, L) (see
+    `_BlockSampler`) to the arrays whose `_Moments` it keeps.  Returns one
+    merged state per stat (blocks, then shards, in order) and the redrawn
+    count."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+    def shard(i, n):
+        sampler = _BlockSampler(rs, _substream(seed, rs.label, i))
+        states = [_Moments() for _ in stats]
+        for u, logs in sampler.blocks(n):
+            states = [st.merge(_Moments.of(*stat(u, logs)))
+                      for st, stat in zip(states, stats)]
+        return states, sampler.rejected
+
+    sizes = _shard_sizes(samples, shards)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(shard, range(shards), sizes))
+    else:
+        results = list(map(shard, range(shards), sizes))
+    states, rejected = zip(*results)
+    return [_merged(col) for col in zip(*states)], sum(rejected)
+
+
+def mm_monte_carlo(rs, k, samples, seed, shards=16,
+                   threads=1) -> McEstimate:
     """Estimate F(k) for real k >= 0 by averaging |Delta|^(2k) over standard
     Gaussian samples.  Identical (seed, samples, shards, type, k) give a
     bit-identical estimate."""
@@ -352,28 +377,14 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16, threads=1,
     kf = float(k)
     if kf < 0:
         raise ValueError("k must be >= 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tag = f"{purpose}|{rs.label}|{kf.hex()}"
-
-    def worker(shard, n):
-        sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        st, top = _Moments(), 0.0
-        for _, logs in sampler.blocks(n):
-            w = np.exp((2.0 * kf) * logs)
-            st = st.merge(_Moments.of(w))
-            top = max(top, float(w.max()))
-        return st, top, sampler.rejected
-
-    results = _run_shards(samples, shards, worker, threads)
-    st = _merged(r[0] for r in results)
+    weights = lambda u, logs: (np.exp((2.0 * kf) * logs),)
+    (st,), rejected = mc_pass(rs, samples, seed, shards, [weights], threads)
     mean, se = st.mean_se()
     # sum w = n mean and sum w^2 = M2 + n mean^2, read from the merged state
     sum_w = samples * mean
     ess = samples / (1.0 + st.cm[0][0] / (sum_w * mean)) if mean else 0.0
-    share = max(r[1] for r in results) / sum_w if mean else math.nan
-    return McEstimate(mean, se, samples, seed, shards,
-                      sum(r[2] for r in results), ess, share)
+    share = st.top / sum_w if mean else math.nan
+    return McEstimate(mean, se, samples, seed, shards, rejected, ess, share)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +405,31 @@ class FunctionalEquationReport:
     rhs_se: float = 0.0
 
 
+def functional_equation_plan(b_at_k, k):
+    """(stat, finish) of F(k+1) = b(k) F(k) at a real k: both sides from the
+    same samples, with the 4-sigma band of the per-sample difference
+    |Delta|^(2k+2) - b(k) |Delta|^(2k), read from the co-moments."""
+    import numpy as np
+    kf, bf = float(k), float(b_at_k)
+
+    def stat(u, logs):
+        return np.exp((2.0 * kf + 2.0) * logs), np.exp((2.0 * kf) * logs)
+
+    def finish(st):
+        diff, sigma = st.mean_se((1.0, -bf))
+        lhs, lhs_se = st.mean_se((1.0, 0.0))
+        rhs, rhs_se = st.mean_se((0.0, bf))
+        z = diff / sigma if sigma > 0 else (0.0 if diff == 0 else math.inf)
+        return FunctionalEquationReport(k, lhs, rhs, bf, z, abs(z) <= 4.0,
+                                        False, lhs_se, rhs_se)
+
+    return stat, finish
+
+
 def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
                               shards=16, threads=1) -> FunctionalEquationReport:
     """F(k+1) = b(k) F(k): exact when both sides are exact moments within
-    bound, otherwise two independent substreams with a propagated 4-sigma band."""
+    bound, otherwise both sides from one pass with a 4-sigma band."""
     kq = as_rational(k)
     if kq < 0:
         raise ValueError("k must be >= 0")
@@ -409,16 +441,9 @@ def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
         ok = (f1 == rhs)
         return FunctionalEquationReport(kq, float(f1), float(rhs),
                                         float(b_at_k), 0.0, ok, True)
-    est0 = mm_monte_carlo(rs, kq, samples, seed, shards, threads, purpose="fe0")
-    est1 = mm_monte_carlo(rs, float(kq) + 1.0, samples, seed, shards, threads,
-                          purpose="fe1")
-    bf = float(b_at_k)
-    diff = est1.mean - bf * est0.mean
-    sigma = math.hypot(est1.std_error, bf * est0.std_error)
-    z = diff / sigma if sigma > 0 else (0.0 if diff == 0 else math.inf)
-    return FunctionalEquationReport(kq, est1.mean, bf * est0.mean, bf, z,
-                                    abs(z) <= 4.0, False,
-                                    est1.std_error, bf * est0.std_error)
+    stat, finish = functional_equation_plan(b_at_k, kq)
+    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    return finish(st)
 
 
 def _poly_float_evaluator(poly, k_value):
@@ -451,13 +476,10 @@ class CrossCheckReport:
     passed: bool
 
 
-def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
-                               threads=1) -> CrossCheckReport:
-    """Gaussian-pairing integral formula: the exact gamma pairing of (f, g)
-    at k must match E[f g |Delta|^(2k)] / E[|Delta|^(2k)].
-
-    Numerator and denominator share samples; the ratio band comes from the
-    delta method with the sample covariance."""
+def cross_check_plan(f, g, k):
+    """(stat, finish) of the Gaussian-pairing integral formula: the exact
+    gamma pairing of (f, g) at k must match E[f g |Delta|^(2k)] /
+    E[|Delta|^(2k)], with the delta-method band of the ratio."""
     import numpy as np
 
     from .dunkl import gamma_form
@@ -467,28 +489,36 @@ def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
     exact_value = float(gamma_form(f, g)(kq))
     ev_f = _poly_float_evaluator(f, kq)
     ev_g = _poly_float_evaluator(g, kq)
-    tag = f"gcc|{rs.label}|{kf.hex()}"
 
-    def worker(shard, n):
-        sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        st = _Moments()
-        for u, logs in sampler.blocks(n):
-            w = np.exp((2.0 * kf) * logs)
-            st = st.merge(_Moments.of(ev_f(u) * ev_g(u) * w, w))
-        return st
+    def stat(u, logs):
+        w = np.exp((2.0 * kf) * logs)
+        fgw = ev_f(u)
+        fgw *= ev_g(u)
+        fgw *= w
+        return fgw, w
 
-    st = _merged(_run_shards(samples, shards, worker, threads))
-    n = samples
-    (nbar, dbar), ((cnn, cnd), (_, cdd)) = st.mean, st.cm
-    ratio = nbar / dbar
-    var_ratio = ((cnn - 2.0 * ratio * cnd + ratio * ratio * cdd)
-                 / (dbar * dbar * n * n))
-    se = math.sqrt(var_ratio) if var_ratio > 0 else 0.0
-    if se > 0:
-        z = (ratio - exact_value) / se
-    else:
-        z = 0.0 if abs(ratio - exact_value) < 1e-12 else math.inf
-    return CrossCheckReport(kq, exact_value, ratio, se, z, abs(z) <= 4.0)
+    def finish(st):
+        n = st.n
+        (nbar, dbar), ((cnn, cnd), (_, cdd)) = st.mean, st.cm
+        ratio = nbar / dbar
+        var_ratio = ((cnn - 2.0 * ratio * cnd + ratio * ratio * cdd)
+                     / (dbar * dbar * n * n))
+        se = math.sqrt(var_ratio) if var_ratio > 0 else 0.0
+        if se > 0:
+            z = (ratio - exact_value) / se
+        else:
+            z = 0.0 if abs(ratio - exact_value) < 1e-12 else math.inf
+        return CrossCheckReport(kq, exact_value, ratio, se, z, abs(z) <= 4.0)
+
+    return stat, finish
+
+
+def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
+                               threads=1) -> CrossCheckReport:
+    """`cross_check_plan` over a pass of its own."""
+    stat, finish = cross_check_plan(f, g, k)
+    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    return finish(st)
 
 
 @dataclass(frozen=True)
@@ -504,31 +534,36 @@ class LogMomentsReport:
     variance_z: float = math.nan
 
 
+def log_moments_plan(rs, dd=None):
+    """(stat, finish) of E[log Delta^2] (the derivative of F at 0) against
+    -EulerGamma * |S|, and of the variance of log Delta^2, whose target
+    (pi^2/6) sum(d_i^2 - 1) is filled in when degree data is supplied."""
+
+    def finish(st):
+        n = st.n
+        mean, se = st.mean_se()
+        target = -EULER_GAMMA * rs.num_positive
+        z = (mean - target) / se if se > 0 else math.inf
+        # central moments for the variance band
+        c2 = st.cm[0][0] / n
+        c4 = st.m4 / n
+        var_of_var = (c4 - c2 * c2) / n
+        var_se = math.sqrt(var_of_var) if var_of_var > 0 else 0.0
+        var_target = math.nan
+        var_z = math.nan
+        if dd is not None:
+            var_target = (math.pi ** 2 / 6.0) * sum(d * d - 1
+                                                    for d in dd.degrees)
+            var_z = (c2 - var_target) / var_se if var_se > 0 else math.inf
+        return LogMomentsReport(mean, se, target, z, abs(z) <= 4.0,
+                                c2, var_se, var_target, var_z)
+
+    return (lambda u, logs: (2.0 * logs,)), finish
+
+
 def mm_log_moments(rs, samples, seed, shards=16, threads=1,
                    dd=None) -> LogMomentsReport:
-    """Estimate E[log Delta^2] (the derivative of F at 0) against
-    -EulerGamma * |S|; also returns the variance of log Delta^2, whose target
-    (pi^2/6) sum(d_i^2 - 1) is filled in when degree data is supplied."""
-    tag = f"lm|{rs.label}"
-
-    def worker(shard, n):
-        sampler = _BlockSampler(rs, _substream(seed, tag, shard))
-        return _merged(_Moments.of(2.0 * logs) for _, logs in sampler.blocks(n))
-
-    st = _merged(_run_shards(samples, shards, worker, threads))
-    n = samples
-    mean, se = st.mean_se()
-    target = -EULER_GAMMA * rs.num_positive
-    z = (mean - target) / se if se > 0 else math.inf
-    # central moments for the variance band
-    c2 = st.cm[0][0] / n
-    c4 = st.m4 / n
-    var_of_var = (c4 - c2 * c2) / n
-    var_se = math.sqrt(var_of_var) if var_of_var > 0 else 0.0
-    var_target = math.nan
-    var_z = math.nan
-    if dd is not None:
-        var_target = (math.pi ** 2 / 6.0) * sum(d * d - 1 for d in dd.degrees)
-        var_z = (c2 - var_target) / var_se if var_se > 0 else math.inf
-    return LogMomentsReport(mean, se, target, z, abs(z) <= 4.0,
-                            c2, var_se, var_target, var_z)
+    """`log_moments_plan` over a pass of its own."""
+    stat, finish = log_moments_plan(rs, dd)
+    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    return finish(st)

@@ -18,12 +18,12 @@ from .coxeter import (DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS,
                       enumerate_group, known_label, poincare_polynomial,
                       psi_invariant, rank2_parabolics, standard_diagram,
                       verify_psi_identities)
-from .dunkl import b_poly, b_poly_is_heavy, closed_form_b_string, gamma_form
+from .dunkl import b_poly, b_poly_is_heavy, closed_form_b_string
 from .errors import BudgetError, ConfigError
-from .mmintegral import (MOMENT_DEGREE_LIMIT, check_functional_equation,
-                         gamma_integral_cross_check, gamma_product_exact,
-                         mm_exact, mm_exact_is_heavy, mm_log_moments,
-                         predicted_relative_se)
+from .mmintegral import (MOMENT_DEGREE_LIMIT, cross_check_plan,
+                         functional_equation_plan, gamma_product_exact,
+                         log_moments_plan, mc_pass, mm_exact,
+                         mm_exact_is_heavy, predicted_relative_se)
 from .polynomials import MultiPoly
 from .scalars import KPoly, rat
 
@@ -255,26 +255,25 @@ def _check_mm_exact(ctx, cfg, k):
 MC_REL_SE_GATE = 0.02
 
 
+def _skip(expected, actual):
+    """A gated statistical check: no stat, so no report."""
+    return None, None, lambda _: (expected, actual)
+
+
 def _check_functional_equation(ctx, cfg):
     if _b_gated(ctx, cfg):
-        return ("statistical", None, "needs b(k)",
-                "skipped (b_poly gated for this type)", None)
+        return _skip("needs b(k)", "skipped (b_poly gated for this type)")
     k = rat(1, 2)
     pse = max(predicted_relative_se(ctx.degrees, float(k), cfg.mc_samples),
               predicted_relative_se(ctx.degrees, float(k) + 1.0,
                                     cfg.mc_samples))
     if pse > MC_REL_SE_GATE:
-        return ("statistical", None,
-                f"predicted rel. std error {pse:.3g} <= {MC_REL_SE_GATE}",
-                "skipped (heavy-tailed estimator; raise mc_samples)", None)
-    b = _b_result(ctx, cfg).computed
-    rep = check_functional_equation(ctx.rs, b, k, cfg.mc_samples,
-                                    cfg.seed, cfg.shards)
-    mode = "exact" if rep.exact else "statistical"
-    expected = f"F(k+1) = b(k) F(k) at k=1/2; rhs={rep.rhs:.6g}"
-    actual = f"lhs={rep.lhs:.6g}"
-    return (mode, rep.passed, expected, actual,
-            None if rep.exact else rep.z_score)
+        return _skip(f"predicted rel. std error {pse:.3g} <= {MC_REL_SE_GATE}",
+                     "skipped (heavy-tailed estimator; raise mc_samples)")
+    b_at_k = _b_result(ctx, cfg).computed(k)
+    return (*functional_equation_plan(b_at_k, k), lambda rep: (
+        f"F(k+1) = b(k) F(k) at k=1/2; rhs={rep.rhs:.6g}",
+        f"lhs={rep.lhs:.6g}"))
 
 
 def _check_gamma_cross(ctx, cfg):
@@ -286,26 +285,26 @@ def _check_gamma_cross(ctx, cfg):
                                  cfg.mc_samples) <= MC_REL_SE_GATE:
             break
     else:
-        return ("statistical", None,
-                f"predicted rel. std error <= {MC_REL_SE_GATE}",
-                "skipped (heavy-tailed estimator; raise mc_samples)", None)
-    rep = gamma_integral_cross_check(rs, f, g, k, cfg.mc_samples,
-                                     cfg.seed, cfg.shards)
-    expected = f"gamma(u1^2, 1) at k={k} = {rep.exact_value:.8g}"
-    actual = f"mc_ratio={rep.estimate:.8g} (se={rep.std_error:.2g})"
-    return ("statistical", rep.passed, expected, actual, rep.z_score)
+        return _skip(f"predicted rel. std error <= {MC_REL_SE_GATE}",
+                     "skipped (heavy-tailed estimator; raise mc_samples)")
+    return (*cross_check_plan(f, g, k), lambda rep: (
+        f"gamma(u1^2, 1) at k={k} = {rep.exact_value:.8g}",
+        f"mc_ratio={rep.estimate:.8g} (se={rep.std_error:.2g})"))
 
 
 def _check_log_moments(ctx, cfg):
-    rep = mm_log_moments(ctx.rs, cfg.mc_samples, cfg.seed, cfg.shards,
-                         dd=ctx.degrees)
-    expected = f"E[log Delta^2] = -EulerGamma*|S| = {rep.target:.8g}"
-    actual = f"mean={rep.mean:.8g} (se={rep.std_error:.2g})"
-    return ("statistical", rep.passed, expected, actual, rep.z_score)
+    return (*log_moments_plan(ctx.rs, ctx.degrees), lambda rep: (
+        f"E[log Delta^2] = -EulerGamma*|S| = {rep.target:.8g}",
+        f"mean={rep.mean:.8g} (se={rep.std_error:.2g})"))
 
 
-#: name -> check, in report order; each returns
-#: (mode, ok or None when skipped, expected, actual, z-score or None)
+STATISTICAL = ("functional_equation", "gamma_cross_check", "log_moments")
+
+#: name -> check, in report order.  An exact check returns
+#: (mode, ok or None when skipped, expected, actual, z-score or None).  A
+#: statistical check returns (stat, finish, strings) for its group's shared
+#: `mc_pass`: finish turns the stat's merged state into an estimator report
+#: and strings(report) gives (expected, actual).
 CHECKS = {
     "poincare_identity": _check_poincare,
     "degrees_consistency": _check_degrees,
@@ -322,17 +321,46 @@ CHECKS = {
 CHECK_ORDER = tuple(CHECKS)
 
 
+def _report(name, ctx, result, seconds):
+    mode, ok, expected, actual, z = result
+    status = "skipped" if ok is None else ("pass" if ok else "fail")
+    return CheckReport(name, ctx.label, mode, status, expected, actual, z,
+                       int(seconds * 1000))
+
+
+def run_statistical(names, ctx, cfg, threads=1):
+    """Run statistical checks of one group over one shared `mc_pass`.  A
+    report's runtime_ms is its own gate, plus the whole pass if it ran."""
+    plans, gates = [], []
+    for name in names:
+        start = time.perf_counter()
+        plans.append(CHECKS[name](ctx, cfg))
+        gates.append(time.perf_counter() - start)
+    stats = [stat for stat, _, _ in plans if stat]
+    start = time.perf_counter()
+    states = iter(mc_pass(ctx.rs, cfg.mc_samples, cfg.seed, cfg.shards,
+                          stats, threads)[0] if stats else ())
+    shared = time.perf_counter() - start
+    reports = []
+    for name, (stat, finish, strings), gate in zip(names, plans, gates):
+        rep = finish(next(states)) if stat else None
+        ok, z = (rep.passed, rep.z_score) if rep else (None, None)
+        result = ("statistical", ok, *strings(rep), z)
+        reports.append(_report(name, ctx, result,
+                               gate + (shared if stat else 0.0)))
+    return reports
+
+
 def run_check(name, ctx, cfg):
     """Run one named check; returns a CheckReport."""
     check = CHECKS.get(name)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
+    if name in STATISTICAL:
+        return run_statistical((name,), ctx, cfg)[0]
     start = time.perf_counter()
-    mode, ok, expected, actual, z = check(ctx, cfg)
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    status = "skipped" if ok is None else ("pass" if ok else "fail")
-    return CheckReport(name, ctx.label, mode, status, expected, actual, z,
-                       runtime_ms)
+    result = check(ctx, cfg)
+    return _report(name, ctx, result, time.perf_counter() - start)
 
 
 def default_threads():
@@ -370,37 +398,46 @@ def run_suite(cfg: SuiteConfig, threads=None):
             contexts[label] = exc
             budget_hit = True
 
+    # per group, one task per exact check and one for the statistical checks
+    # (the last in CHECK_ORDER, so reports stay in (group, check) order)
+    checks = [c for c in CHECK_ORDER if c in cfg.checks]
+    stat = tuple(c for c in checks if c in STATISTICAL)
     tasks = []
     for label in cfg.groups:
-        for check in CHECK_ORDER:
-            if check in cfg.checks:
-                tasks.append((label, check))
+        tasks += [(label, (c,)) for c in checks if c not in stat]
+        if stat:
+            tasks.append((label, stat))
 
     budget_flags = []
 
-    def run_task(label, check):
+    def run_task(label, names, task_threads=1):
+        def skipped(expected, actual):
+            return [CheckReport(c, label, "exact", "skipped", expected,
+                                actual, None, 0) for c in names]
+
         if _heavy(label) and not cfg.heavy_types_enabled:
-            return CheckReport(check, label, "exact", "skipped",
-                               "heavy type", "enable heavy_types_enabled", None, 0)
+            return skipped("heavy type", "enable heavy_types_enabled")
         ctx = contexts[label]
         if isinstance(ctx, BudgetError):
-            return CheckReport(check, label, "exact", "skipped",
-                               "within enumeration budget", str(ctx), None, 0)
+            return skipped("within enumeration budget", str(ctx))
         try:
-            return run_check(check, ctx, cfg)
+            if names[0] in STATISTICAL:
+                return run_statistical(names, ctx, cfg, task_threads)
+            return [run_check(names[0], ctx, cfg)]
         except BudgetError as exc:
             budget_flags.append(label)
-            return CheckReport(check, label, "exact", "skipped",
-                               "within size budget", str(exc), None, 0)
+            return skipped("within size budget", str(exc))
 
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_task, label, check)
-                       for label, check in tasks]
-            reports = [f.result() for f in futures]
+            futures = [pool.submit(run_task, label, names)
+                       for label, names in tasks]
+            reports = [r for f in futures for r in f.result()]
     else:
-        reports = [run_task(label, check) for label, check in tasks]
+        # a lone task gets the threads: its shards run in parallel
+        reports = [r for label, names in tasks
+                   for r in run_task(label, names, threads)]
 
     failures = sum(1 for r in reports if r.status == "fail")
     if failures:

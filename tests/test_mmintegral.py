@@ -217,6 +217,29 @@ def test_functional_equation_a1_band(ctx_a1):
     assert abs(rep.z_score) <= 4
 
 
+def test_functional_equation_z_is_that_of_the_per_sample_difference(ctx_b2):
+    # both sides come from one pass, so the band is the standard error of
+    # the mean of w1 - b w0, recomputed here from the same blocks
+    rs, k = ctx_b2.rs, rat(1, 4)
+    b = b_poly(rs, ctx_b2.degrees).computed
+    bf = float(b(k))
+    rep = check_functional_equation(rs, b, k, 150_000, seed=8, shards=3)
+    w0, w1 = [], []
+    for shard, n in enumerate((50_000,) * 3):
+        sampler = _BlockSampler(rs, _substream(8, rs.label, shard))
+        for _, logs in sampler.blocks(n):
+            w0.append(np.exp(0.5 * logs))
+            w1.append(np.exp(2.5 * logs))
+    w0, w1 = np.concatenate(w0), np.concatenate(w1)
+    d = w1 - bf * w0
+    se = d.std(ddof=1) / math.sqrt(d.size)
+    assert rep.z_score == pytest.approx(d.mean() / se, rel=1e-9)
+    assert rep.lhs == pytest.approx(w1.mean(), rel=1e-12)
+    assert rep.rhs == pytest.approx(bf * w0.mean(), rel=1e-12)
+    assert rep.lhs_se == pytest.approx(w1.std(ddof=1) / math.sqrt(d.size),
+                                       rel=1e-9)
+
+
 def test_gamma_cross_check_rank1(ctx_a1):
     rs = ctx_a1.rs
     u2 = MultiPoly.variable(rs, 0, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -120,6 +121,65 @@ def test_statistical_checks_small_run():
     reports, code = run_suite(cfg, threads=1)
     assert code == 0
     assert all(r.status == "pass" for r in reports)
+
+
+STATISTICAL = ("functional_equation", "gamma_cross_check", "log_moments")
+# enough samples that A2's functional equation (the F(3/2) moment) is not gated
+A2_SHARED = dict(groups=("A2",), mc_samples=640_000, shards=4, seed=11)
+
+
+def _without_runtime(reports):
+    return [dict(r.as_dict(), runtime_ms=None) for r in reports]
+
+
+def test_statistical_checks_of_a_group_share_one_pass(monkeypatch):
+    import coxdunkl.mmintegral as mmi
+    opened = []
+    substream = mmi._substream
+
+    def counting(seed, label, shard):
+        opened.append((seed, label, shard))
+        return substream(seed, label, shard)
+
+    monkeypatch.setattr(mmi, "_substream", counting)
+    reports, code = run_suite(SuiteConfig(checks=STATISTICAL, **A2_SHARED),
+                              threads=1)
+    assert code == 0
+    assert [(r.name, r.status) for r in reports] == [
+        (c, "pass") for c in STATISTICAL]
+    assert sorted(opened) == [(11, "A2", i) for i in range(4)]
+
+
+def test_statistical_reports_do_not_depend_on_their_companions():
+    together = {}
+    for threads in (1, 2):
+        reports, _ = run_suite(SuiteConfig(checks=STATISTICAL, **A2_SHARED),
+                               threads=threads)
+        together[threads] = _without_runtime(reports)
+        for check, rep in zip(STATISTICAL, together[threads]):
+            alone, _ = run_suite(SuiteConfig(checks=(check,), **A2_SHARED),
+                                 threads=threads)
+            assert _without_runtime(alone) == [rep]
+    # the three checks of one group at threads 1 and 2
+    assert together[1] == together[2]
+
+
+def test_a_lone_task_runs_its_shards_on_the_threads(monkeypatch):
+    import coxdunkl.suite as suite
+    seen = []
+    mc_pass = suite.mc_pass
+
+    def recording(*args, **kwargs):
+        seen.append(args[5] if len(args) > 5 else kwargs.get("threads", 1))
+        return mc_pass(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "mc_pass", recording)
+    cfg = SuiteConfig(groups=("A1",), checks=("log_moments",),
+                      mc_samples=20_000, shards=4)
+    run_suite(cfg, threads=2)
+    # two groups are two tasks: the pool runs them, each pass on one thread
+    run_suite(dataclasses.replace(cfg, groups=("A1", "A2")), threads=2)
+    assert seen == [2, 1, 1]
 
 
 def test_statistical_checks_gated_by_predicted_error():
