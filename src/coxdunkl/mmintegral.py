@@ -4,8 +4,9 @@ seeded Monte Carlo for real k, and the statistical identity checks.
 The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
 is the polynomial Delta^(2k), so F(k) is an exact Gaussian moment, taken by
-Stein's recursion on its monomials; for real k it is estimated by
-counter-based, bit-reproducible Monte Carlo.
+Stein's recursion on its monomials; for real k it is estimated by seeded
+Monte Carlo, one SFC64 stream per (seed, group, shard), bit-reproducible for a
+fixed numpy, BLAS and CPU.
 numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
@@ -194,12 +195,13 @@ class McEstimate:
 
 
 def _substream(seed, label, shard):
-    """Deterministic counter-based substream: SHA-256(seed|label|shard)
-    keys a Philox generator.  Reproducible for fixed numpy."""
+    """Deterministic substream: the first 128 bits of
+    SHA-256(seed|label|shard) seed an SFC64 generator.  Reproducible for a
+    fixed numpy."""
     import numpy as np
     digest = hashlib.sha256(f"{seed}|{label}|{shard}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = int.from_bytes(digest[:16], "little")
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _shard_sizes(samples, shards):
@@ -269,10 +271,11 @@ class _Moments:
     For the variables x_i it keeps n, the means, the co-moments
     C_ij = sum (x_i - mean_i)(x_j - mean_j) and the largest x_0; for a single
     variable it also keeps M3 and M4, the sums of the third and fourth
-    central powers.  Each block is summarised by two passes, and states are
-    merged by the pairwise updates of Chan, Golub and LeVeque (1979) and
-    Pebay (SAND2008-6212), so no raw power sum is formed and a large common
-    offset costs no digits."""
+    central powers.  A block's products are summed by numpy's own einsum
+    loops (not BLAS, whose summation order follows its thread count), once
+    per unordered pair of variables, and states are merged by the pairwise
+    updates of Chan, Golub and LeVeque (1979) and Pebay (SAND2008-6212), so
+    no raw power sum is formed and a large common offset costs no digits."""
 
     __slots__ = ("n", "mean", "cm", "m3", "m4", "top")
 
@@ -283,17 +286,21 @@ class _Moments:
     @classmethod
     def of(cls, *xs):
         """The state of one block of samples of each variable."""
+        from numpy import einsum
         mean = tuple(float(x.mean()) for x in xs)
         ds = [x - m for x, m in zip(xs, mean)]
         top = float(xs[0].max())
         if len(ds) > 1:
-            return cls(xs[0].size, mean,
-                       tuple(tuple(float((a * b).sum()) for b in ds)
-                             for a in ds), top=top)
+            cm = [[0.0] * len(ds) for _ in ds]
+            for i, a in enumerate(ds):
+                for j in range(i, len(ds)):
+                    cm[i][j] = cm[j][i] = float(einsum("i,i", a, ds[j]))
+            return cls(xs[0].size, mean, tuple(map(tuple, cm)), top=top)
         d = ds[0]
         d2 = d * d
         return cls(d.size, mean, ((float(d2.sum()),),),
-                   float((d2 * d).sum()), float((d2 * d2).sum()), top)
+                   float(einsum("i,i", d2, d)), float(einsum("i,i", d2, d2)),
+                   top)
 
     def merge(self, other):
         if not other.n:
@@ -487,13 +494,11 @@ def cross_check_plan(f, g, k):
     kq = as_rational(k)
     kf = float(kq)
     exact_value = float(gamma_form(f, g)(kq))
-    ev_f = _poly_float_evaluator(f, kq)
-    ev_g = _poly_float_evaluator(g, kq)
+    ev_fg = _poly_float_evaluator(f * g, kq)
 
     def stat(u, logs):
         w = np.exp((2.0 * kf) * logs)
-        fgw = ev_f(u)
-        fgw *= ev_g(u)
+        fgw = ev_fg(u)
         fgw *= w
         return fgw, w
 

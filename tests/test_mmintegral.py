@@ -7,9 +7,10 @@ import pytest
 from conftest import random_multipoly
 import coxdunkl.mmintegral
 from coxdunkl.errors import BudgetError
-from coxdunkl.mmintegral import (EULER_GAMMA, _BlockSampler, _log_abs_delta,
-                                 _merged, _Moments, _poly_float_evaluator,
-                                 _substream, check_functional_equation,
+from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
+                                 _log_abs_delta, _merged, _Moments,
+                                 _poly_float_evaluator, _substream,
+                                 check_functional_equation,
                                  gamma_integral_cross_check, gaussian_moment,
                                  gamma_product_exact, gamma_product_rhs,
                                  log_gamma, log_gamma_product, mm_exact,
@@ -357,6 +358,18 @@ class _MirrorFirstRng:
         return self.rng.standard_normal(shape)
 
 
+def test_substream_is_one_stream_per_seed_label_and_shard():
+    def first_block(seed, label, shard):
+        rng = _substream(seed, label, shard)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        return rng.standard_normal((_MC_BLOCK, 3))
+
+    block = first_block(7, "A3", 2)
+    assert np.array_equal(block, first_block(7, "A3", 2))
+    for other in ((8, "A3", 2), (7, "B3", 2), (7, "A3", 3)):
+        assert not np.array_equal(block, first_block(*other)), other
+
+
 def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2):
     sampler = _BlockSampler(ctx_a2.rs, _MirrorFirstRng())
     (u, logs), = sampler.blocks(1000)
@@ -419,6 +432,26 @@ def test_moment_merges_survive_a_large_offset():
     # the raw power sums these merges replace lose about five digits here
     s1, s2 = math.fsum(x), sum(v * v for v in x)
     assert abs((s2 - s1 * s1 / n) - ref[2]) > 1e-5 * ref[2]
+
+
+def test_block_moments_match_fsum_at_the_block_size():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(_MC_BLOCK)
+    xs = (x, 0.5 * x + rng.standard_normal(_MC_BLOCK), np.exp(2.0 * x))
+    cols = [a.tolist() for a in xs]
+    means = [math.fsum(c) / len(c) for c in cols]
+    ds = [[v - m for v in c] for c, m in zip(cols, means)]
+    st = _Moments.of(*xs)
+    for i in range(3):
+        for j in range(3):
+            assert st.cm[i][j] == st.cm[j][i]
+            ref = math.fsum(a * b for a, b in zip(ds[i], ds[j]))
+            assert abs(st.cm[i][j] - ref) <= 1e-12 * abs(ref), (i, j)
+    # the heavy-tailed column alone, for M3 and M4
+    one = _Moments.of(xs[2])
+    for got, p in ((one.cm[0][0], 2), (one.m3, 3), (one.m4, 4)):
+        ref = math.fsum(d ** p for d in ds[2])
+        assert abs(got - ref) <= 1e-12 * abs(ref), p
 
 
 def test_empty_shards_merge_to_the_others(ctx_a2):
