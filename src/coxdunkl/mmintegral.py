@@ -5,15 +5,20 @@ The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
 is the polynomial Delta^(2k), so F(k) is an exact Gaussian moment, taken by
 Stein's recursion on its monomials; for real k it is estimated by seeded
-Monte Carlo, one SFC64 stream per (seed, group, shard), bit-reproducible for a
-fixed numpy, BLAS and CPU.
+Monte Carlo.  The Gaussian draw depends on the rank alone, so one pass serves
+every group of one rank: each block is drawn once from the SFC64 stream of
+(seed, rank, shard) and mapped into each group's own root coordinates, and a
+sample that lands on a mirror of one group is redrawn for that group alone,
+from the stream of (seed, group, shard).  A group's estimates are therefore
+the same whichever partners share its pass, and bit-reproducible per (seed,
+shards) for a fixed numpy, BLAS and CPU; the estimates of groups of one rank
+come from common draws, so their errors are correlated.
 numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -198,6 +203,8 @@ def _substream(seed, label, shard):
     """Deterministic substream: the first 128 bits of
     SHA-256(seed|label|shard) seed an SFC64 generator.  Reproducible for a
     fixed numpy."""
+    import hashlib
+
     import numpy as np
     digest = hashlib.sha256(f"{seed}|{label}|{shard}".encode()).digest()
     key = int.from_bytes(digest[:16], "little")
@@ -235,34 +242,51 @@ def _log_abs_delta(dots):
 
 
 class _BlockSampler:
-    """Yields (U, L) blocks of Gaussian samples mapped to root coordinates.
+    """Yields (i, U, L) for each block of Gaussian samples and each root
+    system i of `systems`, which share one rank, in turn.
 
-    U is (rank, samples), with row j holding the simple-root pairings
-    u_j = (alpha_j, x); L is log|Delta(x)|, the log of the product of
-    (alpha, x) over the positive roots.  Samples that hit a mirror exactly
-    in float arithmetic are redrawn and counted."""
+    A block is drawn once, from the substream (seed, "rank<r>", shard), and
+    mapped to each system's root coordinates: U is (rank, samples), with row
+    j holding the simple-root pairings u_j = (alpha_j, x), and L is
+    log|Delta(x)|, the log of the product of (alpha, x) over the positive
+    roots.  Samples that hit one system's mirror exactly in float arithmetic
+    are redrawn for that system alone, from its own substream (seed, label,
+    shard), and counted in its `rejected`; the shared draw stays aligned for
+    the others."""
 
-    def __init__(self, rs, rng):
-        self.a, self.c = rs.float_data()
-        self.rng = rng
-        self.rank = rs.rank
-        self.rejected = 0
+    def __init__(self, systems, seed, shard):
+        self.systems = systems
+        self.rank = systems[0].rank
+        if any(rs.rank != self.rank for rs in systems):
+            raise ValueError("a shared pass needs root systems of one rank")
+        self.seed, self.shard = seed, shard
+        self.rng = _substream(seed, f"rank{self.rank}", shard)
+        self.rejected = [0] * len(systems)
+        self._own = [None] * len(systems)   # redraw streams, opened on need
 
     def blocks(self, n):
         remaining = n
         while remaining > 0:
             b = min(_MC_BLOCK, remaining)
-            # no draw is kept alive while the block's stats run
-            u = self.a @ self.rng.standard_normal((b, self.rank)).T
-            logs, bad = _log_abs_delta(self.c @ u)
-            while bad.size:
-                self.rejected += bad.size
-                z2 = self.rng.standard_normal((bad.size, self.rank))
-                u[:, bad] = self.a @ z2.T
-                logs[bad], again = _log_abs_delta(self.c @ u[:, bad])
-                bad = bad[again]
-            yield u, logs
+            z = self.rng.standard_normal((b, self.rank)).T
+            for i, rs in enumerate(self.systems):
+                # one system's block is alive at a time, next to the draw
+                yield (i, *self._mapped(i, rs, z))
             remaining -= b
+
+    def _mapped(self, i, rs, z):
+        a, c = rs.float_data()
+        u = a @ z
+        logs, bad = _log_abs_delta(c @ u)
+        while bad.size:
+            self.rejected[i] += bad.size
+            if self._own[i] is None:
+                self._own[i] = _substream(self.seed, rs.label, self.shard)
+            z2 = self._own[i].standard_normal((bad.size, self.rank))
+            u[:, bad] = a @ z2.T
+            logs[bad], again = _log_abs_delta(c @ u[:, bad])
+            bad = bad[again]
+        return u, logs
 
 
 class _Moments:
@@ -347,21 +371,22 @@ def _merged(states):
     return acc
 
 
-def mc_pass(rs, samples, seed, shards, stats, threads=1):
-    """One seeded pass serving every stat in `stats`: shard i draws from the
-    substream (seed, rs.label, i), and a stat maps each block (u, L) (see
-    `_BlockSampler`) to the arrays whose `_Moments` it keeps.  Returns one
-    merged state per stat (blocks, then shards, in order) and the redrawn
-    count."""
+def mc_pass(parts, samples, seed, shards, threads=1):
+    """One seeded pass serving every stat of every group in `parts`, a list
+    of (rs, stats) whose root systems share one rank.  Shard i draws each
+    block once for all of them (see `_BlockSampler`), and a stat maps a
+    group's block (u, L) to the arrays whose `_Moments` it keeps.  Returns,
+    per part, one merged state per stat (blocks, then shards, in order) and
+    the part's redrawn count; neither depends on the other parts."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
     def shard(i, n):
-        sampler = _BlockSampler(rs, _substream(seed, rs.label, i))
-        states = [_Moments() for _ in stats]
-        for u, logs in sampler.blocks(n):
-            states = [st.merge(_Moments.of(*stat(u, logs)))
-                      for st, stat in zip(states, stats)]
+        sampler = _BlockSampler([rs for rs, _ in parts], seed, i)
+        states = [[_Moments() for _ in stats] for _, stats in parts]
+        for j, u, logs in sampler.blocks(n):
+            states[j] = [st.merge(_Moments.of(*stat(u, logs)))
+                         for st, stat in zip(states[j], parts[j][1])]
         return states, sampler.rejected
 
     sizes = _shard_sizes(samples, shards)
@@ -372,7 +397,16 @@ def mc_pass(rs, samples, seed, shards, stats, threads=1):
     else:
         results = list(map(shard, range(shards), sizes))
     states, rejected = zip(*results)
-    return [_merged(col) for col in zip(*states)], sum(rejected)
+    return [([_merged(col) for col in zip(*cols)], sum(counts))
+            for cols, counts in zip(zip(*states), zip(*rejected))]
+
+
+def _one_pass(rs, stat, samples, seed, shards, threads):
+    """One stat of one group over a pass: its merged state and redrawn
+    count."""
+    [((st,), rejected)] = mc_pass([(rs, [stat])], samples, seed, shards,
+                                  threads)
+    return st, rejected
 
 
 def mm_monte_carlo(rs, k, samples, seed, shards=16,
@@ -385,7 +419,7 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
     if kf < 0:
         raise ValueError("k must be >= 0")
     weights = lambda u, logs: (np.exp((2.0 * kf) * logs),)
-    (st,), rejected = mc_pass(rs, samples, seed, shards, [weights], threads)
+    st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
     mean, se = st.mean_se()
     # sum w = n mean and sum w^2 = M2 + n mean^2, read from the merged state
     sum_w = samples * mean
@@ -449,7 +483,7 @@ def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
         return FunctionalEquationReport(kq, float(f1), float(rhs),
                                         float(b_at_k), 0.0, ok, True)
     stat, finish = functional_equation_plan(b_at_k, kq)
-    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
     return finish(st)
 
 
@@ -522,7 +556,7 @@ def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
                                threads=1) -> CrossCheckReport:
     """`cross_check_plan` over a pass of its own."""
     stat, finish = cross_check_plan(f, g, k)
-    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
     return finish(st)
 
 
@@ -570,5 +604,5 @@ def mm_log_moments(rs, samples, seed, shards=16, threads=1,
                    dd=None) -> LogMomentsReport:
     """`log_moments_plan` over a pass of its own."""
     stat, finish = log_moments_plan(rs, dd)
-    (st,), _ = mc_pass(rs, samples, seed, shards, [stat], threads)
+    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
     return finish(st)

@@ -3,11 +3,12 @@
 Every exact quantity in the library is a rational combination of powers of
 c = 2cos(pi/m) for a single m fixed by the reflection group: arithmetic is
 done modulo the minimal polynomial of c, and the real embedding sends c to
-the largest real root of that polynomial.  That root is isolated exactly,
-with no float: a Sturm sequence over QQ counts the real roots in a rational
-interval, and bisection from the Cauchy bound narrows to a bracket holding
-that root alone.  Sign decisions refine the bracket by bisection until the
-interval of the evaluated element excludes zero.
+the largest real root of that polynomial.  That root is isolated exactly:
+a Sturm sequence over QQ counts the real roots in a rational interval, and a
+narrow bracket around a float estimate of the root is kept only when the
+counts show it holds that root alone; otherwise bisection from the Cauchy
+bound narrows to such a bracket.  Sign decisions refine the bracket by
+bisection until the interval of the evaluated element excludes zero.
 
 A field element is a tuple of coordinates in the power basis of c.  Integral
 values are `int`; `rat` (mpq, or Fraction without gmpy2) appears only where
@@ -28,6 +29,7 @@ polynomials of 2cos(pi/m) (worked over `QQ`) all go through them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as _Fraction
 from functools import lru_cache
 from operator import add, ne, neg, sub
@@ -84,12 +86,15 @@ def qdiv(a, b):
 
 
 class FieldSpec:
-    """QQ[x]/(p(x)) with the generator embedded as the largest real root of p."""
+    """QQ[x]/(p(x)) with the generator embedded as the largest real root of p.
+
+    `top`, a float estimate of that root, lets the bracket start next to it
+    after three Sturm counts instead of bisecting from the Cauchy bound."""
 
     __slots__ = ("name", "min_poly", "degree", "_pow", "_lo", "_hi",
                  "_zero", "_one")
 
-    def __init__(self, min_poly, name="c"):
+    def __init__(self, min_poly, name="c", top=None):
         mp_ = tuple(int(a) for a in min_poly)
         if len(mp_) < 2 or mp_[-1] != 1:
             raise ValueError("minimal polynomial must be monic of degree >= 1")
@@ -111,7 +116,7 @@ class FieldSpec:
         self._pow = tuple(rows)
         self._zero = (0,) * d
         self._one = (1,) + (0,) * (d - 1)
-        self._init_bracket()
+        self._init_bracket(top)
 
     # -- real embedding -----------------------------------------------------
 
@@ -121,7 +126,7 @@ class FieldSpec:
             acc = acc * x + a
         return acc
 
-    def _init_bracket(self):
+    def _init_bracket(self, top):
         p = self.min_poly
         if self.degree == 1:
             self._lo = self._hi = -p[0]
@@ -139,7 +144,20 @@ class FieldSpec:
 
         hi = rat(1 + max(map(abs, p[:-1])))   # Cauchy: every root is below
         lo = -hi
-        v_lo, v_hi = changes(lo), changes(hi)
+        v_hi = changes(hi)
+        if top is not None:
+            # the cell of the bisection below that holds the estimate at
+            # width <= 2^-30, kept if it holds the largest root alone (so
+            # refine_to reaches the brackets the bisection would)
+            width = hi - lo
+            while width > rat(1, 1 << 30):
+                width /= 2
+            a = lo + (rat(top) - lo) // width * width
+            v_b = changes(a + width)
+            if v_b == v_hi and changes(a) == v_b + 1:
+                self._lo, self._hi = a, a + width
+                return
+        v_lo = changes(lo)
         if v_lo == v_hi:
             raise ValueError("minimal polynomial has no real root")
         while v_lo - v_hi > 1:
@@ -742,4 +760,4 @@ def minimal_poly_2cos(m: int) -> tuple:
 @lru_cache(maxsize=None)
 def cos_field(m: int) -> FieldSpec:
     """The field QQ(2cos(pi/m)) with its designated real embedding."""
-    return FieldSpec(minimal_poly_2cos(m))
+    return FieldSpec(minimal_poly_2cos(m), top=2.0 * math.cos(math.pi / m))

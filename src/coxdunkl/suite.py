@@ -328,27 +328,39 @@ def _report(name, ctx, result, seconds):
                        int(seconds * 1000))
 
 
-def run_statistical(names, ctx, cfg, threads=1):
-    """Run statistical checks of one group over one shared `mc_pass`.  A
-    report's runtime_ms is its own gate, plus the whole pass if it ran."""
-    plans, gates = [], []
+def _gates(names, ctx, cfg):
+    """(stat, finish, strings, seconds) per statistical check of one group:
+    the plan its gate returned and the time the gate took."""
+    plans = []
     for name in names:
         start = time.perf_counter()
-        plans.append(CHECKS[name](ctx, cfg))
-        gates.append(time.perf_counter() - start)
-    stats = [stat for stat, _, _ in plans if stat]
+        plans.append((*CHECKS[name](ctx, cfg), time.perf_counter() - start))
+    return plans
+
+
+def run_statistical(names, groups, cfg, threads=1):
+    """Run statistical checks over one `mc_pass` shared by groups of one
+    rank.  `groups` pairs each group's context with its `_gates`; returns
+    one report list per group.  A report's runtime_ms is its own gate, plus
+    the whole pass of its rank if it ran."""
+    parts = [(ctx.rs, [p[0] for p in plans if p[0]]) for ctx, plans in groups]
+    live = [part for part in parts if part[1]]
     start = time.perf_counter()
-    states = iter(mc_pass(ctx.rs, cfg.mc_samples, cfg.seed, cfg.shards,
-                          stats, threads)[0] if stats else ())
+    results = iter(mc_pass(live, cfg.mc_samples, cfg.seed, cfg.shards,
+                           threads) if live else ())
     shared = time.perf_counter() - start
-    reports = []
-    for name, (stat, finish, strings), gate in zip(names, plans, gates):
-        rep = finish(next(states)) if stat else None
-        ok, z = (rep.passed, rep.z_score) if rep else (None, None)
-        result = ("statistical", ok, *strings(rep), z)
-        reports.append(_report(name, ctx, result,
-                               gate + (shared if stat else 0.0)))
-    return reports
+    out = []
+    for (ctx, plans), (_, stats) in zip(groups, parts):
+        states = iter(next(results)[0] if stats else ())
+        reports = []
+        for name, (stat, finish, strings, gate) in zip(names, plans):
+            rep = finish(next(states)) if stat else None
+            ok, z = (rep.passed, rep.z_score) if rep else (None, None)
+            result = ("statistical", ok, *strings(rep), z)
+            reports.append(_report(name, ctx, result,
+                                   gate + (shared if stat else 0.0)))
+        out.append(reports)
+    return out
 
 
 def run_check(name, ctx, cfg):
@@ -357,7 +369,9 @@ def run_check(name, ctx, cfg):
     if check is None:
         raise ValueError(f"unknown check {name!r}")
     if name in STATISTICAL:
-        return run_statistical((name,), ctx, cfg)[0]
+        names = (name,)
+        return run_statistical(names, [(ctx, _gates(names, ctx, cfg))],
+                               cfg)[0][0]
     start = time.perf_counter()
     result = check(ctx, cfg)
     return _report(name, ctx, result, time.perf_counter() - start)
@@ -386,7 +400,6 @@ def run_suite(cfg: SuiteConfig, threads=None):
     (group, check) order regardless of execution interleaving."""
     if threads is None:
         threads = default_threads()
-    reports = []
     budget_hit = False
     contexts = {}
     for label in cfg.groups:
@@ -398,46 +411,64 @@ def run_suite(cfg: SuiteConfig, threads=None):
             contexts[label] = exc
             budget_hit = True
 
-    # per group, one task per exact check and one for the statistical checks
-    # (the last in CHECK_ORDER, so reports stay in (group, check) order)
     checks = [c for c in CHECK_ORDER if c in cfg.checks]
     stat = tuple(c for c in checks if c in STATISTICAL)
-    tasks = []
-    for label in cfg.groups:
-        tasks += [(label, (c,)) for c in checks if c not in stat]
-        if stat:
-            tasks.append((label, stat))
-
     budget_flags = []
 
-    def run_task(label, names, task_threads=1):
-        def skipped(expected, actual):
-            return [CheckReport(c, label, "exact", "skipped", expected,
-                                actual, None, 0) for c in names]
+    def skipped(label, names, expected, actual):
+        return [CheckReport(c, label, "exact", "skipped", expected, actual,
+                            None, 0) for c in names]
 
-        if _heavy(label) and not cfg.heavy_types_enabled:
-            return skipped("heavy type", "enable heavy_types_enabled")
-        ctx = contexts[label]
-        if isinstance(ctx, BudgetError):
-            return skipped("within enumeration budget", str(ctx))
+    def run_exact(ctx, name, task_threads=1):
         try:
-            if names[0] in STATISTICAL:
-                return run_statistical(names, ctx, cfg, task_threads)
-            return [run_check(names[0], ctx, cfg)]
+            return [run_check(name, ctx, cfg)]
         except BudgetError as exc:
-            budget_flags.append(label)
-            return skipped("within size budget", str(exc))
+            budget_flags.append(ctx.label)
+            return skipped(ctx.label, (name,), "within size budget", str(exc))
+
+    def run_rank(ctxs, task_threads=1):
+        groups, out = [], []
+        for ctx in ctxs:
+            try:
+                groups.append((ctx, _gates(stat, ctx, cfg)))
+            except BudgetError as exc:
+                budget_flags.append(ctx.label)
+                out += skipped(ctx.label, stat, "within size budget", str(exc))
+        for reps in run_statistical(stat, groups, cfg, task_threads):
+            out += reps
+        return out
+
+    # one task per rank for the statistical checks of its groups, which
+    # share that rank's pass, then one per exact check of a group
+    done = []
+    ranks = {}
+    exact_tasks = []
+    for label in cfg.groups:
+        ctx = contexts.get(label)
+        if ctx is None:
+            done += skipped(label, checks, "heavy type",
+                            "enable heavy_types_enabled")
+        elif isinstance(ctx, BudgetError):
+            done += skipped(label, checks, "within enumeration budget",
+                            str(ctx))
+        else:
+            if stat:
+                ranks.setdefault(ctx.rs.rank, []).append(ctx)
+            exact_tasks += [(run_exact, ctx, c) for c in checks
+                            if c not in stat]
+    tasks = [(run_rank, ctxs) for ctxs in ranks.values()] + exact_tasks
 
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_task, label, names)
-                       for label, names in tasks]
-            reports = [r for f in futures for r in f.result()]
+            futures = [pool.submit(*task) for task in tasks]
+            done += [r for f in futures for r in f.result()]
     else:
         # a lone task gets the threads: its shards run in parallel
-        reports = [r for label, names in tasks
-                   for r in run_task(label, names, threads)]
+        done += [r for fn, *args in tasks for r in fn(*args, threads)]
+    # reports in (group, check) order, whatever order the tasks ran in
+    by_key = {(r.group, r.name): r for r in done}
+    reports = [by_key[label, c] for label in cfg.groups for c in checks]
 
     failures = sum(1 for r in reports if r.status == "fail")
     if failures:

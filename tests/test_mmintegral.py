@@ -14,7 +14,7 @@ from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  gamma_integral_cross_check, gaussian_moment,
                                  gamma_product_exact, gamma_product_rhs,
                                  log_gamma, log_gamma_product, mm_exact,
-                                 mm_exact_is_heavy, mm_log_moments,
+                                 mc_pass, mm_exact_is_heavy, mm_log_moments,
                                  mm_monte_carlo, predicted_relative_se,
                                  wick_moment_bruteforce)
 from coxdunkl.dunkl import b_poly
@@ -227,8 +227,8 @@ def test_functional_equation_z_is_that_of_the_per_sample_difference(ctx_b2):
     rep = check_functional_equation(rs, b, k, 150_000, seed=8, shards=3)
     w0, w1 = [], []
     for shard, n in enumerate((50_000,) * 3):
-        sampler = _BlockSampler(rs, _substream(8, rs.label, shard))
-        for _, logs in sampler.blocks(n):
+        sampler = _BlockSampler([rs], 8, shard)
+        for _, _, logs in sampler.blocks(n):
             w0.append(np.exp(0.5 * logs))
             w1.append(np.exp(2.5 * logs))
     w0, w1 = np.concatenate(w0), np.concatenate(w1)
@@ -334,48 +334,111 @@ def test_log_abs_delta_out_of_range_products_take_per_root_logs():
 
 
 def test_log_abs_delta_matches_per_root_sum_on_default_groups():
+    # every default group, through the shared pass of its rank
+    by_rank = {}
     for label in DEFAULT_GROUPS:
         rs = group_context(label).rs
-        sampler = _BlockSampler(rs, _substream(7, "one-log", 0))
-        (u, logs), = sampler.blocks(20_000)
-        ref = np.log(np.abs(rs.float_data()[1] @ u)).sum(axis=0)
-        assert np.all(np.abs(logs - ref)
-                      <= 1e-13 * np.maximum(1.0, np.abs(ref))), label
+        by_rank.setdefault(rs.rank, []).append(rs)
+    for systems in by_rank.values():
+        sampler = _BlockSampler(systems, 7, 0)
+        seen = []
+        for i, u, logs in sampler.blocks(20_000):
+            rs = systems[i]
+            ref = np.log(np.abs(rs.float_data()[1] @ u)).sum(axis=0)
+            assert np.all(np.abs(logs - ref)
+                          <= 1e-13 * np.maximum(1.0, np.abs(ref))), rs.label
+            seen.append(i)
+        assert seen == list(range(len(systems)))
 
 
 class _MirrorFirstRng:
-    """Returns all zeros on the first draw (every sample on every mirror),
-    then defers to a real generator."""
+    """Returns first(shape) on the first draw (all zeros by default: every
+    sample on every mirror), then defers to a real generator."""
 
-    def __init__(self):
-        self.first = True
+    def __init__(self, first=None):
+        self.first = first
+        self.fresh = True
         self.rng = np.random.default_rng(3)
 
     def standard_normal(self, shape):
-        if self.first:
-            self.first = False
-            return np.zeros(shape)
+        if self.fresh:
+            self.fresh = False
+            return np.zeros(shape) if self.first is None else self.first(shape)
         return self.rng.standard_normal(shape)
 
 
-def test_substream_is_one_stream_per_seed_label_and_shard():
+def _shared_draw_is(monkeypatch, make_rng):
+    """Serve a fresh make_rng() as every pass's shared (per-rank) draw; the
+    groups' own redraw streams stay real."""
+    real = coxdunkl.mmintegral._substream
+    monkeypatch.setattr(
+        coxdunkl.mmintegral, "_substream",
+        lambda seed, label, shard: (make_rng() if label.startswith("rank")
+                                    else real(seed, label, shard)))
+
+
+def test_substream_is_one_stream_per_seed_label_and_shard(monkeypatch):
     def first_block(seed, label, shard):
         rng = _substream(seed, label, shard)
         assert isinstance(rng.bit_generator, np.random.SFC64)
         return rng.standard_normal((_MC_BLOCK, 3))
 
-    block = first_block(7, "A3", 2)
-    assert np.array_equal(block, first_block(7, "A3", 2))
-    for other in ((8, "A3", 2), (7, "B3", 2), (7, "A3", 3)):
+    block = first_block(7, "rank3", 2)
+    assert np.array_equal(block, first_block(7, "rank3", 2))
+    for other in ((8, "rank3", 2), (7, "rank4", 2), (7, "rank3", 3),
+                  (7, "A3", 2)):
         assert not np.array_equal(block, first_block(*other)), other
+    # a pass over groups of one rank opens one stream per shard, keyed by the
+    # rank alone: no group's label enters while no sample hits a mirror
+    systems = [group_context(g).rs for g in ("A3", "B3", "H3")]
+    opened = []
+    real = coxdunkl.mmintegral._substream
+
+    def counting(seed, label, shard):
+        opened.append((seed, label, shard))
+        return real(seed, label, shard)
+
+    monkeypatch.setattr(coxdunkl.mmintegral, "_substream", counting)
+    stat = lambda u, logs: (logs,)
+    results = mc_pass([(rs, [stat]) for rs in systems], 3000, 7, 3)
+    assert sorted(opened) == [(7, "rank3", i) for i in range(3)]
+    assert [rejected for _, rejected in results] == [0, 0, 0]
+    # each group maps the same draw z through its own Cholesky factor
+    zs = [np.linalg.solve(systems[i].float_data()[0], u)
+          for i, u, _ in _BlockSampler(systems, 7, 0).blocks(1000)]
+    for z in zs[1:]:
+        assert np.allclose(z, zs[0], rtol=0, atol=1e-12)
 
 
-def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2):
-    sampler = _BlockSampler(ctx_a2.rs, _MirrorFirstRng())
-    (u, logs), = sampler.blocks(1000)
-    assert sampler.rejected == 1000
+def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2, monkeypatch):
+    _shared_draw_is(monkeypatch, _MirrorFirstRng)
+    sampler = _BlockSampler([ctx_a2.rs], 1, 0)
+    (_, u, logs), = sampler.blocks(1000)
+    assert sampler.rejected == [1000]
     assert u.shape == (2, 1000)
     assert np.isfinite(logs).all()
+
+
+def test_a_redraw_leaves_a_same_rank_partner_unchanged(monkeypatch):
+    # z = e_1 pairs to zero with the second simple root of I2(2) = A1 x A1,
+    # which is orthogonal to the first, but with no root of A2
+    def axis(shape):
+        z = np.zeros(shape)
+        z[:, 0] = 1.0
+        return z
+
+    _shared_draw_is(monkeypatch, lambda: _MirrorFirstRng(axis))
+    i22, a2 = group_context("I2(2)").rs, group_context("A2").rs
+    stats = [lambda u, logs: (logs,), lambda u, logs: (u[0], u[1])]
+    alone = mc_pass([(a2, stats)], 1000, 5, 1)
+    (redrawn, rejected), partner = mc_pass([(i22, stats), (a2, stats)],
+                                           1000, 5, 1)
+    assert rejected == 1000 and alone[0][1] == partner[1] == 0
+    for got, want in zip(partner[0], alone[0][0]):
+        assert (got.n, got.mean, got.cm, got.m3, got.m4, got.top) == (
+            want.n, want.mean, want.cm, want.m3, want.m4, want.top)
+    # A2's whole block is the one axis sample; I2(2) drew its own samples
+    assert alone[0][0][0].cm[0][0] < 1e-20 < redrawn[0].cm[0][0]
 
 
 def test_poly_float_evaluator_matches_per_term_reference():

@@ -131,6 +131,32 @@ def test_generator_bracket_isolates_the_largest_root():
     assert abs(c - 2 ** (1 / 3)) <= math.ulp(c)
 
 
+def test_bracket_from_a_float_estimate_holds_the_largest_root():
+    for m in list(range(3, 41)) + [128]:
+        p = minimal_poly_2cos(m)
+        top = 2 * math.cos(math.pi / m)
+        spec = FieldSpec(p, top=top)
+        lo, hi = spec._lo, spec._hi
+        if spec.degree == 1:
+            assert lo == hi == round(top)
+            continue
+        assert float(lo) <= top <= float(hi), m
+        assert spec._peval(lo) < 0 < spec._peval(hi)
+        # the conjugate below, 2cos(j pi/m) for the next odd j prime to m
+        j = next(j for j in range(3, m, 2) if math.gcd(j, m) == 1)
+        assert 2 * math.cos(j * math.pi / m) < float(lo), m
+        if m <= 40:
+            # refined, it is the bracket that bisection from the Cauchy
+            # bound reaches, so every float embedding keeps its bits
+            ref = FieldSpec(p)
+            assert spec.generator_interval(64) == ref.generator_interval(64)
+    # an estimate whose cell does not hold the largest root alone (here the
+    # conjugate below it) falls back to bisection
+    p = minimal_poly_2cos(7)
+    spec = FieldSpec(p, top=2 * math.cos(3 * math.pi / 7))
+    assert (spec._lo, spec._hi) == (FieldSpec(p)._lo, FieldSpec(p)._hi)
+
+
 def test_real_embed_high_precision():
     # width contract holds at 200 bits, checked in exact rational arithmetic
     f5 = cos_field(5)

@@ -147,7 +147,7 @@ def test_statistical_checks_of_a_group_share_one_pass(monkeypatch):
     assert code == 0
     assert [(r.name, r.status) for r in reports] == [
         (c, "pass") for c in STATISTICAL]
-    assert sorted(opened) == [(11, "A2", i) for i in range(4)]
+    assert sorted(opened) == [(11, "rank2", i) for i in range(4)]
 
 
 def test_statistical_reports_do_not_depend_on_their_companions():
@@ -170,16 +170,34 @@ def test_a_lone_task_runs_its_shards_on_the_threads(monkeypatch):
     mc_pass = suite.mc_pass
 
     def recording(*args, **kwargs):
-        seen.append(args[5] if len(args) > 5 else kwargs.get("threads", 1))
+        seen.append(args[4] if len(args) > 4 else kwargs.get("threads", 1))
         return mc_pass(*args, **kwargs)
 
     monkeypatch.setattr(suite, "mc_pass", recording)
     cfg = SuiteConfig(groups=("A1",), checks=("log_moments",),
                       mc_samples=20_000, shards=4)
     run_suite(cfg, threads=2)
-    # two groups are two tasks: the pool runs them, each pass on one thread
+    # two ranks are two tasks: the pool runs them, each pass on one thread
     run_suite(dataclasses.replace(cfg, groups=("A1", "A2")), threads=2)
     assert seen == [2, 1, 1]
+
+
+def test_groups_of_one_rank_share_one_pass_and_keep_their_reports():
+    rank3 = dict(mc_samples=200_000, shards=3, seed=17)
+    for threads in (1, 2, 3):
+        alone, _ = run_suite(SuiteConfig(groups=("B3",), checks=STATISTICAL,
+                                         **rank3), threads=threads)
+        shared, code = run_suite(SuiteConfig(groups=("A3", "B3", "H3"),
+                                             checks=STATISTICAL, **rank3),
+                                 threads=threads)
+        assert code == 0
+        assert [r.group for r in shared] == [g for g in ("A3", "B3", "H3")
+                                             for _ in STATISTICAL]
+        assert _without_runtime(shared[3:6]) == _without_runtime(alone)
+        assert any(r.status == "pass" for r in alone)
+        if threads == 1:
+            first = _without_runtime(shared)
+        assert _without_runtime(shared) == first
 
 
 def test_statistical_checks_gated_by_predicted_error():
@@ -383,10 +401,11 @@ for label in ("A3", "B3", "I2(5)", "I2(12)"):
         assert status == "pass", (label, check, status)
 assert group_info("F4")["order"] == 1152
 assert "numpy" not in sys.modules, "exact work loaded numpy"
+assert "hashlib" not in sys.modules, "exact work loaded hashlib"
 rep = run_check("log_moments", group_context("A3"),
                 SuiteConfig(mc_samples=20000, shards=2))
 assert rep.status == "pass", rep
-assert "numpy" in sys.modules
+assert "numpy" in sys.modules and "hashlib" in sys.modules
 """
 
 
