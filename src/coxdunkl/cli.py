@@ -109,10 +109,14 @@ def _cmd_integrate(args, threads):
         print("k must be >= 0", file=sys.stderr)
         return USAGE_ERROR
     ctx = group_context(args.group)
+    try:
+        rhs = gamma_product_rhs(ctx.degrees, k)
+        rhs_f = float(rhs)
+    except OverflowError:
+        raise BudgetError(f"the Gamma product at k={k} on {args.group} "
+                          "leaves the float range")
     est = mm_monte_carlo(ctx.rs, k, args.samples, args.seed, args.shards,
                          threads)
-    rhs = gamma_product_rhs(ctx.degrees, k)
-    rhs_f = float(rhs)
     z = (est.mean - rhs_f) / est.std_error if est.std_error > 0 else 0.0
     doc = {
         "type": args.group,

@@ -69,8 +69,8 @@ def log_gamma(x: float) -> float:
 # exact moments by Stein's recursion
 # ---------------------------------------------------------------------------
 
-#: the largest degree 2k|S| of Delta^(2k) that `mm_exact` takes on (2 cores:
-#: H3 at k = 2, degree 60, about 0.5 s; B4 at k = 2, degree 64, 10-15 s)
+#: the largest degree 2k|S| of Delta^(2k) that `mm_exact` takes on (2 cores,
+#: product and moment: H3 k = 2, degree 60, 0.17-0.27 s; B4 k = 2, 64, 1.7-2.1 s)
 MOMENT_DEGREE_LIMIT = 60
 
 
@@ -377,7 +377,8 @@ def mc_pass(parts, samples, seed, shards, threads=1):
     block once for all of them (see `_BlockSampler`), and a stat maps a
     group's block (u, L) to the arrays whose `_Moments` it keeps.  Returns,
     per part, one merged state per stat (blocks, then shards, in order) and
-    the part's redrawn count; neither depends on the other parts."""
+    the part's redrawn count; neither depends on the other parts.  The
+    shards run on `threads` threads."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
@@ -390,6 +391,8 @@ def mc_pass(parts, samples, seed, shards, threads=1):
         return states, sampler.rejected
 
     sizes = _shard_sizes(samples, shards)
+    for rs, _ in parts:   # built here, so that no two shard threads build it
+        rs.float_data()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -413,14 +416,22 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
                    threads=1) -> McEstimate:
     """Estimate F(k) for real k >= 0 by averaging |Delta|^(2k) over standard
     Gaussian samples.  Identical (seed, samples, shards, type, k) give a
-    bit-identical estimate."""
+    bit-identical estimate.  Raises BudgetError when a moment sum leaves the
+    float range: a merge overflows, or the mean or its error is not finite."""
     import numpy as np
     kf = float(k)
     if kf < 0:
         raise ValueError("k must be >= 0")
     weights = lambda u, logs: (np.exp((2.0 * kf) * logs),)
-    st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
-    mean, se = st.mean_se()
+    try:
+        st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
+    except OverflowError:   # from a moment merge past the float range
+        mean = se = math.nan
+    else:
+        mean, se = st.mean_se()
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise BudgetError(f"the moments of the estimate of F({k}) on "
+                          f"{rs.label} leave the float range")
     # sum w = n mean and sum w^2 = M2 + n mean^2, read from the merged state
     sum_w = samples * mean
     ess = samples / (1.0 + st.cm[0][0] / (sum_w * mean)) if mean else 0.0

@@ -8,7 +8,8 @@ a Sturm sequence over QQ counts the real roots in a rational interval, and a
 narrow bracket around a float estimate of the root is kept only when the
 counts show it holds that root alone; otherwise bisection from the Cauchy
 bound narrows to such a bracket.  Sign decisions refine the bracket by
-bisection until the interval of the evaluated element excludes zero.
+bisection until the interval of the evaluated element, taken by Horner's
+rule on Python ints, excludes zero.
 
 A field element is a tuple of coordinates in the power basis of c.  Integral
 values are `int`; `rat` (mpq, or Fraction without gmpy2) appears only where
@@ -121,9 +122,12 @@ class FieldSpec:
     # -- real embedding -----------------------------------------------------
 
     def _peval(self, x):
-        acc = 0
+        """p(x) q^d for a rational x = n/q: an int of the sign of p(x)."""
+        n, q = x.numerator, x.denominator
+        acc, scale = 0, 1
         for a in reversed(self.min_poly):
-            acc = acc * x + a
+            acc = acc * n + a * scale
+            scale *= q
         return acc
 
     def _init_bracket(self, top):
@@ -258,17 +262,30 @@ class FieldSpec:
 
     # -- interval evaluation and signs ---------------------------------------
 
+    def _scaled_interval(self, a, bits):
+        """(lo, hi, scale), ints with [lo/scale, hi/scale] the interval Horner
+        enclosure of sum(a_i c^i) at generator width 2^-bits: over the
+        bracket's common denominator D and the coordinates' M, the enclosure
+        after the coordinate of c^i is scaled by M D^(d-1-i)."""
+        lo, hi = self.generator_interval(bits)
+        den = math.lcm(lo.denominator, hi.denominator)
+        lo, hi = int(lo * den), int(hi * den)
+        scale = math.lcm(*(x.denominator for x in a))
+        alo = ahi = int(a[-1] * scale)
+        for coeff in reversed(a[:-1]):
+            p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
+            scale *= den
+            shift = int(coeff * scale)
+            alo = min(p1, p2, p3, p4) + shift
+            ahi = max(p1, p2, p3, p4) + shift
+        return alo, ahi, scale
+
     def raw_interval(self, a, bits):
         """Exact rational interval enclosing sum(a_i c^i) at generator width 2^-bits."""
         if self.degree == 1:
             return a[0], a[0]
-        lo, hi = self.generator_interval(bits)
-        alo = ahi = a[-1]
-        for coeff in reversed(a[:-1]):
-            p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
-            alo = min(p1, p2, p3, p4) + coeff
-            ahi = max(p1, p2, p3, p4) + coeff
-        return alo, ahi
+        lo, hi, scale = self._scaled_interval(a, bits)
+        return qdiv(lo, scale), qdiv(hi, scale)
 
     def raw_sign(self, a):
         if not any(a):
@@ -277,7 +294,7 @@ class FieldSpec:
             return 1 if a[0] > 0 else -1
         bits = 64
         while bits <= MAX_SIGN_BITS:
-            lo, hi = self.raw_interval(a, bits)
+            lo, hi, _ = self._scaled_interval(a, bits)
             if lo > 0:
                 return 1
             if hi < 0:

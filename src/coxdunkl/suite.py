@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -146,7 +145,6 @@ class GroupContext:
     poincare: object
     degrees: object
     cache: dict = field(default_factory=dict)
-    lock: object = field(default_factory=threading.Lock)
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +156,6 @@ def group_context(label: str,
     poincare = poincare_polynomial(elements, rs.spec)
     degrees = compute_degrees(rs, poincare)
     return GroupContext(label, rs, elements, poincare, degrees)
-
-
-def _heavy(label):
-    return label in HEAVY_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +207,11 @@ def _b_gated(ctx, cfg):
 
 
 def _b_result(ctx, cfg):
-    # serialized per group: parallel checks share one computation
-    with ctx.lock:
-        res = ctx.cache.get("b_poly")
-        if res is None:
-            res = b_poly(ctx.rs, ctx.degrees,
-                         allow_heavy=cfg.heavy_types_enabled)
-            ctx.cache["b_poly"] = res
+    # one computation per group, shared by the checks that need it
+    res = ctx.cache.get("b_poly")
+    if res is None:
+        res = b_poly(ctx.rs, ctx.degrees, allow_heavy=cfg.heavy_types_enabled)
+        ctx.cache["b_poly"] = res
     return res
 
 
@@ -396,88 +388,60 @@ def default_threads():
 def run_suite(cfg: SuiteConfig, threads=None):
     """Run the configured checks on the configured groups.
 
-    Returns (reports, exit_code).  Reports come back in deterministic
-    (group, check) order regardless of execution interleaving."""
+    The tasks run one at a time: first the statistical checks, one task per
+    rank, whose shared `mc_pass` runs its shards on `threads` threads; then
+    the exact checks, one task each.  Returns (reports, exit_code), with the
+    reports in (group, check) order."""
     if threads is None:
         threads = default_threads()
-    budget_hit = False
-    contexts = {}
-    for label in cfg.groups:
-        if _heavy(label) and not cfg.heavy_types_enabled:
-            continue
-        try:
-            contexts[label] = group_context(label, cfg.enumeration_budget)
-        except BudgetError as exc:
-            contexts[label] = exc
-            budget_hit = True
-
     checks = [c for c in CHECK_ORDER if c in cfg.checks]
     stat = tuple(c for c in checks if c in STATISTICAL)
-    budget_flags = []
 
     def skipped(label, names, expected, actual):
         return [CheckReport(c, label, "exact", "skipped", expected, actual,
                             None, 0) for c in names]
 
-    def run_exact(ctx, name, task_threads=1):
+    budget_hit = False
+    done, ranks, exact = [], {}, []
+    for label in cfg.groups:
+        if label in HEAVY_LABELS and not cfg.heavy_types_enabled:
+            done += skipped(label, checks, "heavy type",
+                            "enable heavy_types_enabled")
+            continue
         try:
-            return [run_check(name, ctx, cfg)]
+            ctx = group_context(label, cfg.enumeration_budget)
         except BudgetError as exc:
-            budget_flags.append(ctx.label)
-            return skipped(ctx.label, (name,), "within size budget", str(exc))
-
-    def run_rank(ctxs, task_threads=1):
-        groups, out = [], []
+            budget_hit = True
+            done += skipped(label, checks, "within enumeration budget",
+                            str(exc))
+            continue
+        if stat:
+            ranks.setdefault(ctx.rs.rank, []).append(ctx)
+        exact += [(ctx, c) for c in checks if c not in stat]
+    # the passes first: after the exact checks, they raised the default
+    # suite's peak RSS from about 156 to 175 MB
+    for ctxs in ranks.values():
+        groups = []
         for ctx in ctxs:
             try:
                 groups.append((ctx, _gates(stat, ctx, cfg)))
             except BudgetError as exc:
-                budget_flags.append(ctx.label)
-                out += skipped(ctx.label, stat, "within size budget", str(exc))
-        for reps in run_statistical(stat, groups, cfg, task_threads):
-            out += reps
-        return out
-
-    # one task per rank for the statistical checks of its groups, which
-    # share that rank's pass, then one per exact check of a group
-    done = []
-    ranks = {}
-    exact_tasks = []
-    for label in cfg.groups:
-        ctx = contexts.get(label)
-        if ctx is None:
-            done += skipped(label, checks, "heavy type",
-                            "enable heavy_types_enabled")
-        elif isinstance(ctx, BudgetError):
-            done += skipped(label, checks, "within enumeration budget",
-                            str(ctx))
-        else:
-            if stat:
-                ranks.setdefault(ctx.rs.rank, []).append(ctx)
-            exact_tasks += [(run_exact, ctx, c) for c in checks
-                            if c not in stat]
-    tasks = [(run_rank, ctxs) for ctxs in ranks.values()] + exact_tasks
-
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(*task) for task in tasks]
-            done += [r for f in futures for r in f.result()]
-    else:
-        # a lone task gets the threads: its shards run in parallel
-        done += [r for fn, *args in tasks for r in fn(*args, threads)]
-    # reports in (group, check) order, whatever order the tasks ran in
+                budget_hit = True
+                done += skipped(ctx.label, stat, "within size budget",
+                                str(exc))
+        for reps in run_statistical(stat, groups, cfg, threads):
+            done += reps
+    for ctx, name in exact:
+        try:
+            done.append(run_check(name, ctx, cfg))
+        except BudgetError as exc:
+            budget_hit = True
+            done += skipped(ctx.label, (name,), "within size budget", str(exc))
     by_key = {(r.group, r.name): r for r in done}
     reports = [by_key[label, c] for label in cfg.groups for c in checks]
-
-    failures = sum(1 for r in reports if r.status == "fail")
-    if failures:
-        code = 1
-    elif budget_hit or budget_flags:
-        code = 3
-    else:
-        code = 0
-    return reports, code
+    if any(r.status == "fail" for r in reports):
+        return reports, 1
+    return reports, 3 if budget_hit else 0
 
 
 def render_report(reports, fmt="json", seed=42) -> str:

@@ -17,6 +17,7 @@ from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  mc_pass, mm_exact_is_heavy, mm_log_moments,
                                  mm_monte_carlo, predicted_relative_se,
                                  wick_moment_bruteforce)
+from coxdunkl.coxeter import build_root_system, standard_diagram
 from coxdunkl.dunkl import b_poly
 from coxdunkl.polynomials import MultiPoly, apply_reflection, root_linear_form
 from coxdunkl.scalars import KPoly, rat
@@ -439,6 +440,22 @@ def test_a_redraw_leaves_a_same_rank_partner_unchanged(monkeypatch):
             want.n, want.mean, want.cm, want.m3, want.m4, want.top)
     # A2's whole block is the one axis sample; I2(2) drew its own samples
     assert alone[0][0][0].cm[0][0] < 1e-20 < redrawn[0].cm[0][0]
+
+
+def test_a_pass_builds_the_float_data_before_its_threads(monkeypatch):
+    # a fresh root system: its shard threads must not race to build (A, C)
+    import threading
+    rs = build_root_system(standard_diagram("A2"))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(g):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return cholesky(g)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    mc_pass([(rs, [lambda u, logs: (logs,)])], 16_000, 3, 8, threads=2)
+    assert calls == [True]
 
 
 def test_poly_float_evaluator_matches_per_term_reference():

@@ -195,6 +195,45 @@ def test_sign_decisions():
     assert (c * c - 3).sign() == 1
 
 
+def _fraction_enclosure(spec, co, bits):
+    """Interval Horner of sum(co_i c^i) in Fraction arithmetic."""
+    lo, hi = map(Fraction, spec.generator_interval(bits))
+    alo = ahi = Fraction(co[-1])
+    for x in reversed(co[:-1]):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + x, max(prods) + x
+    return alo, ahi
+
+
+@pytest.mark.parametrize("m", [5, 7, 12, 17, 30, 128])
+def test_signs_match_an_exact_fraction_evaluation(m):
+    # a fresh field: its bracket is refined only by the signs decided here,
+    # while the Fraction references narrow the shared one
+    spec = FieldSpec(minimal_poly_2cos(m), top=2 * math.cos(math.pi / m))
+    ref = cos_field(m)
+    d = spec.degree
+    # c - p/q for a close rational p/q: too near zero for a 64-bit bracket
+    glo, ghi = ref.generator_interval(256)
+    pq = Fraction((glo + ghi) / 2).limit_denominator(10 ** 15)
+    assert not glo <= pq <= ghi
+    near = (-pq, 1) + (0,) * (d - 2)
+    lo, hi = _fraction_enclosure(spec, near, 64)
+    assert lo < 0 < hi
+    assert spec.raw_sign(near) == (1 if glo > pq else -1)
+    assert spec.raw_sign(tuple(-x for x in near)) == (1 if glo < pq else -1)
+    assert spec.raw_sign((0,) * d) == 0
+    rng = random.Random(m)
+    samples = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(12)]
+    samples += [tuple(as_rational(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 6)))
+                      for _ in range(d)) for _ in range(6)]
+    for co in samples:
+        lo, hi = _fraction_enclosure(ref, co, 256)
+        assert lo > 0 or hi < 0, co   # 256 bits decide every sample here
+        assert spec.raw_sign(co) == (1 if lo > 0 else -1), co
+        assert spec.raw_interval(co, 64) == _fraction_enclosure(spec, co, 64)
+
+
 def test_kpoly_mul_eval_agree():
     spec = cos_field(5)
     rng = random.Random(99)

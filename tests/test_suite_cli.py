@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import coxdunkl.dunkl
 from coxdunkl.cli import main
-from coxdunkl.errors import ConfigError
+from coxdunkl.errors import BudgetError, ConfigError
+from coxdunkl.mmintegral import mm_monte_carlo
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, SuiteConfig,
                             default_threads, group_context, parse_config,
@@ -164,7 +166,7 @@ def test_statistical_reports_do_not_depend_on_their_companions():
     assert together[1] == together[2]
 
 
-def test_a_lone_task_runs_its_shards_on_the_threads(monkeypatch):
+def test_every_pass_runs_its_shards_on_the_threads(monkeypatch):
     import coxdunkl.suite as suite
     seen = []
     mc_pass = suite.mc_pass
@@ -177,9 +179,9 @@ def test_a_lone_task_runs_its_shards_on_the_threads(monkeypatch):
     cfg = SuiteConfig(groups=("A1",), checks=("log_moments",),
                       mc_samples=20_000, shards=4)
     run_suite(cfg, threads=2)
-    # two ranks are two tasks: the pool runs them, each pass on one thread
+    # two ranks are two passes, run in turn, each on all the threads
     run_suite(dataclasses.replace(cfg, groups=("A1", "A2")), threads=2)
-    assert seen == [2, 1, 1]
+    assert seen == [2, 2, 2]
 
 
 def test_groups_of_one_rank_share_one_pass_and_keep_their_reports():
@@ -308,6 +310,20 @@ def test_cli_integrate(capsys):
     assert abs(doc["z_score"]) <= 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy on inf weights
+def test_cli_integrate_past_the_float_range_exhausts_the_budget(capsys):
+    # the estimate (k = 40) or the Gamma product (k = 1000, 1000.5) leaves
+    # the float range: a one-line budget exit, not a traceback or a failure
+    for k in ("40", "1000", "1000.5"):
+        assert main(["integrate", "--type", "A2", "--k", k, "--samples",
+                     "2000", "--shards", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exhausted:") and err.count("\n") == 1
+    # a non-finite estimate raises rather than reading as z = 0, a pass
+    with pytest.raises(BudgetError, match="float range"):
+        mm_monte_carlo(group_context("A2").rs, 1000, 2000, 42, 2)
+
+
 def test_cli_integrate_bad_k(capsys):
     assert main(["integrate", "--type", "A1", "--k", "nope"]) == 2
     assert main(["integrate", "--type", "A1", "--k", "-1"]) == 2
@@ -384,6 +400,40 @@ def test_cli_suite_budget_exit(tmp_path, capsys):
     cfg_path.write_text("groups = E6\nchecks = degrees_consistency\n"
                         "enumeration_budget = 2000\n")
     assert main(["suite", "--config", str(cfg_path)]) == 3
+
+
+_MIXED = """groups = A2, B3
+checks = poincare_identity, b_poly, mm_exact_k1, functional_equation, \
+gamma_cross_check, log_moments
+mc_samples = 50000
+"""
+
+
+def test_cli_suite_reports_do_not_depend_on_the_thread_count(tmp_path):
+    # exact and statistical checks on two ranks, through the command line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("COXDUNKL_THREADS", None)
+    cfg_path = tmp_path / "mixed.cfg"
+    cfg_path.write_text(_MIXED)
+    docs = []
+    for threads in ("1", "2"):
+        json_path = tmp_path / f"report{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxdunkl", "--threads", threads, "suite",
+             "--config", str(cfg_path), "--json", str(json_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(json_path.read_text())
+        for check in doc["checks"]:
+            del check["runtime_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert len(docs[0]["checks"]) == 12
+    assert {(c["mode"], c["status"]) for c in docs[0]["checks"]} >= {
+        ("exact", "pass"), ("statistical", "pass")}
 
 
 _COLD_START = """
