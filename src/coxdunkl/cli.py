@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,11 @@ from .suite import (CHECK_ORDER, SuiteConfig, default_threads, group_context,
 
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
+
+#: pinned to 1 unless set: BLAS threads of their own would contend with the
+#: Monte Carlo pass's shard threads (numpy reads these when first imported)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def _positive_int(text):
@@ -157,6 +163,8 @@ def _cmd_suite(args, threads):
 
 
 def main(argv=None) -> int:
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -231,7 +231,7 @@ class BFactorization:
     b(k) = b0 * prod (k + k_i)^{n_i}."""
 
     b0: FieldElement
-    roots: tuple  # sorted ((mpq, multiplicity), ...)
+    roots: tuple  # sorted ((k_i as a Fraction, multiplicity), ...)
 
     def expand(self, spec) -> KPoly:
         out = KPoly.const(spec, self.b0)

@@ -5,14 +5,15 @@ The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
 is the polynomial Delta^(2k), so F(k) is an exact Gaussian moment, taken by
 Stein's recursion on its monomials; for real k it is estimated by seeded
-Monte Carlo.  The Gaussian draw depends on the rank alone, so one pass serves
-every group of one rank: each block is drawn once from the SFC64 stream of
-(seed, rank, shard) and mapped into each group's own root coordinates, and a
-sample that lands on a mirror of one group is redrawn for that group alone,
-from the stream of (seed, group, shard).  A group's estimates are therefore
-the same whichever partners share its pass, and bit-reproducible per (seed,
-shards) for a fixed numpy, BLAS and CPU; the estimates of groups of one rank
-come from common draws, so their errors are correlated.
+Monte Carlo.  One pass serves groups of every rank: each block is drawn
+once, row j of it from the SFC64 stream of (seed, "axis<j>", shard), and a
+group of rank r maps rows 0..r-1 into its own root coordinates; a sample
+that lands on a mirror of one group is redrawn for that group alone, from
+the stream of (seed, group, shard).  A group's estimates therefore depend on
+its own rank alone, never on which partners share its pass, and are
+bit-reproducible per (seed, shards) for a fixed numpy, BLAS and CPU; the
+estimates of all the groups of a pass come from common draws, so their
+errors are correlated.
 numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
@@ -220,9 +221,9 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
 
-def _log_abs_delta(dots):
+def _log_abs_delta(dots, out=None):
     """L = log|prod_i dots[i, s]| for each sample s, from one product and
-    one log.
+    one log, written to `out` when given.
 
     `dots` holds the pairings (alpha, x) as (|S|, samples), so the product
     runs along contiguous rows.  Returns (L, zero), where `zero` indexes the
@@ -231,36 +232,71 @@ def _log_abs_delta(dots):
     0, an overflow to inf) takes the per-root sum of log|.| instead."""
     import numpy as np
     with np.errstate(over="ignore", divide="ignore"):
-        p = np.abs(dots.prod(axis=0))
-        out = np.log(p)
+        p = dots.prod(axis=0, out=out)
+        np.abs(p, out=p)
         odd = np.flatnonzero((p < _TINY) | (p > _HUGE))
+        np.log(p, out=p)
         if not odd.size:
-            return out, odd
+            return p, odd
         sub = np.abs(dots[:, odd])
-        out[odd] = np.log(sub).sum(axis=0)
-    return out, odd[(sub == 0.0).any(axis=0)]
+        p[odd] = np.log(sub).sum(axis=0)
+    return p, odd[(sub == 0.0).any(axis=0)]
+
+
+def _rows(buf, rows, b):
+    """The first rows * b entries of the flat `buf` as a C-contiguous
+    (rows, b) view."""
+    return buf[:rows * b].reshape(rows, b)
+
+
+class _Workspace:
+    """One worker's block arrays for the root systems of a pass, reused by
+    every block it maps: the draw z, and one system's simple-root pairings
+    u, root pairings and logs.  Flat, so each block's views are C-contiguous
+    whatever its size, laid out as freshly allocated arrays would be.
+
+    The stats and moment sums still make block-sized temporaries.  Under
+    glibc's malloc they land on a heap that is trimmed, and faulted in
+    again, on every block while its trim threshold stays near two blocks;
+    freeing a mapping raises that threshold to twice the mapping's size.
+    Fresh block arrays did that on every block; the workspace frees one
+    mapping of 16 blocks up front instead (mc-sampling at one thread: 172k
+    minor faults a pass without it, 3k with it)."""
+
+    def __init__(self, systems, block):
+        import numpy as np
+        np.empty(16 * block)   # the up-front mapping, freed at once
+        rank = max(rs.rank for rs in systems)
+        self.z = np.empty(rank * block)
+        self.u = np.empty(rank * block)
+        self.dots = np.empty(max(rs.num_positive for rs in systems) * block)
+        self.logs = np.empty(block)
 
 
 class _BlockSampler:
     """Yields (i, U, L) for each block of Gaussian samples and each root
-    system i of `systems`, which share one rank, in turn.
+    system i of `systems`, in turn.
 
-    A block is drawn once, from the substream (seed, "rank<r>", shard), and
-    mapped to each system's root coordinates: U is (rank, samples), with row
-    j holding the simple-root pairings u_j = (alpha_j, x), and L is
+    A block is drawn once, into R rows for R the highest rank among
+    `systems`: row j from the substream (seed, "axis<j>", shard).  A system
+    of rank r maps rows 0..r-1 to its root coordinates: U is (r, samples),
+    with row j holding the simple-root pairings u_j = (alpha_j, x), and L is
     log|Delta(x)|, the log of the product of (alpha, x) over the positive
-    roots.  Samples that hit one system's mirror exactly in float arithmetic
-    are redrawn for that system alone, from its own substream (seed, label,
-    shard), and counted in its `rejected`; the shared draw stays aligned for
-    the others."""
+    roots.  So a system's draws depend on its own rank alone, never on which
+    partners share the pass.  Samples that hit one system's mirror exactly
+    in float arithmetic are redrawn for that system alone, from its own
+    substream (seed, label, shard), and counted in its `rejected`; the shared
+    draw stays aligned for the others.  U and L live in `work` (a
+    `_Workspace` for blocks of up to `_MC_BLOCK` samples when not given)
+    and hold until the next yield."""
 
-    def __init__(self, systems, seed, shard):
+    def __init__(self, systems, seed, shard, work=None):
         self.systems = systems
-        self.rank = systems[0].rank
-        if any(rs.rank != self.rank for rs in systems):
-            raise ValueError("a shared pass needs root systems of one rank")
+        self.rank = max(rs.rank for rs in systems)
         self.seed, self.shard = seed, shard
-        self.rng = _substream(seed, f"rank{self.rank}", shard)
+        self.axes = [_substream(seed, f"axis{j}", shard)
+                     for j in range(self.rank)]
+        self.work = work or _Workspace(systems, _MC_BLOCK)
         self.rejected = [0] * len(systems)
         self._own = [None] * len(systems)   # redraw streams, opened on need
 
@@ -268,21 +304,25 @@ class _BlockSampler:
         remaining = n
         while remaining > 0:
             b = min(_MC_BLOCK, remaining)
-            z = self.rng.standard_normal((b, self.rank)).T
+            z = _rows(self.work.z, self.rank, b)
+            for rng, row in zip(self.axes, z):
+                rng.standard_normal(out=row)
             for i, rs in enumerate(self.systems):
-                # one system's block is alive at a time, next to the draw
-                yield (i, *self._mapped(i, rs, z))
+                yield (i, *self._mapped(i, rs, z[:rs.rank]))
             remaining -= b
 
     def _mapped(self, i, rs, z):
+        from numpy import matmul
         a, c = rs.float_data()
-        u = a @ z
-        logs, bad = _log_abs_delta(c @ u)
+        r, b = z.shape
+        u = matmul(a, z, out=_rows(self.work.u, r, b))
+        dots = matmul(c, u, out=_rows(self.work.dots, len(c), b))
+        logs, bad = _log_abs_delta(dots, self.work.logs[:b])
         while bad.size:
             self.rejected[i] += bad.size
             if self._own[i] is None:
                 self._own[i] = _substream(self.seed, rs.label, self.shard)
-            z2 = self._own[i].standard_normal((bad.size, self.rank))
+            z2 = self._own[i].standard_normal((bad.size, r))
             u[:, bad] = a @ z2.T
             logs[bad], again = _log_abs_delta(c @ u[:, bad])
             bad = bad[again]
@@ -342,12 +382,15 @@ class _Moments:
         top = max(self.top, other.top)
         if len(delta) > 1:
             return _Moments(n, mean, cm, top=top)
+        # products, not powers: a float ** raises OverflowError where a
+        # product goes to inf, and only log_moments reads M3 and M4
         d = delta[0]
+        d2 = d * d
         a2, b2 = self.cm[0][0], other.cm[0][0]
-        m3 = (self.m3 + other.m3 + d ** 3 * f * (na - nb) / n
+        m3 = (self.m3 + other.m3 + d2 * d * f * (na - nb) / n
               + 3.0 * d * (na * b2 - nb * a2) / n)
         m4 = (self.m4 + other.m4
-              + d ** 4 * f * (na * na - na * nb + nb * nb) / (n * n)
+              + d2 * d2 * f * (na * na - na * nb + nb * nb) / (n * n)
               + 6.0 * d * d * (na * na * b2 + nb * nb * a2) / (n * n)
               + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
         return _Moments(n, mean, cm, m3, m4, top)
@@ -373,26 +416,36 @@ def _merged(states):
 
 def mc_pass(parts, samples, seed, shards, threads=1):
     """One seeded pass serving every stat of every group in `parts`, a list
-    of (rs, stats) whose root systems share one rank.  Shard i draws each
-    block once for all of them (see `_BlockSampler`), and a stat maps a
+    of (rs, stats) whose root systems may have any ranks.  Shard i draws
+    each block once for all of them (see `_BlockSampler`), and a stat maps a
     group's block (u, L) to the arrays whose `_Moments` it keeps.  Returns,
     per part, one merged state per stat (blocks, then shards, in order) and
     the part's redrawn count; neither depends on the other parts.  The
-    shards run on `threads` threads."""
+    shards run on `threads` threads, each shard on a `_Workspace` of this
+    pass that no other running shard holds."""
+    import queue
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    systems = [rs for rs, _ in parts]
+    sizes = _shard_sizes(samples, shards)
+    for rs in systems:   # built here, so that no two shard threads build it
+        rs.float_data()
+    free = queue.SimpleQueue()   # one workspace per worker
+    for _ in range(min(threads, shards)):
+        free.put(_Workspace(systems, min(_MC_BLOCK, sizes[0])))
 
     def shard(i, n):
-        sampler = _BlockSampler([rs for rs, _ in parts], seed, i)
-        states = [[_Moments() for _ in stats] for _, stats in parts]
-        for j, u, logs in sampler.blocks(n):
-            states[j] = [st.merge(_Moments.of(*stat(u, logs)))
-                         for st, stat in zip(states[j], parts[j][1])]
-        return states, sampler.rejected
+        work = free.get()
+        try:
+            sampler = _BlockSampler(systems, seed, i, work)
+            states = [[_Moments() for _ in stats] for _, stats in parts]
+            for j, u, logs in sampler.blocks(n):
+                states[j] = [st.merge(_Moments.of(*stat(u, logs)))
+                             for st, stat in zip(states[j], parts[j][1])]
+            return states, sampler.rejected
+        finally:
+            free.put(work)
 
-    sizes = _shard_sizes(samples, shards)
-    for rs, _ in parts:   # built here, so that no two shard threads build it
-        rs.float_data()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -416,19 +469,15 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
                    threads=1) -> McEstimate:
     """Estimate F(k) for real k >= 0 by averaging |Delta|^(2k) over standard
     Gaussian samples.  Identical (seed, samples, shards, type, k) give a
-    bit-identical estimate.  Raises BudgetError when a moment sum leaves the
-    float range: a merge overflows, or the mean or its error is not finite."""
+    bit-identical estimate.  Raises BudgetError when the mean or its
+    standard error leaves the float range."""
     import numpy as np
     kf = float(k)
     if kf < 0:
         raise ValueError("k must be >= 0")
     weights = lambda u, logs: (np.exp((2.0 * kf) * logs),)
-    try:
-        st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
-    except OverflowError:   # from a moment merge past the float range
-        mean = se = math.nan
-    else:
-        mean, se = st.mean_se()
+    st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
+    mean, se = st.mean_se()
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise BudgetError(f"the moments of the estimate of F({k}) on "
                           f"{rs.label} leave the float range")

@@ -12,8 +12,8 @@ bisection until the interval of the evaluated element, taken by Horner's
 rule on Python ints, excludes zero.
 
 A field element is a tuple of coordinates in the power basis of c.  Integral
-values are `int`; `rat` (mpq, or Fraction without gmpy2) appears only where
-a denominator does.  Root coordinates, Gram entries, reflections, divided
+values are `int`; `rat` (`fractions.Fraction`) appears only where a
+denominator does.  Root coordinates, Gram entries, reflections, divided
 differences and the discriminant and its norm b(k) all lie in Z[c], because
 the minimal polynomial of c is monic and none of them divides, so they are
 computed in Python ints.  Every quotient goes through `qdiv`, which is exact
@@ -31,14 +31,9 @@ polynomials of 2cos(pi/m) (worked over `QQ`) all go through them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction as _Fraction
+from fractions import Fraction as rat
 from functools import lru_cache
 from operator import add, ne, neg, sub
-
-try:
-    from gmpy2 import mpq as rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as rat
 
 from .errors import FieldMismatchError, PrecisionExhaustedError
 
@@ -49,11 +44,11 @@ R1 = 1
 #: hard bound on bisection depth for sign decisions
 MAX_SIGN_BITS = 4096
 
-_RAT_OK = (int, _Fraction, rat)
+_RAT_OK = (int, rat)
 
 
 def as_rational(x):
-    """Coerce an int / Fraction / mpq to the exact scalar type: an `int`
+    """Coerce an int / Fraction to the exact scalar type: an `int`
     when the value is integral, `rat` otherwise."""
     if type(x) is int:
         return x

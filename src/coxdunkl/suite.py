@@ -331,10 +331,10 @@ def _gates(names, ctx, cfg):
 
 
 def run_statistical(names, groups, cfg, threads=1):
-    """Run statistical checks over one `mc_pass` shared by groups of one
-    rank.  `groups` pairs each group's context with its `_gates`; returns
+    """Run statistical checks over one `mc_pass` shared by groups of any
+    ranks.  `groups` pairs each group's context with its `_gates`; returns
     one report list per group.  A report's runtime_ms is its own gate, plus
-    the whole pass of its rank if it ran."""
+    the whole pass if it ran."""
     parts = [(ctx.rs, [p[0] for p in plans if p[0]]) for ctx, plans in groups]
     live = [part for part in parts if part[1]]
     start = time.perf_counter()
@@ -388,10 +388,10 @@ def default_threads():
 def run_suite(cfg: SuiteConfig, threads=None):
     """Run the configured checks on the configured groups.
 
-    The tasks run one at a time: first the statistical checks, one task per
-    rank, whose shared `mc_pass` runs its shards on `threads` threads; then
-    the exact checks, one task each.  Returns (reports, exit_code), with the
-    reports in (group, check) order."""
+    The tasks run one at a time: first the statistical checks of every
+    group, one task whose shared `mc_pass` runs its shards on `threads`
+    threads; then the exact checks, one task each.  Returns (reports,
+    exit_code), with the reports in (group, check) order."""
     if threads is None:
         threads = default_threads()
     checks = [c for c in CHECK_ORDER if c in cfg.checks]
@@ -402,7 +402,7 @@ def run_suite(cfg: SuiteConfig, threads=None):
                             None, 0) for c in names]
 
     budget_hit = False
-    done, ranks, exact = [], {}, []
+    done, groups, exact = [], [], []
     for label in cfg.groups:
         if label in HEAVY_LABELS and not cfg.heavy_types_enabled:
             done += skipped(label, checks, "heavy type",
@@ -416,21 +416,16 @@ def run_suite(cfg: SuiteConfig, threads=None):
                             str(exc))
             continue
         if stat:
-            ranks.setdefault(ctx.rs.rank, []).append(ctx)
-        exact += [(ctx, c) for c in checks if c not in stat]
-    # the passes first: after the exact checks, they raised the default
-    # suite's peak RSS from about 156 to 175 MB
-    for ctxs in ranks.values():
-        groups = []
-        for ctx in ctxs:
             try:
                 groups.append((ctx, _gates(stat, ctx, cfg)))
             except BudgetError as exc:
                 budget_hit = True
-                done += skipped(ctx.label, stat, "within size budget",
-                                str(exc))
-        for reps in run_statistical(stat, groups, cfg, threads):
-            done += reps
+                done += skipped(label, stat, "within size budget", str(exc))
+        exact += [(ctx, c) for c in checks if c not in stat]
+    # the pass first: after the exact checks, per-rank passes raised the
+    # default suite's peak RSS from about 156 to 175 MB
+    for reps in run_statistical(stat, groups, cfg, threads):
+        done += reps
     for ctx, name in exact:
         try:
             done.append(run_check(name, ctx, cfg))

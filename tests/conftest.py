@@ -1,10 +1,25 @@
+import os
 import random
 
 import pytest
 
+from coxdunkl.cli import BLAS_THREAD_VARS
 from coxdunkl.polynomials import MultiPoly
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import group_context
+
+
+@pytest.fixture(autouse=True)
+def _keep_blas_thread_vars():
+    """Restore the BLAS thread variables after each test: `cli.main` pins
+    those that are unset, and an in-process call must not leak that."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 @pytest.fixture(scope="session")

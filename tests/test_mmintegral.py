@@ -353,28 +353,31 @@ def test_log_abs_delta_matches_per_root_sum_on_default_groups():
 
 
 class _MirrorFirstRng:
-    """Returns first(shape) on the first draw (all zeros by default: every
-    sample on every mirror), then defers to a real generator."""
+    """Fills its first draw with `first` (0.0 by default: with every axis
+    at zero, every sample lies on every mirror), then defers to a real
+    generator."""
 
-    def __init__(self, first=None):
+    def __init__(self, first=0.0):
         self.first = first
         self.fresh = True
         self.rng = np.random.default_rng(3)
 
-    def standard_normal(self, shape):
+    def standard_normal(self, size=None, out=None):
         if self.fresh:
             self.fresh = False
-            return np.zeros(shape) if self.first is None else self.first(shape)
-        return self.rng.standard_normal(shape)
+            out[...] = self.first
+            return out
+        return self.rng.standard_normal(size, out=out)
 
 
 def _shared_draw_is(monkeypatch, make_rng):
-    """Serve a fresh make_rng() as every pass's shared (per-rank) draw; the
+    """Serve a fresh make_rng(j) as every pass's shared draw of axis j; the
     groups' own redraw streams stay real."""
     real = coxdunkl.mmintegral._substream
     monkeypatch.setattr(
         coxdunkl.mmintegral, "_substream",
-        lambda seed, label, shard: (make_rng() if label.startswith("rank")
+        lambda seed, label, shard: (make_rng(int(label[4:]))
+                                    if label.startswith("axis")
                                     else real(seed, label, shard)))
 
 
@@ -382,16 +385,17 @@ def test_substream_is_one_stream_per_seed_label_and_shard(monkeypatch):
     def first_block(seed, label, shard):
         rng = _substream(seed, label, shard)
         assert isinstance(rng.bit_generator, np.random.SFC64)
-        return rng.standard_normal((_MC_BLOCK, 3))
+        return rng.standard_normal(_MC_BLOCK)
 
-    block = first_block(7, "rank3", 2)
-    assert np.array_equal(block, first_block(7, "rank3", 2))
-    for other in ((8, "rank3", 2), (7, "rank4", 2), (7, "rank3", 3),
+    block = first_block(7, "axis0", 2)
+    assert np.array_equal(block, first_block(7, "axis0", 2))
+    for other in ((8, "axis0", 2), (7, "axis1", 2), (7, "axis0", 3),
                   (7, "A3", 2)):
         assert not np.array_equal(block, first_block(*other)), other
-    # a pass over groups of one rank opens one stream per shard, keyed by the
-    # rank alone: no group's label enters while no sample hits a mirror
-    systems = [group_context(g).rs for g in ("A3", "B3", "H3")]
+    # a pass over groups of ranks 3, 2 and 1 opens one stream per axis of
+    # the highest rank and per shard: no group's label enters while no
+    # sample hits a mirror
+    systems = [group_context(g).rs for g in ("A3", "B2", "A1", "H3")]
     opened = []
     real = coxdunkl.mmintegral._substream
 
@@ -402,17 +406,20 @@ def test_substream_is_one_stream_per_seed_label_and_shard(monkeypatch):
     monkeypatch.setattr(coxdunkl.mmintegral, "_substream", counting)
     stat = lambda u, logs: (logs,)
     results = mc_pass([(rs, [stat]) for rs in systems], 3000, 7, 3)
-    assert sorted(opened) == [(7, "rank3", i) for i in range(3)]
-    assert [rejected for _, rejected in results] == [0, 0, 0]
-    # each group maps the same draw z through its own Cholesky factor
+    assert sorted(opened) == [(7, f"axis{j}", i) for j in range(3)
+                              for i in range(3)]
+    assert [rejected for _, rejected in results] == [0, 0, 0, 0]
+    # each group maps the leading rows of the same draw z through its own
+    # Cholesky factor
     zs = [np.linalg.solve(systems[i].float_data()[0], u)
           for i, u, _ in _BlockSampler(systems, 7, 0).blocks(1000)]
     for z in zs[1:]:
-        assert np.allclose(z, zs[0], rtol=0, atol=1e-12)
+        assert np.allclose(z, zs[0][:len(z)], rtol=0, atol=1e-12)
+    assert [len(z) for z in zs] == [3, 2, 1, 3]
 
 
 def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2, monkeypatch):
-    _shared_draw_is(monkeypatch, _MirrorFirstRng)
+    _shared_draw_is(monkeypatch, lambda j: _MirrorFirstRng())
     sampler = _BlockSampler([ctx_a2.rs], 1, 0)
     (_, u, logs), = sampler.blocks(1000)
     assert sampler.rejected == [1000]
@@ -421,25 +428,50 @@ def test_block_sampler_redraws_samples_on_a_mirror(ctx_a2, monkeypatch):
 
 
 def test_a_redraw_leaves_a_same_rank_partner_unchanged(monkeypatch):
-    # z = e_1 pairs to zero with the second simple root of I2(2) = A1 x A1,
-    # which is orthogonal to the first, but with no root of A2
-    def axis(shape):
-        z = np.zeros(shape)
-        z[:, 0] = 1.0
-        return z
-
-    _shared_draw_is(monkeypatch, lambda: _MirrorFirstRng(axis))
-    i22, a2 = group_context("I2(2)").rs, group_context("A2").rs
+    # z = (1, 0) pairs to zero with the second simple root of I2(2) =
+    # A1 x A1, which is orthogonal to the first, but with no root of A2, and
+    # z = (1, 0, 0.3) with no root of B3
+    _shared_draw_is(monkeypatch,
+                    lambda j: _MirrorFirstRng((1.0, 0.0, 0.3)[j]))
+    i22, a2, b3 = (group_context(g).rs for g in ("I2(2)", "A2", "B3"))
     stats = [lambda u, logs: (logs,), lambda u, logs: (u[0], u[1])]
-    alone = mc_pass([(a2, stats)], 1000, 5, 1)
-    (redrawn, rejected), partner = mc_pass([(i22, stats), (a2, stats)],
-                                           1000, 5, 1)
-    assert rejected == 1000 and alone[0][1] == partner[1] == 0
-    for got, want in zip(partner[0], alone[0][0]):
-        assert (got.n, got.mean, got.cm, got.m3, got.m4, got.top) == (
-            want.n, want.mean, want.cm, want.m3, want.m4, want.top)
-    # A2's whole block is the one axis sample; I2(2) drew its own samples
+    alone = [mc_pass([(rs, stats)], 1000, 5, 1)[0] for rs in (a2, b3)]
+    (redrawn, rejected), *partners = mc_pass(
+        [(i22, stats), (a2, stats), (b3, stats)], 1000, 5, 1)
+    assert rejected == 1000
+    for (got, got_rejected), (want, want_rejected) in zip(partners, alone):
+        assert got_rejected == want_rejected == 0
+        assert [(s.n, s.mean, s.cm, s.m3, s.m4, s.top) for s in got] == [
+            (s.n, s.mean, s.cm, s.m3, s.m4, s.top) for s in want]
+    # A2's and B3's whole block is the one axis sample; I2(2) drew its own
     assert alone[0][0][0].cm[0][0] < 1e-20 < redrawn[0].cm[0][0]
+    assert alone[1][0][0].cm[0][0] < 1e-20
+
+
+def test_a_pass_maps_its_blocks_into_one_workspace_per_worker(monkeypatch):
+    # the reused arrays give the bits of fresh ones, at every thread count
+    systems = [group_context(g).rs for g in ("A1", "B3", "I2(7)", "D4")]
+    stat = lambda u, logs: (np.exp(logs), u[0] * u[-1])
+
+    def states(threads):
+        return [([(s.n, s.mean, s.cm, s.top) for s in sts], rejected)
+                for sts, rejected in mc_pass([(rs, [stat]) for rs in systems],
+                                             150_001, 4, 5, threads)]
+
+    made = []
+    workspace = coxdunkl.mmintegral._Workspace
+
+    def counting(*args):
+        made.append(args)
+        return workspace(*args)
+
+    monkeypatch.setattr(coxdunkl.mmintegral, "_Workspace", counting)
+    reused = {threads: states(threads) for threads in (1, 2, 3)}
+    assert len(made) == 1 + 2 + 3
+    assert reused[1] == reused[2] == reused[3]
+    monkeypatch.setattr(coxdunkl.mmintegral, "_rows",
+                        lambda buf, rows, b: np.empty((rows, b)))
+    assert states(1) == reused[1]
 
 
 def test_a_pass_builds_the_float_data_before_its_threads(monkeypatch):
@@ -532,6 +564,18 @@ def test_block_moments_match_fsum_at_the_block_size():
     for got, p in ((one.cm[0][0], 2), (one.m3, 3), (one.m4, 4)):
         ref = math.fsum(d ** p for d in ds[2])
         assert abs(got - ref) <= 1e-12 * abs(ref), p
+
+
+def test_moment_merges_past_the_float_range_keep_mean_and_variance():
+    # the fourth power of the mean difference overflows, its square and cube
+    # do not: M4 goes to inf, the mean and standard error stay finite
+    lo, hi = _Moments.of(np.array([1e100, 2e100])), _Moments.of(
+        np.array([4e100, 5e100]))
+    st = lo.merge(hi)
+    assert st.m4 == math.inf and math.isfinite(st.m3)
+    mean, se = st.mean_se()
+    assert mean == pytest.approx(3e100, rel=1e-15)
+    assert se == pytest.approx(math.sqrt(10e200 / 3 / 4), rel=1e-12)
 
 
 def test_empty_shards_merge_to_the_others(ctx_a2):

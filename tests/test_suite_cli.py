@@ -149,7 +149,8 @@ def test_statistical_checks_of_a_group_share_one_pass(monkeypatch):
     assert code == 0
     assert [(r.name, r.status) for r in reports] == [
         (c, "pass") for c in STATISTICAL]
-    assert sorted(opened) == [(11, "rank2", i) for i in range(4)]
+    assert sorted(opened) == [(11, f"axis{j}", i) for j in range(2)
+                              for i in range(4)]
 
 
 def test_statistical_reports_do_not_depend_on_their_companions():
@@ -179,9 +180,9 @@ def test_every_pass_runs_its_shards_on_the_threads(monkeypatch):
     cfg = SuiteConfig(groups=("A1",), checks=("log_moments",),
                       mc_samples=20_000, shards=4)
     run_suite(cfg, threads=2)
-    # two ranks are two passes, run in turn, each on all the threads
+    # two ranks share one pass, on all the threads
     run_suite(dataclasses.replace(cfg, groups=("A1", "A2")), threads=2)
-    assert seen == [2, 2, 2]
+    assert seen == [2, 2]
 
 
 def test_groups_of_one_rank_share_one_pass_and_keep_their_reports():
@@ -200,6 +201,34 @@ def test_groups_of_one_rank_share_one_pass_and_keep_their_reports():
         if threads == 1:
             first = _without_runtime(shared)
         assert _without_runtime(shared) == first
+
+
+def test_groups_of_any_rank_share_one_pass_and_keep_their_reports(
+        monkeypatch):
+    import coxdunkl.suite as suite
+    passes = []
+    mc_pass = suite.mc_pass
+
+    def recording(parts, *args, **kwargs):
+        passes.append([rs.label for rs, _ in parts])
+        return mc_pass(parts, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "mc_pass", recording)
+    mixed = dict(A2_SHARED, groups=("B3", "A2", "D4"))
+    for threads in (1, 2, 3):
+        alone, _ = run_suite(SuiteConfig(checks=STATISTICAL, **A2_SHARED),
+                             threads=threads)
+        shared, code = run_suite(SuiteConfig(checks=STATISTICAL, **mixed),
+                                 threads=threads)
+        assert code == 0
+        assert [r.group for r in shared] == [g for g in mixed["groups"]
+                                             for _ in STATISTICAL]
+        assert _without_runtime(shared[3:6]) == _without_runtime(alone)
+        assert all(r.status == "pass" for r in alone)
+        if threads == 1:
+            first = _without_runtime(shared)
+        assert _without_runtime(shared) == first
+    assert passes == [["A2"], ["B3", "A2", "D4"]] * 3
 
 
 def test_statistical_checks_gated_by_predicted_error():
@@ -312,9 +341,9 @@ def test_cli_integrate(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy on inf weights
 def test_cli_integrate_past_the_float_range_exhausts_the_budget(capsys):
-    # the estimate (k = 40) or the Gamma product (k = 1000, 1000.5) leaves
+    # the estimate (k = 50) or the Gamma product (k = 1000, 1000.5) leaves
     # the float range: a one-line budget exit, not a traceback or a failure
-    for k in ("40", "1000", "1000.5"):
+    for k in ("50", "1000", "1000.5"):
         assert main(["integrate", "--type", "A2", "--k", k, "--samples",
                      "2000", "--shards", "2"]) == 3
         err = capsys.readouterr().err
@@ -322,6 +351,19 @@ def test_cli_integrate_past_the_float_range_exhausts_the_budget(capsys):
     # a non-finite estimate raises rather than reading as z = 0, a pass
     with pytest.raises(BudgetError, match="float range"):
         mm_monte_carlo(group_context("A2").rs, 1000, 2000, 42, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_integrate_reports_an_estimate_whose_fourth_moment_overflows(
+        capsys):
+    # the weights' fourth central moment leaves the float range, their mean
+    # and standard error do not: the estimate is reported (and fails)
+    for k in ("30", "40"):
+        assert main(["integrate", "--type", "A2", "--k", k, "--samples",
+                     "2000", "--shards", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert 0 < doc["mean"] < float("inf")
+        assert 0 < doc["std_error"] < float("inf")
 
 
 def test_cli_integrate_bad_k(capsys):
@@ -434,6 +476,35 @@ def test_cli_suite_reports_do_not_depend_on_the_thread_count(tmp_path):
     assert len(docs[0]["checks"]) == 12
     assert {(c["mode"], c["status"]) for c in docs[0]["checks"]} >= {
         ("exact", "pass"), ("statistical", "pass")}
+
+
+_BLAS_PINNING = """
+import json, os, sys
+sys.path.insert(0, {src!r})
+from coxdunkl.cli import BLAS_THREAD_VARS, main
+assert "numpy" not in sys.modules
+assert main(["integrate", "--type", "A1", "--k", "1/2", "--samples", "1000",
+             "--shards", "2"]) == 0
+assert "numpy" in sys.modules
+print(json.dumps({{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}))
+"""
+
+
+def test_cli_pins_unset_blas_thread_variables_before_numpy_loads():
+    # a fresh isolated interpreter: the unset variables are pinned to 1,
+    # the one the user set is kept
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["MKL_NUM_THREADS"] = "3"
+    proc = subprocess.run([sys.executable, "-I", "-c",
+                           _BLAS_PINNING.format(src=src)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "3"}
 
 
 _COLD_START = """
