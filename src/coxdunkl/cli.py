@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .coxeter import HEAVY_LABELS, known_label
 from .errors import BudgetError, ConfigError
-from .mmintegral import gamma_product_rhs, mm_monte_carlo
+from .mmintegral import (gamma_product_rhs, log_gamma_product,
+                         mm_monte_carlo)
 from .scalars import rat
 from .suite import (CHECK_ORDER, SuiteConfig, default_threads, group_context,
                     group_info, parse_config, render_report, run_suite)
@@ -116,6 +118,11 @@ def _cmd_integrate(args, threads):
         return USAGE_ERROR
     ctx = group_context(args.group)
     try:
+        # the log first: far past the float range, the exact product takes
+        # minutes to build before float() rejects it
+        if log_gamma_product(ctx.degrees, float(k)) > math.log(
+                sys.float_info.max):
+            raise OverflowError
         rhs = gamma_product_rhs(ctx.degrees, k)
         rhs_f = float(rhs)
     except OverflowError:

@@ -13,7 +13,10 @@ the stream of (seed, group, shard).  A group's estimates therefore depend on
 its own rank alone, never on which partners share its pass, and are
 bit-reproducible per (seed, shards) for a fixed numpy, BLAS and CPU; the
 estimates of all the groups of a pass come from common draws, so their
-errors are correlated.
+errors are correlated.  A group's root pairings are formed and multiplied
+one cache-sized tile of samples at a time, and every array of a block,
+down to the statistics and their centred copies, lives in a workspace that
+each worker reuses for the whole pass: a block allocates nothing.
 numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
@@ -220,27 +223,59 @@ def _shard_sizes(samples, shards):
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
+#: columns of a block whose root pairings are formed and multiplied at a
+#: time, so that a tile of them stays in L2 (H3: 15 x 8192 floats, 0.98 MB)
+_TILE = 8192
 
-def _log_abs_delta(dots, out=None):
-    """L = log|prod_i dots[i, s]| for each sample s, from one product and
-    one log, written to `out` when given.
+#: block rows handed to a stat: its arrays go to rows 0 and 1, rows 2 and 3
+#: are its scratch, and `_Moments.of` then centres into rows 2 and 3
+_STAT_ROWS = 4
 
-    `dots` holds the pairings (alpha, x) as (|S|, samples), so the product
-    runs along contiguous rows.  Returns (L, zero), where `zero` indexes the
-    samples with an exact zero pairing (their L is -inf).  A sample whose
-    product leaves the normal float range (an underflow to a subnormal or to
-    0, an overflow to inf) takes the per-root sum of log|.| instead."""
+
+def _log_abs(p, pairings):
+    """L = log|p| in place, for p the product of each sample's root
+    pairings.  Returns (L, zero), where `zero` indexes the samples with an
+    exact zero pairing (their L is -inf).  A sample whose product left the
+    normal float range (an underflow to a subnormal or to 0, an overflow to
+    inf) takes the per-root sum of log|.| of `pairings(columns)`, its
+    (|S|, len(columns)) pairings, instead."""
     import numpy as np
-    with np.errstate(over="ignore", divide="ignore"):
-        p = dots.prod(axis=0, out=out)
+    with np.errstate(divide="ignore"):
         np.abs(p, out=p)
+        if not (p.min() < _TINY or p.max() > _HUGE):
+            return np.log(p, out=p), np.empty(0, np.intp)
         odd = np.flatnonzero((p < _TINY) | (p > _HUGE))
         np.log(p, out=p)
-        if not odd.size:
-            return p, odd
-        sub = np.abs(dots[:, odd])
+        sub = np.abs(pairings(odd))
         p[odd] = np.log(sub).sum(axis=0)
     return p, odd[(sub == 0.0).any(axis=0)]
+
+
+def _log_abs_delta(dots, out=None):
+    """`_log_abs` of the products of the pairings `dots`, held as
+    (|S|, samples) so that the product runs along contiguous rows; written
+    to `out` when given."""
+    import numpy as np
+    with np.errstate(over="ignore"):
+        p = dots.prod(axis=0, out=out)
+    return _log_abs(p, lambda odd: dots[:, odd])
+
+
+def _tiles(b):
+    """(start, stop) of each tile of a b-column block: `_TILE` columns each
+    and the rest in the last.  A one-column rest joins the tile before it:
+    BLAS multiplies a one-column matrix by another kernel (gemv), whose
+    rounding at rank 3 and up is not that of the whole block's product."""
+    stops = [*range(_TILE, b - 1, _TILE), b]
+    return zip([0, *stops[:-1]], stops)
+
+
+def _some_pairings(c, u, cols):
+    """c @ u[:, cols], the root pairings of the columns `cols` of a block,
+    with the bits of the whole block's product: a lone column is multiplied
+    beside a copy of itself, as BLAS would take it by gemv (see `_tiles`)."""
+    import numpy as np
+    return (c @ u[:, np.resize(cols, max(cols.size, 2))])[:, :cols.size]
 
 
 def _rows(buf, rows, b):
@@ -250,27 +285,22 @@ def _rows(buf, rows, b):
 
 
 class _Workspace:
-    """One worker's block arrays for the root systems of a pass, reused by
-    every block it maps: the draw z, and one system's simple-root pairings
-    u, root pairings and logs.  Flat, so each block's views are C-contiguous
-    whatever its size, laid out as freshly allocated arrays would be.
-
-    The stats and moment sums still make block-sized temporaries.  Under
-    glibc's malloc they land on a heap that is trimmed, and faulted in
-    again, on every block while its trim threshold stays near two blocks;
-    freeing a mapping raises that threshold to twice the mapping's size.
-    Fresh block arrays did that on every block; the workspace frees one
-    mapping of 16 blocks up front instead (mc-sampling at one thread: 172k
-    minor faults a pass without it, 3k with it)."""
+    """Every array that one worker's blocks need, reused by every block it
+    maps for the root systems of a pass: the draw z, one system's
+    simple-root pairings u, one tile of its root pairings, its logs, and the
+    `_STAT_ROWS` rows that the stats and their moment sums write.  Flat, so
+    each block's views are C-contiguous whatever its size, laid out as
+    freshly allocated arrays would be, and a block allocates nothing."""
 
     def __init__(self, systems, block):
         import numpy as np
-        np.empty(16 * block)   # the up-front mapping, freed at once
         rank = max(rs.rank for rs in systems)
         self.z = np.empty(rank * block)
         self.u = np.empty(rank * block)
-        self.dots = np.empty(max(rs.num_positive for rs in systems) * block)
+        self.dots = np.empty(max(rs.num_positive for rs in systems)
+                             * min(block, _TILE + 1))
         self.logs = np.empty(block)
+        self.rows = np.empty(_STAT_ROWS * block)
 
 
 class _BlockSampler:
@@ -282,13 +312,15 @@ class _BlockSampler:
     of rank r maps rows 0..r-1 to its root coordinates: U is (r, samples),
     with row j holding the simple-root pairings u_j = (alpha_j, x), and L is
     log|Delta(x)|, the log of the product of (alpha, x) over the positive
-    roots.  So a system's draws depend on its own rank alone, never on which
-    partners share the pass.  Samples that hit one system's mirror exactly
-    in float arithmetic are redrawn for that system alone, from its own
-    substream (seed, label, shard), and counted in its `rejected`; the shared
-    draw stays aligned for the others.  U and L live in `work` (a
-    `_Workspace` for blocks of up to `_MC_BLOCK` samples when not given)
-    and hold until the next yield."""
+    roots.  The root pairings are formed and multiplied one tile of columns
+    at a time (see `_tiles`), and only the samples whose product leaves the
+    float range form theirs again.  So a system's draws depend on its own
+    rank alone, never on which partners share the pass.  Samples that hit
+    one system's mirror exactly in float arithmetic are redrawn for that
+    system alone, from its own substream (seed, label, shard), and counted
+    in its `rejected`; the shared draw stays aligned for the others.  U and
+    L live in `work` (a `_Workspace` for blocks of up to `_MC_BLOCK` samples
+    when not given) and hold until the next yield."""
 
     def __init__(self, systems, seed, shard, work=None):
         self.systems = systems
@@ -312,12 +344,18 @@ class _BlockSampler:
             remaining -= b
 
     def _mapped(self, i, rs, z):
-        from numpy import matmul
+        import numpy as np
         a, c = rs.float_data()
         r, b = z.shape
-        u = matmul(a, z, out=_rows(self.work.u, r, b))
-        dots = matmul(c, u, out=_rows(self.work.dots, len(c), b))
-        logs, bad = _log_abs_delta(dots, self.work.logs[:b])
+        u = np.matmul(a, z, out=_rows(self.work.u, r, b))
+        logs = self.work.logs[:b]
+        with np.errstate(over="ignore"):
+            for start, stop in _tiles(b):
+                dots = np.matmul(c, u[:, start:stop],
+                                 out=_rows(self.work.dots, len(c),
+                                           stop - start))
+                dots.prod(axis=0, out=logs[start:stop])
+        logs, bad = _log_abs(logs, lambda odd: _some_pairings(c, u, odd))
         while bad.size:
             self.rejected[i] += bad.size
             if self._own[i] is None:
@@ -348,23 +386,28 @@ class _Moments:
         self.m3, self.m4, self.top = m3, m4, top
 
     @classmethod
-    def of(cls, *xs):
-        """The state of one block of samples of each variable."""
-        from numpy import einsum
+    def of(cls, *xs, scratch=None):
+        """The state of one block of samples of each variable, centred into
+        the rows of `scratch` (two at least, one per variable; fresh when
+        not given)."""
+        import numpy as np
+        if scratch is None:
+            scratch = np.empty((max(len(xs), 2), xs[0].size))
         mean = tuple(float(x.mean()) for x in xs)
-        ds = [x - m for x, m in zip(xs, mean)]
+        ds = [np.subtract(x, m, out=row)
+              for x, m, row in zip(xs, mean, scratch)]
         top = float(xs[0].max())
         if len(ds) > 1:
             cm = [[0.0] * len(ds) for _ in ds]
             for i, a in enumerate(ds):
                 for j in range(i, len(ds)):
-                    cm[i][j] = cm[j][i] = float(einsum("i,i", a, ds[j]))
+                    cm[i][j] = cm[j][i] = float(np.einsum("i,i", a, ds[j]))
             return cls(xs[0].size, mean, tuple(map(tuple, cm)), top=top)
         d = ds[0]
-        d2 = d * d
+        d2 = np.multiply(d, d, out=scratch[1])
         return cls(d.size, mean, ((float(d2.sum()),),),
-                   float(einsum("i,i", d2, d)), float(einsum("i,i", d2, d2)),
-                   top)
+                   float(np.einsum("i,i", d2, d)),
+                   float(np.einsum("i,i", d2, d2)), top)
 
     def merge(self, other):
         if not other.n:
@@ -395,6 +438,14 @@ class _Moments:
               + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
         return _Moments(n, mean, cm, m3, m4, top)
 
+    def doubled(self):
+        """The state of the variables 2 x_i.  Exact: a power of two scales
+        every rounding of `of` and `merge` alike, so this gives the bits of
+        the state of 2 x_i itself."""
+        return _Moments(self.n, tuple(2.0 * m for m in self.mean),
+                        tuple(tuple(4.0 * c for c in row) for row in self.cm),
+                        8.0 * self.m3, 16.0 * self.m4, 2.0 * self.top)
+
     def mean_se(self, coef=(1.0,)):
         """The mean of sum_i coef[i] x_i and its standard error (sample
         variance, n - 1), from the means and the co-moments."""
@@ -417,12 +468,14 @@ def _merged(states):
 def mc_pass(parts, samples, seed, shards, threads=1):
     """One seeded pass serving every stat of every group in `parts`, a list
     of (rs, stats) whose root systems may have any ranks.  Shard i draws
-    each block once for all of them (see `_BlockSampler`), and a stat maps a
-    group's block (u, L) to the arrays whose `_Moments` it keeps.  Returns,
-    per part, one merged state per stat (blocks, then shards, in order) and
-    the part's redrawn count; neither depends on the other parts.  The
-    shards run on `threads` threads, each shard on a `_Workspace` of this
-    pass that no other running shard holds."""
+    each block once for all of them (see `_BlockSampler`).  A stat
+    stat(u, L, out) maps a group's block to the arrays whose `_Moments` it
+    keeps: u, L, or rows 0 and 1 of the (`_STAT_ROWS`, samples) block `out`,
+    whose rows 2 and 3 it may use as scratch.  Returns, per part, one merged
+    state per stat (blocks, then shards, in order) and the part's redrawn
+    count; neither depends on the other parts.  The shards run on `threads`
+    threads, each shard on a `_Workspace` of this pass that no other running
+    shard holds, so a block allocates no array."""
     import queue
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -440,7 +493,9 @@ def mc_pass(parts, samples, seed, shards, threads=1):
             sampler = _BlockSampler(systems, seed, i, work)
             states = [[_Moments() for _ in stats] for _, stats in parts]
             for j, u, logs in sampler.blocks(n):
-                states[j] = [st.merge(_Moments.of(*stat(u, logs)))
+                out = _rows(work.rows, _STAT_ROWS, logs.size)
+                states[j] = [st.merge(_Moments.of(*stat(u, logs, out),
+                                                  scratch=out[2:]))
                              for st, stat in zip(states[j], parts[j][1])]
             return states, sampler.rejected
         finally:
@@ -465,17 +520,24 @@ def _one_pass(rs, stat, samples, seed, shards, threads):
     return st, rejected
 
 
+def _weight(logs, k, out):
+    """The weights |Delta|^(2k) = exp(2k L), written to `out`."""
+    import numpy as np
+    if k == 0.5:
+        return np.exp(logs, out=out)
+    return np.exp(np.multiply(logs, 2.0 * k, out=out), out=out)
+
+
 def mm_monte_carlo(rs, k, samples, seed, shards=16,
                    threads=1) -> McEstimate:
     """Estimate F(k) for real k >= 0 by averaging |Delta|^(2k) over standard
     Gaussian samples.  Identical (seed, samples, shards, type, k) give a
     bit-identical estimate.  Raises BudgetError when the mean or its
     standard error leaves the float range."""
-    import numpy as np
     kf = float(k)
     if kf < 0:
         raise ValueError("k must be >= 0")
-    weights = lambda u, logs: (np.exp((2.0 * kf) * logs),)
+    weights = lambda u, logs, out: (_weight(logs, kf, out[0]),)
     st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
     mean, se = st.mean_se()
     if not (math.isfinite(mean) and math.isfinite(se)):
@@ -510,11 +572,11 @@ def functional_equation_plan(b_at_k, k):
     """(stat, finish) of F(k+1) = b(k) F(k) at a real k: both sides from the
     same samples, with the 4-sigma band of the per-sample difference
     |Delta|^(2k+2) - b(k) |Delta|^(2k), read from the co-moments."""
-    import numpy as np
     kf, bf = float(k), float(b_at_k)
 
-    def stat(u, logs):
-        return np.exp((2.0 * kf + 2.0) * logs), np.exp((2.0 * kf) * logs)
+    def stat(u, logs, out):
+        # 2(k + 1) is 2k + 2 to the bit: doubling commutes with rounding
+        return _weight(logs, kf + 1.0, out[0]), _weight(logs, kf, out[1])
 
     def finish(st):
         diff, sigma = st.mean_se((1.0, -bf))
@@ -549,20 +611,32 @@ def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
 
 def _poly_float_evaluator(poly, k_value):
     """Vectorised float evaluation of poly at k = k_value on the columns of
-    u, the (rank, samples) simple-root pairings: each term is its coefficient
-    times u_j^e_j, one variable at a time."""
+    u, the (rank, samples) simple-root pairings: ev(u, out, scratch) writes
+    it to the row `out`, through the two rows of `scratch`.  Each term is
+    its coefficient times u_j^e_j, one variable at a time, with the powers
+    that u_j ** e_j gives (a square for e = 2)."""
     import numpy as np
-    terms = poly.float_terms(k_value)
+    terms = [(c, [(j, e) for j, e in enumerate(exps) if e])
+             for exps, c in poly.float_terms(k_value)]
 
-    def ev(u):
-        acc = np.zeros(u.shape[1])
-        for exps, c in terms:
-            t = np.full(u.shape[1], c)
-            for j, e in enumerate(exps):
-                if e:
-                    t *= u[j] ** e
-            acc += t
-        return acc
+    def power(x, e, out):
+        if e == 1:
+            return x
+        return np.square(x, out=out) if e == 2 else np.power(x, e, out=out)
+
+    def ev(u, out, scratch):
+        t, p = scratch
+        out.fill(0.0)
+        for c, factors in terms:
+            if not factors:
+                out += c
+                continue
+            (j, e), *rest = factors
+            np.multiply(power(u[j], e, t), c, out=t)
+            for j, e in rest:
+                t *= power(u[j], e, p)
+            out += t
+        return out
 
     return ev
 
@@ -581,8 +655,6 @@ def cross_check_plan(f, g, k):
     """(stat, finish) of the Gaussian-pairing integral formula: the exact
     gamma pairing of (f, g) at k must match E[f g |Delta|^(2k)] /
     E[|Delta|^(2k)], with the delta-method band of the ratio."""
-    import numpy as np
-
     from .dunkl import gamma_form
 
     kq = as_rational(k)
@@ -590,9 +662,9 @@ def cross_check_plan(f, g, k):
     exact_value = float(gamma_form(f, g)(kq))
     ev_fg = _poly_float_evaluator(f * g, kq)
 
-    def stat(u, logs):
-        w = np.exp((2.0 * kf) * logs)
-        fgw = ev_fg(u)
+    def stat(u, logs, out):
+        w = _weight(logs, kf, out[1])
+        fgw = ev_fg(u, out[0], out[2:])
         fgw *= w
         return fgw, w
 
@@ -639,6 +711,7 @@ def log_moments_plan(rs, dd=None):
     (pi^2/6) sum(d_i^2 - 1) is filled in when degree data is supplied."""
 
     def finish(st):
+        st = st.doubled()   # the stat hands over L = log|Delta| itself
         n = st.n
         mean, se = st.mean_se()
         target = -EULER_GAMMA * rs.num_positive
@@ -657,7 +730,7 @@ def log_moments_plan(rs, dd=None):
         return LogMomentsReport(mean, se, target, z, abs(z) <= 4.0,
                                 c2, var_se, var_target, var_z)
 
-    return (lambda u, logs: (2.0 * logs,)), finish
+    return (lambda u, logs, out: (logs,)), finish
 
 
 def mm_log_moments(rs, samples, seed, shards=16, threads=1,

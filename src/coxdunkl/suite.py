@@ -422,8 +422,8 @@ def run_suite(cfg: SuiteConfig, threads=None):
                 budget_hit = True
                 done += skipped(label, stat, "within size budget", str(exc))
         exact += [(ctx, c) for c in checks if c not in stat]
-    # the pass first: after the exact checks, per-rank passes raised the
-    # default suite's peak RSS from about 156 to 175 MB
+    # the pass first: the default `--threads 2 suite` then peaks at about
+    # 142 MB RSS, and at about 156 MB with the exact checks first
     for reps in run_statistical(stat, groups, cfg, threads):
         done += reps
     for ctx, name in exact:

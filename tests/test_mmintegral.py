@@ -10,10 +10,11 @@ from coxdunkl.errors import BudgetError
 from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  _log_abs_delta, _merged, _Moments,
                                  _poly_float_evaluator, _substream,
-                                 check_functional_equation,
+                                 check_functional_equation, cross_check_plan,
                                  gamma_integral_cross_check, gaussian_moment,
                                  gamma_product_exact, gamma_product_rhs,
-                                 log_gamma, log_gamma_product, mm_exact,
+                                 log_gamma, log_gamma_product,
+                                 log_moments_plan, mm_exact,
                                  mc_pass, mm_exact_is_heavy, mm_log_moments,
                                  mm_monte_carlo, predicted_relative_se,
                                  wick_moment_bruteforce)
@@ -404,7 +405,7 @@ def test_substream_is_one_stream_per_seed_label_and_shard(monkeypatch):
         return real(seed, label, shard)
 
     monkeypatch.setattr(coxdunkl.mmintegral, "_substream", counting)
-    stat = lambda u, logs: (logs,)
+    stat = lambda u, logs, out: (logs,)
     results = mc_pass([(rs, [stat]) for rs in systems], 3000, 7, 3)
     assert sorted(opened) == [(7, f"axis{j}", i) for j in range(3)
                               for i in range(3)]
@@ -434,7 +435,8 @@ def test_a_redraw_leaves_a_same_rank_partner_unchanged(monkeypatch):
     _shared_draw_is(monkeypatch,
                     lambda j: _MirrorFirstRng((1.0, 0.0, 0.3)[j]))
     i22, a2, b3 = (group_context(g).rs for g in ("I2(2)", "A2", "B3"))
-    stats = [lambda u, logs: (logs,), lambda u, logs: (u[0], u[1])]
+    stats = [lambda u, logs, out: (logs,),
+             lambda u, logs, out: (u[0], u[1])]
     alone = [mc_pass([(rs, stats)], 1000, 5, 1)[0] for rs in (a2, b3)]
     (redrawn, rejected), *partners = mc_pass(
         [(i22, stats), (a2, stats), (b3, stats)], 1000, 5, 1)
@@ -451,7 +453,8 @@ def test_a_redraw_leaves_a_same_rank_partner_unchanged(monkeypatch):
 def test_a_pass_maps_its_blocks_into_one_workspace_per_worker(monkeypatch):
     # the reused arrays give the bits of fresh ones, at every thread count
     systems = [group_context(g).rs for g in ("A1", "B3", "I2(7)", "D4")]
-    stat = lambda u, logs: (np.exp(logs), u[0] * u[-1])
+    stat = lambda u, logs, out: (np.exp(logs, out=out[0]),
+                                 np.multiply(u[0], u[-1], out=out[1]))
 
     def states(threads):
         return [([(s.n, s.mean, s.cm, s.top) for s in sts], rejected)
@@ -486,8 +489,136 @@ def test_a_pass_builds_the_float_data_before_its_threads(monkeypatch):
         return cholesky(g)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    mc_pass([(rs, [lambda u, logs: (logs,)])], 16_000, 3, 8, threads=2)
+    mc_pass([(rs, [lambda u, logs, out: (logs,)])], 16_000, 3, 8, threads=2)
     assert calls == [True]
+
+
+class _OddColumnsRng:
+    """A real generator whose first draw puts some samples far out, some
+    near the origin, and, on axis 1, some on the coordinate hyperplane
+    z_1 = 0: on H3 the products of the first overflow and those of the
+    second underflow, and the third lie on a mirror of I2(2) = A1 x A1."""
+
+    def __init__(self, axis):
+        self.axis = axis
+        self.fresh = True
+        self.rng = np.random.default_rng(10 + axis)
+
+    def standard_normal(self, size=None, out=None):
+        self.rng.standard_normal(size, out=out)
+        if self.fresh:
+            self.fresh = False
+            out[::97] *= 1e25
+            out[3::89] *= 1e-25
+            if self.axis == 1:
+                out[5::101] = 0.0
+        return out
+
+
+def test_the_tile_width_does_not_change_the_bits(monkeypatch):
+    # a one-column rest joins the tile before it: BLAS would take it by
+    # gemv, whose rounding at rank 3 and up is not gemm's
+    monkeypatch.setattr(coxdunkl.mmintegral, "_TILE", 3)
+    tiles = coxdunkl.mmintegral._tiles
+    assert list(tiles(7)) == [(0, 3), (3, 7)]
+    assert list(tiles(8)) == [(0, 3), (3, 6), (6, 8)]
+    assert list(tiles(1)) == [(0, 1)]
+    systems = [group_context(g).rs for g in ("I2(2)", "A2", "B3", "H3", "D4")]
+    parts = [(rs, [cross_check_plan(MultiPoly.variable(rs, 0, 2),
+                                    MultiPoly.one(rs), rat(1, 8))[0],
+                   log_moments_plan(rs)[0],
+                   lambda u, logs, out: (u[0], u[-1])]) for rs in systems]
+
+    def each_width():
+        seen, drawn = {}, {}
+        for width in (2, 3, 1000, _MC_BLOCK):
+            monkeypatch.setattr(coxdunkl.mmintegral, "_TILE", width)
+            # shards of 1501 and 1500 samples: a one-column rest at widths
+            # 2 and 3
+            seen[width] = [([(s.n, s.mean, s.cm, s.m3, s.m4, s.top)
+                             for s in sts], rejected)
+                           for sts, rejected in mc_pass(parts, 3001, 9, 2)]
+            drawn[width] = np.concatenate([
+                logs.copy() for _, _, logs in
+                _BlockSampler(systems, 9, 0).blocks(1501)])
+        assert all(repr(v) == repr(seen[2]) for v in seen.values())
+        assert all(np.array_equal(v, drawn[2]) for v in drawn.values())
+        return seen[2]
+
+    plain = each_width()
+    assert [rejected for _, rejected in plain] == [0] * 5
+    _shared_draw_is(monkeypatch, _OddColumnsRng)
+    real = coxdunkl.mmintegral._log_abs
+    products = np.zeros(2, int)   # overflowed, under the normal range
+
+    def recording(p, pairings):
+        products[:] += (np.isinf(p).sum(), (np.abs(p) < 1e-308).sum())
+        return real(p, pairings)
+
+    monkeypatch.setattr(coxdunkl.mmintegral, "_log_abs", recording)
+    skewed = each_width()
+    # I2(2)'s mirror samples are redrawn; more products underflow than that
+    assert 0 < skewed[0][1] < products[1] and products[0] > 0
+    assert [rejected for _, rejected in skewed[1:]] == [0] * 4
+    for (got, _), (want, _) in zip(skewed, plain):
+        assert got != want
+
+
+class _OneFarRng:
+    """A real generator whose first draw puts the one sample `col` far out:
+    on H3 and D4 its product of root pairings overflows."""
+
+    def __init__(self, axis, col):
+        self.col, self.fresh = col, True
+        self.rng = np.random.default_rng(20 + axis)
+
+    def standard_normal(self, size=None, out=None):
+        self.rng.standard_normal(size, out=out)
+        if self.fresh:
+            self.fresh = False
+            out[self.col] *= 1e30
+        return out
+
+
+def test_a_lone_out_of_range_column_keeps_the_bits_of_the_whole_block(
+        monkeypatch):
+    # its pairings are formed again by gemm, not by gemv, whose rounding
+    # differs: the logs are those of the whole block's pairings c @ u
+    systems = [group_context(g).rs for g in ("H3", "D4")]
+    for col in (0, 1234, 4999):
+        _shared_draw_is(monkeypatch, lambda j: _OneFarRng(j, col))
+        for i, u, logs in _BlockSampler(systems, 1, 0).blocks(5000):
+            want, zero = _log_abs_delta(systems[i].float_data()[1] @ u)
+            assert not zero.size and logs[col] > 700.0
+            assert np.array_equal(logs, want)
+
+
+def test_a_pass_allocates_no_block_arrays(monkeypatch):
+    # beyond its workspaces, a pass of cross and log stats holds less than
+    # one block of floats at any time
+    import tracemalloc
+    systems = [group_context(g).rs for g in ("A3", "H3")]
+    parts = [(rs, [cross_check_plan(MultiPoly.variable(rs, 0, 2),
+                                    MultiPoly.one(rs), rat(1, 2))[0],
+                   log_moments_plan(rs)[0]]) for rs in systems]
+    mc_pass(parts, 1000, 1, 1)   # float data and numpy's first calls
+    made = []
+    workspace = coxdunkl.mmintegral._Workspace
+
+    def recording(*args):
+        made.append(workspace(*args))
+        return made[-1]
+
+    monkeypatch.setattr(coxdunkl.mmintegral, "_Workspace", recording)
+    tracemalloc.start()
+    try:
+        mc_pass(parts, 3 * _MC_BLOCK, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for w in made for a in vars(w).values())
+    assert len(made) == 1
+    assert peak - held < 8 * _MC_BLOCK
 
 
 def test_poly_float_evaluator_matches_per_term_reference():
@@ -503,7 +634,19 @@ def test_poly_float_evaluator_matches_per_term_reference():
         for poly in polys:
             for k in (rat(0), rat(1, 2), rat(3, 4)):
                 terms = poly.float_terms(k)
-                got = _poly_float_evaluator(poly, k)(u)
+                # whatever the rows held before, the value goes to `out`,
+                # with the bits of fresh arrays and u_j ** e_j powers
+                out, scratch = np.full(50, np.nan), np.full((2, 50), 9.0)
+                got = _poly_float_evaluator(poly, k)(u, out, scratch)
+                assert got is out
+                fresh = np.zeros(50)
+                for exps, c in terms:
+                    t = np.full(50, c)
+                    for j, e in enumerate(exps):
+                        if e:
+                            t *= u[j] ** e
+                    fresh += t
+                assert np.array_equal(got, fresh)
                 for s in range(u.shape[1]):
                     parts = [c * math.prod(u[j, s] ** e
                                            for j, e in enumerate(exps))

@@ -341,9 +341,11 @@ def test_cli_integrate(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy on inf weights
 def test_cli_integrate_past_the_float_range_exhausts_the_budget(capsys):
-    # the estimate (k = 50) or the Gamma product (k = 1000, 1000.5) leaves
-    # the float range: a one-line budget exit, not a traceback or a failure
-    for k in ("50", "1000", "1000.5"):
+    # the estimate (k = 50) or the Gamma product (k = 1000, 1000.5, 300000)
+    # leaves the float range: a one-line budget exit, not a traceback or a
+    # failure, and at once (k = 300000 once took minutes to build its exact
+    # product)
+    for k in ("50", "1000", "1000.5", "300000"):
         assert main(["integrate", "--type", "A2", "--k", k, "--samples",
                      "2000", "--shards", "2"]) == 3
         err = capsys.readouterr().err
