@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, FactorizationError
 from .scalars import (QQ, FieldElement, KPoly, cos_field, kpoly_divexact,
@@ -121,13 +121,22 @@ def known_label(label: str) -> bool:
 
 
 class RootSystem:
-    """Positive roots of a finite Coxeter group in simple-root coordinates."""
+    """Positive roots of a finite Coxeter group in simple-root coordinates.
 
-    def __init__(self, diagram, spec, gram, positive_roots):
+    Built by `build_root_system` from raw coordinate tuples, which
+    `gram_raw`, `roots_raw` and `pair_vectors` return; `gram` and
+    `positive_roots` hold the same values as FieldElements."""
+
+    def __init__(self, diagram, spec, gram_raw, roots_raw, pair_vectors):
         self.diagram = diagram
         self.spec = spec
-        self.gram = gram                      # tuple of tuples of FieldElement
-        self.positive_roots = positive_roots  # tuple of tuples of FieldElement
+        self._gram_raw = gram_raw
+        self._roots_raw = roots_raw
+        self._pair_vectors = pair_vectors
+        self.gram = tuple(tuple(FieldElement(spec, e) for e in row)
+                          for row in gram_raw)
+        self.positive_roots = tuple(tuple(FieldElement(spec, e) for e in c)
+                                    for c in roots_raw)
         self.simple_indices = tuple(range(diagram.rank))
         self._caches = {}
 
@@ -165,30 +174,14 @@ class RootSystem:
         return val
 
     def gram_raw(self):
-        return self._cache("gram_raw", lambda: tuple(
-            tuple(e.co for e in row) for row in self.gram))
+        return self._gram_raw
 
     def roots_raw(self):
-        return self._cache("roots_raw", lambda: tuple(
-            tuple(e.co for e in root) for root in self.positive_roots))
+        return self._roots_raw
 
     def pair_vectors(self):
         """For each positive root alpha, the vector ((alpha_i, alpha))_i = G c_alpha."""
-        def build():
-            sp = self.spec
-            out = []
-            graw = self.gram_raw()
-            for c in self.roots_raw():
-                vec = []
-                for i in range(self.rank):
-                    acc = sp.raw_zero()
-                    for j in range(self.rank):
-                        if any(c[j]):
-                            acc = sp.raw_add(acc, sp.raw_mul(graw[i][j], c[j]))
-                    vec.append(acc)
-                out.append(tuple(vec))
-            return tuple(out)
-        return self._cache("pair_vectors", build)
+        return self._pair_vectors
 
     def root_gram(self):
         """Raw matrix of inner products (alpha, beta) over positive roots."""
@@ -265,67 +258,72 @@ class RootSystem:
 
 def build_root_system(diagram: CoxeterDiagram,
                       root_budget=DEFAULT_ROOT_BUDGET) -> RootSystem:
-    """Close the simple roots under reflection, keeping positive representatives."""
+    """Close the simple roots under reflection, keeping positive representatives.
+
+    The closure is breadth-first on raw coordinate tuples.  Reflecting v in
+    alpha_i needs (alpha_i, v) for every i, which is v's pair vector, and
+    (v, v) = sum_i v_i (alpha_i, v) must be 2 for every root."""
     spec = cos_field(diagram.max_bond())
-    c = spec.gen()
     r = diagram.rank
+    add, mul, sub = spec.raw_add, spec.raw_mul, spec.raw_sub
 
     def gram_entry(i, j):
         if i == j:
-            return spec.from_rational(2)
+            return spec.raw(2)
         m = diagram.bonds[i][j]
         if m == 2:
-            return spec.zero()
+            return spec.raw_zero()
         if m == 3:
-            return spec.from_rational(-1)
+            return spec.raw(-1)
         if m == diagram.max_bond():
-            return -c
+            return spec.raw_neg(spec.gen().co)
         raise ValueError(
             f"bond label {m} not expressible in QQ(2cos(pi/{diagram.max_bond()}))")
 
     gram = tuple(tuple(gram_entry(i, j) for j in range(r)) for i in range(r))
+    rows = [[(j, g) for j, g in enumerate(row) if any(g)] for row in gram]
 
-    zero, one = spec.zero(), spec.one()
-    simple = [tuple(one if j == i else zero for j in range(r)) for i in range(r)]
-    seen = {tuple(e.co for e in v): idx for idx, v in enumerate(simple)}
-    roots = list(simple)
-    queue = list(range(r))
-    qpos = 0
-    while qpos < len(queue):
-        v = roots[queue[qpos]]
-        qpos += 1
-        for i in range(r):
+    zero, one, two = spec.raw_zero(), spec.raw_one(), spec.raw(2)
+    roots = [tuple(one if j == i else zero for j in range(r)) for i in range(r)]
+    seen = set(roots)
+    pairs = []
+    signs = {}
+    # the list grows behind the loop, a BFS queue
+    for v in roots:
+        pair = []
+        for row in rows:
             t = zero
-            for j in range(r):
-                if v[j]:
-                    t = t + gram[i][j] * v[j]
+            for j, g in row:
+                if any(v[j]):
+                    t = add(t, mul(g, v[j]))
+            pair.append(t)
+        pairs.append(tuple(pair))
+        norm = zero
+        for x, t in zip(v, pair):
+            norm = add(norm, mul(x, t))
+        if norm != two:
+            raise ArithmeticError("root with norm != 2 (internal bug)")
+        for i, t in enumerate(pair):
             w = list(v)
-            w[i] = v[i] - t
-            # decide positivity from the first nonzero coordinate
-            sgn = 0
-            for e in w:
-                if e:
-                    sgn = e.sign()
-                    break
+            w[i] = sub(v[i], t)
+            # decide positivity from the first nonzero coordinate, whose
+            # sign is often known from an earlier root
+            e = next(e for e in w if any(e))
+            sgn = signs.get(e)
+            if sgn is None:
+                sgn = signs[e] = spec.raw_sign(e)
             if sgn <= 0:
                 continue
-            key = tuple(e.co for e in w)
-            if key in seen:
+            w = tuple(w)
+            if w in seen:
                 continue
             if len(roots) >= root_budget:
                 raise BudgetError(
                     f"root closure for {diagram.label} exceeded budget {root_budget}"
                     " (non-finite diagram?)")
-            seen[key] = len(roots)
-            roots.append(tuple(w))
-            queue.append(len(roots) - 1)
-
-    rs = RootSystem(diagram, spec, gram, tuple(roots))
-    two = spec.from_rational(2)
-    for root in rs.positive_roots:
-        if rs.inner(root, root) != two:
-            raise ArithmeticError("root with norm != 2 (internal bug)")
-    return rs
+            seen.add(w)
+            roots.append(w)
+    return RootSystem(diagram, spec, gram, tuple(roots), tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +331,7 @@ def build_root_system(diagram: CoxeterDiagram,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(NamedTuple):
     """w as the read-only permutation it induces on the signed root indices
     of `rs` (see `RootSystem.signed_roots_raw`), with a reduced word.
 
@@ -404,20 +401,27 @@ def poincare_polynomial(elements, spec) -> KPoly:
     return KPoly.from_coeffs(spec, [hist.get(i, 0) for i in range(top + 1)])
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class _Degrees(NamedTuple):
     degrees: tuple
     order: int
     num_reflections: int
 
-    def __post_init__(self):
+
+class DegreeData(_Degrees):
+    """Degrees d_i with |W| and |S|, checked on construction against
+    prod d_i = |W| and sum (d_i - 1) = |S|."""
+
+    __slots__ = ()
+
+    def __new__(cls, degrees, order, num_reflections):
         prod = 1
-        for d in self.degrees:
+        for d in degrees:
             prod *= d
-        if prod != self.order:
+        if prod != order:
             raise FactorizationError("degree product differs from group order")
-        if sum(d - 1 for d in self.degrees) != self.num_reflections:
+        if sum(d - 1 for d in degrees) != num_reflections:
             raise FactorizationError("sum of (d_i - 1) differs from reflection count")
+        return super().__new__(cls, degrees, order, num_reflections)
 
 
 def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
@@ -431,21 +435,26 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
         raise FactorizationError("non-integer Poincare coefficient")
     order = sum(coeffs)
     degrees = []
-    work, size = KPoly.from_coeffs(QQ, coeffs), order
-    while work.degree > 0:
-        for d in range(work.degree + 1, 1, -1):
+    work, size = coeffs, order
+    while len(work) > 1:
+        for d in range(len(work), 1, -1):
             if size % d:
                 continue    # [d]_q divides work only if d = [d]_1 divides work(1)
-            quotient, rem = work.divmod(KPoly.from_coeffs(QQ, [1] * d))
-            if rem.is_zero():
+            # long division by the monic [d]_q = 1 + q + ... + q^(d-1)
+            rem, quotient = list(work), [0] * (len(work) - d + 1)
+            for i in reversed(range(len(quotient))):
+                c = quotient[i] = rem[i + d - 1]
+                for j in range(i, i + d):
+                    rem[j] -= c
+            if not any(rem):
                 break
         else:
             raise FactorizationError(
-                f"cannot factor {work.to_string('q')} into q-integers"
-                " (enumeration bug?)")
+                f"cannot factor {KPoly.from_coeffs(QQ, work).to_string('q')}"
+                " into q-integers (enumeration bug?)")
         degrees.append(d)
         work, size = quotient, size // d
-    if work != 1:
+    if work != [1]:
         raise FactorizationError("residual factor after q-integer division")
     degrees.sort()
     return DegreeData(tuple(degrees), order, rs.num_positive)
@@ -456,8 +465,7 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChevalleyResult:
+class ChevalleyResult(NamedTuple):
     equal: bool
     lhs: tuple   # (numerator, denominator) in lowest terms, monic denominator
     rhs: tuple
@@ -547,8 +555,7 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rank2Parabolic:
+class Rank2Parabolic(NamedTuple):
     """Codimension-2 mirror intersection: a dihedral pointwise stabilizer."""
 
     flat_id: tuple        # sorted indices of the mirrors through the flat
@@ -622,8 +629,7 @@ def rotation_gaps(rs: RootSystem, planes) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PsiReport:
+class PsiReport(NamedTuple):
     psi: int
     parabolic_sum: int
     parabolic_ok: bool

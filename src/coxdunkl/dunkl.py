@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold,
@@ -116,7 +116,8 @@ def _dd_monomial(rs, root_index, key):
 
 
 def clear_dunkl_caches(rs):
-    """Drop divided-difference memo tables (used after large computations)."""
+    """Drop the divided-difference memo tables (after every `b_poly`, so
+    that they do not outlive the computation)."""
     for key in [k for k in rs._caches if isinstance(k, tuple) and k[0] == "dd"]:
         rs._caches.pop(key, None)
 
@@ -225,8 +226,7 @@ def gamma_form(f: MultiPoly, g: MultiPoly) -> KPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BFactorization:
+class BFactorization(NamedTuple):
     """Leading constant and the positive rationals k_i with
     b(k) = b0 * prod (k + k_i)^{n_i}."""
 
@@ -249,8 +249,7 @@ class BFactorization:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class BPolyResult:
+class BPolyResult(NamedTuple):
     computed: KPoly
     closed_form: KPoly
     factorization: BFactorization    # None when the root pattern fails
@@ -303,8 +302,7 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     if image.degree() > 0:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
     computed = image.coefficient((0,) * rs.rank)
-    if rs.rank >= 4:
-        clear_dunkl_caches(rs)
+    clear_dunkl_caches(rs)
 
     closed = closed_form_b(sp, dd)
 
@@ -340,8 +338,7 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     trials: int
     checks: int
     failures: list

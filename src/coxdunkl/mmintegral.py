@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold, _kpoly,
@@ -189,8 +189,7 @@ def gamma_product_rhs(dd, k):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     std_error: float
     samples: int
@@ -555,8 +554,7 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     k: object
     lhs: float              # F(k+1) estimate (or exact value)
     rhs: float              # b(k) * F(k)
@@ -641,8 +639,7 @@ def _poly_float_evaluator(poly, k_value):
     return ev
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     k: object
     exact_value: float
     estimate: float
@@ -692,8 +689,7 @@ def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
     return finish(st)
 
 
-@dataclass(frozen=True)
-class LogMomentsReport:
+class LogMomentsReport(NamedTuple):
     mean: float
     std_error: float
     target: float

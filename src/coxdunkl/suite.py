@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coxeter import (DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS,
                       build_root_system, chevalley_q_identity, compute_degrees,
@@ -31,40 +31,13 @@ SUITE_VERSION = 1
 DEFAULT_GROUPS = ("A1", "A2", "A3", "B2", "B3", "D4", "I2(5)", "I2(7)", "H3")
 
 
-@dataclass
-class SuiteConfig:
-    groups: tuple = DEFAULT_GROUPS
-    # CHECK_ORDER comes from the check registry further down
-    checks: tuple = field(default_factory=lambda: CHECK_ORDER)
-    mc_samples: int = 10_000_000
-    seed: int = 42
-    shards: int = 16
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
-    heavy_types_enabled: bool = False
-    output_path: str = None
-
-    def render(self) -> str:
-        lines = [
-            f"groups = {', '.join(self.groups)}",
-            f"checks = {', '.join(self.checks)}",
-            f"mc_samples = {self.mc_samples}",
-            f"seed = {self.seed}",
-            f"shards = {self.shards}",
-            f"enumeration_budget = {self.enumeration_budget}",
-            f"heavy_types_enabled = {'true' if self.heavy_types_enabled else 'false'}",
-        ]
-        if self.output_path:
-            lines.append(f"output_path = {self.output_path}")
-        return "\n".join(lines) + "\n"
-
-
 _INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
 
 
 def parse_config(text: str) -> SuiteConfig:
     """Line-oriented `key = value` format; '#' starts a comment; lists are
     comma separated.  Unknown keys, groups or checks are rejected up front."""
-    cfg = SuiteConfig()
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,13 +52,13 @@ def parse_config(text: str) -> SuiteConfig:
             for g in groups:
                 if not known_label(g):
                     raise ConfigError(f"unknown group {g!r}", lineno)
-            cfg.groups = groups
+            fields[key] = groups
         elif key == "checks":
             checks = tuple(c.strip() for c in value.split(",") if c.strip())
             for c in checks:
                 if c not in CHECK_ORDER:
                     raise ConfigError(f"unknown check {c!r}", lineno)
-            cfg.checks = checks
+            fields[key] = checks
         elif key in _INT_KEYS:
             try:
                 iv = int(value)
@@ -93,21 +66,20 @@ def parse_config(text: str) -> SuiteConfig:
                 raise ConfigError(f"{key} needs an integer, got {value!r}", lineno)
             if iv <= 0:
                 raise ConfigError(f"{key} must be positive", lineno)
-            setattr(cfg, key, iv)
+            fields[key] = iv
         elif key == "heavy_types_enabled":
             low = value.lower()
             if low not in ("true", "false"):
                 raise ConfigError(f"{key} needs true/false, got {value!r}", lineno)
-            cfg.heavy_types_enabled = (low == "true")
+            fields[key] = (low == "true")
         elif key == "output_path":
-            cfg.output_path = value
+            fields[key] = value
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
-    return cfg
+    return SuiteConfig(**fields)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     group: str
     mode: str       # "exact" | "statistical"
@@ -137,14 +109,13 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroupContext:
+class GroupContext(NamedTuple):
     label: str
     rs: object
     elements: list
     poincare: object
     degrees: object
-    cache: dict = field(default_factory=dict)
+    cache: dict     # results shared by the checks of one group
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +126,7 @@ def group_context(label: str,
     elements = enumerate_group(rs, budget=enumeration_budget)
     poincare = poincare_polynomial(elements, rs.spec)
     degrees = compute_degrees(rs, poincare)
-    return GroupContext(label, rs, elements, poincare, degrees)
+    return GroupContext(label, rs, elements, poincare, degrees, {})
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +282,34 @@ CHECKS = {
 }
 
 CHECK_ORDER = tuple(CHECKS)
+
+
+class SuiteConfig(NamedTuple):
+    """One suite run's settings.  It follows the check registry, whose
+    `CHECK_ORDER` is its default `checks`."""
+
+    groups: tuple = DEFAULT_GROUPS
+    checks: tuple = CHECK_ORDER
+    mc_samples: int = 10_000_000
+    seed: int = 42
+    shards: int = 16
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
+    heavy_types_enabled: bool = False
+    output_path: str = None
+
+    def render(self) -> str:
+        lines = [
+            f"groups = {', '.join(self.groups)}",
+            f"checks = {', '.join(self.checks)}",
+            f"mc_samples = {self.mc_samples}",
+            f"seed = {self.seed}",
+            f"shards = {self.shards}",
+            f"enumeration_budget = {self.enumeration_budget}",
+            f"heavy_types_enabled = {'true' if self.heavy_types_enabled else 'false'}",
+        ]
+        if self.output_path:
+            lines.append(f"output_path = {self.output_path}")
+        return "\n".join(lines) + "\n"
 
 
 def _report(name, ctx, result, seconds):

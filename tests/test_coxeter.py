@@ -5,13 +5,13 @@ from collections import Counter
 import pytest
 
 from coxdunkl.cli import main
-from coxdunkl.coxeter import (build_root_system, chevalley_q_identity,
-                              compute_degrees, enumerate_group,
-                              poincare_polynomial, psi_invariant,
-                              rank2_parabolics, rotation_gaps,
+from coxdunkl.coxeter import (DegreeData, build_root_system,
+                              chevalley_q_identity, compute_degrees,
+                              enumerate_group, poincare_polynomial,
+                              psi_invariant, rank2_parabolics, rotation_gaps,
                               standard_diagram, verify_psi_identities)
-from coxdunkl.errors import BudgetError
-from coxdunkl.scalars import KPoly
+from coxdunkl.errors import BudgetError, FactorizationError
+from coxdunkl.scalars import QQ, KPoly
 from coxdunkl.suite import group_context
 
 EXPECTED = {
@@ -112,6 +112,20 @@ def test_simple_roots_are_standard_basis():
         root = rs.positive_roots[i]
         for j, e in enumerate(root):
             assert e == (rs.spec.one() if i == j else rs.spec.zero())
+
+
+@pytest.mark.parametrize("label, num_positive", [
+    ("A8", 36), ("B8", 64), ("D8", 56), ("E6", 36), ("E7", 63), ("E8", 120)])
+def test_root_closure_past_rank_four(label, num_positive):
+    # the closure alone, without enumerating the group; E8's 240 signed
+    # roots still fit the byte indices of the root permutations
+    rs = build_root_system(standard_diagram(label))
+    assert rs.num_positive == num_positive
+    two = rs.spec.from_rational(2)
+    assert all(rs.inner(root, root) == two for root in rs.positive_roots)
+    perms = rs.simple_reflection_perms()
+    assert len(perms) == rs.rank
+    assert all(sorted(p) == list(range(2 * num_positive)) for p in perms)
 
 
 def test_non_finite_diagram_hits_root_budget():
@@ -247,6 +261,12 @@ def test_degrees_validation():
     assert dd.degrees == (2, 6, 10)
     assert dd.order == 120
     assert sum(d - 1 for d in dd.degrees) == 15
+    with pytest.raises(FactorizationError, match="group order"):
+        DegreeData((2, 6, 10), 240, 15)
+    with pytest.raises(FactorizationError, match="reflection count"):
+        DegreeData((2, 6, 10), 120, 16)
+    with pytest.raises(FactorizationError, match="cannot factor"):
+        compute_degrees(ctx.rs, KPoly.from_coeffs(QQ, [1, 2, 2, 1, 1]))
 
 
 def test_chevalley_identity():

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from coxdunkl.coxeter import chevalley_q_identity
-from coxdunkl.dunkl import (BFactorization, DunklDirection, b_poly, beta_form,
-                            closed_form_b, closed_form_b_string, dunkl_apply,
+from coxdunkl.dunkl import (BFactorization, DunklDirection, _apply_direction,
+                            _root_directions, b_poly, beta_form, closed_form_b,
+                            closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
                             verify_algebra_relations)
@@ -252,8 +253,18 @@ def test_exact_kernel_coordinates_are_ints():
     for label in ("B3", "I2(7)", "I2(12)"):
         ctx = group_context(label)
         rs = ctx.rs
+        # b_poly's root-direction applications, made here so that the
+        # divided-difference memos they fill can be read: b_poly clears them
+        flat = build_discriminant(rs).terms
+        for direction in _root_directions(rs):
+            flat = _apply_direction(rs, direction, flat)
+        tables = [memo for key, memo in rs._caches.items()
+                  if isinstance(key, tuple) and key[0] == "dd"]
+        assert len(tables) == rs.num_positive
         res = b_poly(rs, ctx.degrees)
         assert res.equal
+        assert not [key for key in rs._caches
+                    if isinstance(key, tuple) and key[0] == "dd"]
         raws = list(rs.roots_raw()) + list(rs.pair_vectors())
         raws = [x for vec in raws for x in vec]
         raws += list(res.computed.co)
@@ -263,9 +274,6 @@ def test_exact_kernel_coordinates_are_ints():
         values += [x for a in range(rs.num_positive)
                    for form in reflection_forms(rs, a) for _, x in form]
         # the divided-difference memos hold flat {u^F c^e: coordinate} tables
-        tables = [memo for key, memo in rs._caches.items()
-                  if isinstance(key, tuple) and key[0] == "dd"]
-        assert len(tables) == rs.num_positive
         values += [x for memo in tables for table in memo.values()
                    for x in table.values()]
         assert len(values) > 100

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -181,7 +180,7 @@ def test_every_pass_runs_its_shards_on_the_threads(monkeypatch):
                       mc_samples=20_000, shards=4)
     run_suite(cfg, threads=2)
     # two ranks share one pass, on all the threads
-    run_suite(dataclasses.replace(cfg, groups=("A1", "A2")), threads=2)
+    run_suite(cfg._replace(groups=("A1", "A2")), threads=2)
     assert seen == [2, 2]
 
 
@@ -513,6 +512,8 @@ _COLD_START = """
 import sys
 sys.path.insert(0, {src!r})
 import coxdunkl
+assert not {{"dataclasses", "inspect"}} & set(sys.modules), (
+    "import coxdunkl loaded dataclasses or inspect")
 from coxdunkl.suite import SuiteConfig, group_context, group_info, run_check
 
 cfg = SuiteConfig()
