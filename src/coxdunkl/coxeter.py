@@ -14,8 +14,6 @@ read off the permutation only where a check needs them.  numpy is loaded
 only by `RootSystem.float_data`, for the Monte Carlo sampler.
 """
 
-from __future__ import annotations
-
 import re
 from collections import Counter
 from typing import NamedTuple
@@ -184,23 +182,24 @@ class RootSystem:
         return self._pair_vectors
 
     def root_gram(self):
-        """Raw matrix of inner products (alpha, beta) over positive roots."""
+        """Raw matrix of inner products (alpha, beta) over positive roots,
+        (alpha_a, alpha_b) = sum_i coord_i(alpha_a) (alpha_i, alpha_b); one
+        triangle is formed and mirrored."""
         def build():
             sp = self.spec
+            add, mul = sp.raw_add, sp.raw_mul
             pv = self.pair_vectors()
-            roots = self.roots_raw()
-            n = len(roots)
             out = []
-            for a in range(n):
-                row = []
-                for b in range(n):
+            for a, root in enumerate(self.roots_raw()):
+                nz = [(i, x) for i, x in enumerate(root) if any(x)]
+                row = [out[b][a] for b in range(a)]
+                for b in range(a, len(pv)):
                     acc = sp.raw_zero()
-                    for i in range(self.rank):
-                        if any(roots[a][i]):
-                            acc = sp.raw_add(acc, sp.raw_mul(roots[a][i], pv[b][i]))
+                    for i, x in nz:
+                        acc = add(acc, mul(x, pv[b][i]))
                     row.append(acc)
-                out.append(tuple(row))
-            return tuple(out)
+                out.append(row)
+            return tuple(map(tuple, out))
         return self._cache("root_gram", build)
 
     def signed_roots_raw(self):
@@ -528,26 +527,38 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
     Both sides of
         (1-q)^r * sum_w det(1 - q w)^(-1)  ==  |W| * prod_i (1-q)/(1-q^{d_i})
     are returned in lowest terms over the field.
+
+    Every det(1 - q w) divides D = prod_i (1 - q^{d_i}) (Springer, "Regular
+    elements of finite reflection groups", Invent. Math. 1974, Thm. 3.4),
+    and its leading coefficient det(-w) is +-1, so the quotients are exact in
+    Z[c][q].  With S = sum_w D / det(1 - q w) and D = (1-q)^r Q for
+    Q = prod_i [d_i]_q, the left side is S / Q and the right side |W| / Q,
+    already in lowest terms: the identity reads S = |W|.  A term that does
+    not divide D (degrees that are not the group's) is summed as a fraction
+    of its own, and the left side is then reduced.
     """
     spec = rs.spec
-    # (p_1..p_r) fixes det(1 - q w); grouping by it leaves few distinct
-    # terms, which keeps the sum small
-    terms = [(_det_from_traces(spec, p), count)
-             for p, count in _char_traces(rs, elements).items()]
-    num = KPoly.zero(spec)
-    den = KPoly.one(spec)
-    for cp, count in sorted(terms, key=lambda t: t[0].degree):
-        num = num * cp + KPoly.const(spec, count) * den
-        den = den * cp
-    one_minus_q = KPoly.from_coeffs(spec, [1, -1])
-    lhs = _reduce_fraction(num * one_minus_q ** rs.rank, den)
-
-    rhs_num = KPoly.const(spec, dd.order) * one_minus_q ** rs.rank
-    rhs_den = KPoly.one(spec)
+    qints = KPoly.one(spec)
     for d in dd.degrees:
-        rhs_den = rhs_den * KPoly.from_coeffs(spec, [1] + [0] * (d - 1) + [-1])
-    rhs = _reduce_fraction(rhs_num, rhs_den)
-    return ChevalleyResult(lhs[0] == rhs[0] and lhs[1] == rhs[1], lhs, rhs)
+        qints = qints * KPoly.from_coeffs(spec, [1] * d)
+    one_minus_q_r = KPoly.from_coeffs(spec, [1, -1]) ** rs.rank
+    dprod = qints * one_minus_q_r
+    total = KPoly.zero(spec)
+    side_num, side_den = KPoly.zero(spec), KPoly.one(spec)
+    # (p_1..p_r) fixes det(1 - q w); grouping by it leaves few distinct terms
+    for p, count in _char_traces(rs, elements).items():
+        cp = _det_from_traces(spec, p)
+        quotient, rem = dprod.divmod(cp)
+        if rem.is_zero():
+            total = total + count * quotient
+        else:
+            side_num = side_num * cp + count * side_den
+            side_den = side_den * cp
+    num = total * side_den + side_num * one_minus_q_r * qints
+    den = qints * side_den
+    rhs = (KPoly.const(spec, dd.order), qints)
+    lhs = rhs if (num, den) == rhs else _reduce_fraction(num, den)
+    return ChevalleyResult(lhs == rhs, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -574,31 +585,40 @@ def rank2_parabolics(rs: RootSystem) -> list:
     sp = rs.spec
     gram = rs.root_gram()
     n = len(gram)
-    sq = [[sp.raw_mul(x, x) for x in row] for row in gram]
     four = sp.raw(4)
-    assigned = {}
+    # with every root of norm 2, the Gram determinant of roots i, j, g is
+    # 2 (4 + xyz - x^2 - y^2 - z^2) for x = (i, j), y = (i, g), z = (j, g);
+    # g lies in the plane of i and j exactly when it vanishes.  The Gram
+    # entries take few values, so each triple is decided once.
+    coplanar = {}
+
+    def vanishes(x, y, z):
+        xyz = sp.raw_mul(sp.raw_mul(x, y), z)
+        squares = sp.raw_add(sp.raw_mul(x, x),
+                             sp.raw_add(sp.raw_mul(y, y), sp.raw_mul(z, z)))
+        return sp.raw_is_zero(sp.raw_sub(sp.raw_add(four, xyz), squares))
+
+    assigned = set()
     planes = []
     for i in range(n):
+        gi = gram[i]
         for j in range(i + 1, n):
             if (i, j) in assigned:
                 continue
-            # with every root of norm 2, the Gram determinant of roots i, j, g
-            # is 2 (4 + xyz - x^2 - y^2 - z^2); g lies in the plane of i and j
-            # exactly when it vanishes
-            x = gram[i][j]
-            base = sp.raw_sub(four, sq[i][j])
+            x, gj = gi[j], gram[j]
             members = []
             for g in range(n):
-                xyz = sp.raw_mul(sp.raw_mul(x, gram[i][g]), gram[j][g])
-                det = sp.raw_sub(sp.raw_add(base, xyz),
-                                 sp.raw_add(sq[i][g], sq[j][g]))
-                if sp.raw_is_zero(det):
+                key = (x, gi[g], gj[g])
+                hit = coplanar.get(key)
+                if hit is None:
+                    hit = coplanar[key] = vanishes(*key)
+                if hit:
                     members.append(g)
             members = tuple(members)
             planes.append(Rank2Parabolic(members, len(members), members))
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
-                    assigned[(members[a], members[b])] = len(planes) - 1
+                    assigned.add((members[a], members[b]))
     total_pairs = sum(p.m * (p.m - 1) // 2 for p in planes)
     if total_pairs != n * (n - 1) // 2:
         raise ArithmeticError("mirror pairs do not partition into planes")
@@ -647,14 +667,11 @@ def verify_psi_identities(rs: RootSystem, dd: DegreeData) -> PsiReport:
     parabolic_sum = sum(2 * p.m * p.m - 2 for p in planes)
     sp = rs.spec
     acc = sp.zero()
-    inverses = {}
-    for gap in rotation_gaps(rs, planes):
-        inv = inverses.get(gap.co)
-        if inv is None:
-            if gap.sign() <= 0:
-                raise ArithmeticError("rotation with r - trace <= 0 (internal bug)")
-            inv = inverses[gap.co] = 1 / gap
-        acc = acc + inv
+    for co, count in Counter(g.co for g in rotation_gaps(rs, planes)).items():
+        gap = FieldElement(sp, co)
+        if gap.sign() <= 0:
+            raise ArithmeticError("rotation with r - trace <= 0 (internal bug)")
+        acc = acc + count * (1 / gap)
     trace_ok = (24 * acc == sp.from_rational(psi))
     census = Counter(p.m for p in planes)
     return PsiReport(psi, parabolic_sum, parabolic_sum == psi, trace_ok,

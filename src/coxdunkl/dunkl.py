@@ -24,8 +24,6 @@ The reflect-and-divide route (`apply_reflection`, `divided_difference`,
 operators against it.
 """
 
-from __future__ import annotations
-
 import random
 from collections import Counter
 from typing import NamedTuple

@@ -21,8 +21,6 @@ numpy is imported by the Monte Carlo functions when they first run, so the
 exact side never loads it.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple

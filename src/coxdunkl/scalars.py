@@ -24,8 +24,9 @@ formal deformation parameter k through the Dunkl calculus and doubles as
 the q-variable for length generating functions.  It has its own dense add
 and convolution (the sparse multivariate polynomials keep flat int dicts,
 see `polynomials`); `KPoly.divmod` is the one long division and
-`kpoly_xgcd` the one Euclid: field inverses, gcds and the minimal
-polynomials of 2cos(pi/m) (worked over `QQ`) all go through them.
+`kpoly_xgcd` the one Euclid: inverses of irrational field elements, gcds
+and the minimal polynomials of 2cos(pi/m) (worked over `QQ`) all go
+through them.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ class FieldSpec:
     def raw_inv(self, a):
         if not any(a):
             raise ZeroDivisionError("field inverse of zero")
-        if self.degree == 1:
-            return (qdiv(1, a[0]),)
+        if not any(a[1:]):
+            return (qdiv(1, a[0]),) + (0,) * (self.degree - 1)
         # s*a == g (mod min_poly), and g == 1 unless a is a zero divisor
         g, inv = kpoly_xgcd(KPoly(QQ, [(x,) for x in a]),
                             KPoly(QQ, [(x,) for x in self.min_poly]))
@@ -633,12 +634,16 @@ class KPoly:
         if dq < 0:
             return KPoly.zero(sp), self
         inv_lead = sp.raw_inv(o.co[-1])
+        monic = inv_lead == sp.raw_one()
+        terms = [(j, y) for j, y in enumerate(o.co) if any(y)]
         q = [sp.raw_zero()] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = sp.raw_mul(rem[i + len(o.co) - 1], inv_lead)
+            c = rem[i + len(o.co) - 1]
+            if not monic:
+                c = sp.raw_mul(c, inv_lead)
             q[i] = c
             if not sp.raw_is_zero(c):
-                for j, y in enumerate(o.co):
+                for j, y in terms:
                     rem[i + j] = sp.raw_sub(rem[i + j], sp.raw_mul(c, y))
         return KPoly(sp, q), KPoly(sp, rem[:len(o.co) - 1])
 

@@ -4,9 +4,6 @@ Exit codes: 0 all pass, 1 at least one failure, 2 usage/config error,
 3 a size budget was exhausted.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import time
 from functools import lru_cache
@@ -29,54 +26,6 @@ from .scalars import KPoly, rat
 SUITE_VERSION = 1
 
 DEFAULT_GROUPS = ("A1", "A2", "A3", "B2", "B3", "D4", "I2(5)", "I2(7)", "H3")
-
-
-_INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
-
-
-def parse_config(text: str) -> SuiteConfig:
-    """Line-oriented `key = value` format; '#' starts a comment; lists are
-    comma separated.  Unknown keys, groups or checks are rejected up front."""
-    fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected `key = value`, got {raw!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "groups":
-            groups = tuple(g.strip() for g in value.split(",") if g.strip())
-            for g in groups:
-                if not known_label(g):
-                    raise ConfigError(f"unknown group {g!r}", lineno)
-            fields[key] = groups
-        elif key == "checks":
-            checks = tuple(c.strip() for c in value.split(",") if c.strip())
-            for c in checks:
-                if c not in CHECK_ORDER:
-                    raise ConfigError(f"unknown check {c!r}", lineno)
-            fields[key] = checks
-        elif key in _INT_KEYS:
-            try:
-                iv = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} needs an integer, got {value!r}", lineno)
-            if iv <= 0:
-                raise ConfigError(f"{key} must be positive", lineno)
-            fields[key] = iv
-        elif key == "heavy_types_enabled":
-            low = value.lower()
-            if low not in ("true", "false"):
-                raise ConfigError(f"{key} needs true/false, got {value!r}", lineno)
-            fields[key] = (low == "true")
-        elif key == "output_path":
-            fields[key] = value
-        else:
-            raise ConfigError(f"unknown key {key!r}", lineno)
-    return SuiteConfig(**fields)
 
 
 class CheckReport(NamedTuple):
@@ -312,6 +261,54 @@ class SuiteConfig(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+_INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
+
+
+def parse_config(text: str) -> SuiteConfig:
+    """Line-oriented `key = value` format; '#' starts a comment; lists are
+    comma separated.  Unknown keys, groups or checks are rejected up front."""
+    fields = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected `key = value`, got {raw!r}", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key == "groups":
+            groups = tuple(g.strip() for g in value.split(",") if g.strip())
+            for g in groups:
+                if not known_label(g):
+                    raise ConfigError(f"unknown group {g!r}", lineno)
+            fields[key] = groups
+        elif key == "checks":
+            checks = tuple(c.strip() for c in value.split(",") if c.strip())
+            for c in checks:
+                if c not in CHECK_ORDER:
+                    raise ConfigError(f"unknown check {c!r}", lineno)
+            fields[key] = checks
+        elif key in _INT_KEYS:
+            try:
+                iv = int(value)
+            except ValueError:
+                raise ConfigError(f"{key} needs an integer, got {value!r}", lineno)
+            if iv <= 0:
+                raise ConfigError(f"{key} must be positive", lineno)
+            fields[key] = iv
+        elif key == "heavy_types_enabled":
+            low = value.lower()
+            if low not in ("true", "false"):
+                raise ConfigError(f"{key} needs true/false, got {value!r}", lineno)
+            fields[key] = (low == "true")
+        elif key == "output_path":
+            fields[key] = value
+        else:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+    return SuiteConfig(**fields)
+
+
 def _report(name, ctx, result, seconds):
     mode, ok, expected, actual, z = result
     status = "skipped" if ok is None else ("pass" if ok else "fail")
@@ -441,6 +438,7 @@ def run_suite(cfg: SuiteConfig, threads=None):
 def render_report(reports, fmt="json", seed=42) -> str:
     """Machine-readable JSON or an aligned table; field order is fixed."""
     if fmt == "json":
+        import json   # loaded here, so that `import coxdunkl` does not load it
         doc = {
             "suite_version": SUITE_VERSION,
             "seed": seed,

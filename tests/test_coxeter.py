@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ from coxdunkl.coxeter import (DegreeData, build_root_system,
                               psi_invariant, rank2_parabolics, rotation_gaps,
                               standard_diagram, verify_psi_identities)
 from coxdunkl.errors import BudgetError, FactorizationError
-from coxdunkl.scalars import QQ, KPoly
+from coxdunkl.scalars import QQ, KPoly, kpoly_divexact, kpoly_gcd
 from coxdunkl.suite import group_context
 
 EXPECTED = {
@@ -281,6 +282,63 @@ def test_chevalley_identity():
         assert chevalley_q_identity(ctx.rs, ctx.elements, ctx.degrees).equal
 
 
+def _det_one_minus_q(rs, mat):
+    """det(1 - q M) by Laplace expansion along the first row."""
+    sp = rs.spec
+    q = KPoly.gen(sp)
+    rows = [[(KPoly.one(sp) if a == b else KPoly.zero(sp)) - q * mat[a][b]
+             for b in range(rs.rank)] for a in range(rs.rank)]
+
+    def det(rows, cols):
+        if not rows:
+            return KPoly.one(sp)
+        acc = KPoly.zero(sp)
+        for t, c in enumerate(cols):
+            term = rows[0][c] * det(rows[1:], cols[:t] + cols[t + 1:])
+            acc = acc + term if t % 2 == 0 else acc - term
+        return acc
+
+    return det(rows, list(range(rs.rank)))
+
+
+def _chevalley_lhs_oracle(rs, elements):
+    """(1-q)^r sum_w 1/det(1 - q w) in lowest terms with a monic denominator:
+    every term summed into one growing fraction, then reduced by one gcd.
+    The matrices come from the reduced words, not the root permutations."""
+    sp = rs.spec
+    gens = [_reflection(rs, rs.positive_roots[i]) for i in range(rs.rank)]
+    dets = Counter()
+    for g in elements:
+        mat = _identity(rs)
+        for i in g.word:
+            mat = _matmul(rs, mat, gens[i])
+        dets[_det_one_minus_q(rs, mat)] += 1
+    num, den = KPoly.zero(sp), KPoly.one(sp)
+    for cp, count in dets.items():
+        num = num * cp + count * den
+        den = den * cp
+    num = num * KPoly.from_coeffs(sp, [1, -1]) ** rs.rank
+    g = kpoly_gcd(num, den)
+    num, den = kpoly_divexact(num, g), kpoly_divexact(den, g)
+    inv = KPoly.const(sp, 1 / den.leading())
+    return num * inv, den * inv
+
+
+def test_chevalley_lhs_against_the_summed_fractions():
+    for label in ("A3", "B3", "H3", "I2(7)"):
+        ctx = group_context(label)
+        res = chevalley_q_identity(ctx.rs, ctx.elements, ctx.degrees)
+        assert res.equal and res.lhs == _chevalley_lhs_oracle(ctx.rs, ctx.elements)
+    # with degrees (2, 2, 6), D = (1-q^2)^2 (1-q^6) has no factor 1 + q^2, so
+    # the 4-cycles' det(1 - q w) = (1 + q)(1 + q^2) does not divide it and is
+    # summed as a fraction of its own
+    a3 = group_context("A3")
+    wrong = SimpleNamespace(degrees=(2, 2, 6), order=24)
+    res = chevalley_q_identity(a3.rs, a3.elements, wrong)
+    assert not res.equal
+    assert res.lhs == _chevalley_lhs_oracle(a3.rs, a3.elements)
+
+
 def test_rank2_parabolic_censuses():
     # A2 is itself the only plane; A3 has four A2 flats and three A1xA1 flats;
     # B3: x_i = x_j = 0 (m=4); x_i = +-x_j = +-x_k (m=3); x_i = 0, x_j = +-x_k (m=2)
@@ -291,6 +349,19 @@ def test_rank2_parabolic_censuses():
     assert census("A2") == {3: 1}
     assert census("A3") == {3: 4, 2: 3}
     assert census("B3") == {4: 3, 3: 4, 2: 6}
+    # past enumeration: the root closure alone, against the textbook degrees
+    for label, expected, degrees, psi in (
+            ("H4", {5: 72, 3: 200, 2: 450}, (2, 12, 20, 30), 9356),
+            ("E7", {3: 336, 2: 945}, (2, 6, 8, 10, 12, 14, 18), 11046),
+            ("E8", {3: 1120, 2: 3780}, (2, 8, 12, 14, 18, 20, 24, 30), 40600)):
+        rs = build_root_system(standard_diagram(label))
+        planes = rank2_parabolics(rs)
+        assert dict(Counter(p.m for p in planes)) == expected, label
+        order = 1
+        for d in degrees:
+            order *= d
+        dd = DegreeData(degrees, order, rs.num_positive)
+        assert sum(2 * p.m * p.m - 2 for p in planes) == psi_invariant(dd) == psi
 
 
 def test_dihedral_census_is_one_plane():

@@ -512,8 +512,8 @@ _COLD_START = """
 import sys
 sys.path.insert(0, {src!r})
 import coxdunkl
-assert not {{"dataclasses", "inspect"}} & set(sys.modules), (
-    "import coxdunkl loaded dataclasses or inspect")
+assert not {{"dataclasses", "inspect", "json"}} & set(sys.modules), (
+    "import coxdunkl loaded dataclasses, inspect or json")
 from coxdunkl.suite import SuiteConfig, group_context, group_info, run_check
 
 cfg = SuiteConfig()
