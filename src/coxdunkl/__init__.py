@@ -14,7 +14,7 @@ from .errors import (BudgetError, ConfigError, ExactDivisionError,
                      PrecisionExhaustedError)
 from .mmintegral import (EULER_GAMMA, McEstimate, check_functional_equation,
                          gamma_integral_cross_check, gamma_product_rhs,
-                         log_gamma, mm_exact, mm_log_moments, mm_monte_carlo)
+                         mm_exact, mm_log_moments, mm_monte_carlo)
 from .polynomials import (MultiPoly, apply_reflection, build_discriminant,
                           divided_difference, root_linear_form)
 from .scalars import (FieldElement, FieldSpec, KPoly, cos_field,

@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .coxeter import HEAVY_LABELS, known_label
+from .coxeter import DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS, known_label
 from .errors import BudgetError, ConfigError
 from .mmintegral import (gamma_product_rhs, log_gamma_product,
                          mm_monte_carlo)
@@ -58,7 +58,8 @@ def _build_parser():
     p_info.add_argument("--type", required=True, dest="group")
     p_info.add_argument("--heavy", action="store_true",
                         help="allow F4/H4")
-    p_info.add_argument("--budget", type=_positive_int, default=20000)
+    p_info.add_argument("--budget", type=_positive_int,
+                        default=DEFAULT_ENUMERATION_BUDGET)
 
     p_verify = sub.add_parser("verify", help="run a single check")
     p_verify.add_argument("--check", required=True, choices=CHECK_ORDER)

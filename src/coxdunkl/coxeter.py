@@ -19,8 +19,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import BudgetError, FactorizationError
-from .scalars import (QQ, FieldElement, KPoly, cos_field, kpoly_divexact,
-                      kpoly_gcd, qdiv)
+from .scalars import QQ, KPoly, cos_field, kpoly_divexact, kpoly_gcd, qdiv
 
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
@@ -121,9 +120,8 @@ def known_label(label: str) -> bool:
 class RootSystem:
     """Positive roots of a finite Coxeter group in simple-root coordinates.
 
-    Built by `build_root_system` from raw coordinate tuples, which
-    `gram_raw`, `roots_raw` and `pair_vectors` return; `gram` and
-    `positive_roots` hold the same values as FieldElements."""
+    Built by `build_root_system`; every value it holds is a raw coordinate
+    tuple, as `gram_raw`, `roots_raw` and `pair_vectors` return them."""
 
     def __init__(self, diagram, spec, gram_raw, roots_raw, pair_vectors):
         self.diagram = diagram
@@ -131,11 +129,6 @@ class RootSystem:
         self._gram_raw = gram_raw
         self._roots_raw = roots_raw
         self._pair_vectors = pair_vectors
-        self.gram = tuple(tuple(FieldElement(spec, e) for e in row)
-                          for row in gram_raw)
-        self.positive_roots = tuple(tuple(FieldElement(spec, e) for e in c)
-                                    for c in roots_raw)
-        self.simple_indices = tuple(range(diagram.rank))
         self._caches = {}
 
     @property
@@ -144,22 +137,20 @@ class RootSystem:
 
     @property
     def num_positive(self):
-        return len(self.positive_roots)
+        return len(self._roots_raw)
 
     @property
     def label(self):
         return self.diagram.label
 
     def inner(self, v, w):
-        """Invariant inner product of two coordinate vectors."""
-        acc = self.spec.zero()
-        for i in range(self.rank):
-            if not v[i]:
-                continue
-            row = self.gram[i]
-            for j in range(self.rank):
-                if w[j]:
-                    acc = acc + v[i] * row[j] * w[j]
+        """Invariant inner product sum_ij v_i G_ij w_j of two raw coordinate
+        vectors, from the Gram matrix alone."""
+        sp = self.spec
+        acc = sp.raw_zero()
+        for x, row in zip(v, self._gram_raw):
+            for g, y in zip(row, w):
+                acc = sp.raw_add(acc, sp.raw_mul(sp.raw_mul(x, g), y))
         return acc
 
     # -- cached derived data -------------------------------------------------
@@ -245,9 +236,10 @@ class RootSystem:
         root coordinate matrix, both float64."""
         def build():
             import numpy as np
-            g = np.array([[float(e) for e in row] for row in self.gram])
+            to_float = self.spec.raw_float
+            g = np.array([[to_float(e) for e in row] for row in self._gram_raw])
             a = np.linalg.cholesky(g)
-            c = np.array([[float(e) for e in root] for root in self.positive_roots])
+            c = np.array([[to_float(e) for e in root] for root in self._roots_raw])
             return a, c
         return self._cache("float_data", build)
 
@@ -274,8 +266,8 @@ def build_root_system(diagram: CoxeterDiagram,
             return spec.raw_zero()
         if m == 3:
             return spec.raw(-1)
-        if m == diagram.max_bond():
-            return spec.raw_neg(spec.gen().co)
+        if m == diagram.max_bond():   # -c, with c of degree >= 2 here
+            return (0, -1) + (0,) * (spec.degree - 2)
         raise ValueError(
             f"bond label {m} not expressible in QQ(2cos(pi/{diagram.max_bond()}))")
 
@@ -343,12 +335,9 @@ class GroupElement(NamedTuple):
 
     @property
     def matrix(self):
-        """w in simple-root coordinates: column b is the root w(alpha_b)."""
-        sp = self.rs.spec
+        """w in simple-root coordinates, raw: column b is the root w(alpha_b)."""
         roots = self.rs.signed_roots_raw()
-        cols = [roots[i] for i in self.perm[:self.rs.rank]]
-        return tuple(tuple(FieldElement(sp, col[a]) for col in cols)
-                     for a in range(self.rs.rank))
+        return tuple(zip(*(roots[i] for i in self.perm[:self.rs.rank])))
 
 
 def enumerate_group(rs: RootSystem,
@@ -429,9 +418,9 @@ def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
     Trial division from the highest plausible degree downwards is exact and
     deterministic; both bookkeeping identities are validated on the result.
     """
-    coeffs = [poincare.coeff(i).rational() for i in range(poincare.degree + 1)]
-    if any(type(q) is not int for q in coeffs):
+    if any(any(a[1:]) or type(a[0]) is not int for a in poincare.co):
         raise FactorizationError("non-integer Poincare coefficient")
+    coeffs = [a[0] for a in poincare.co]
     order = sum(coeffs)
     degrees = []
     work, size = coeffs, order
@@ -516,8 +505,7 @@ def _reduce_fraction(num: KPoly, den: KPoly):
     if g.degree > 0:
         num = kpoly_divexact(num, g)
         den = kpoly_divexact(den, g)
-    lead = den.leading()
-    inv = KPoly.const(den.spec, 1 / lead)
+    inv = KPoly(den.spec, (den.spec.raw_inv(den.co[-1]),))
     return (num * inv, den * inv)
 
 
@@ -632,8 +620,8 @@ def psi_invariant(dd: DegreeData) -> int:
 
 
 def rotation_gaps(rs: RootSystem, planes) -> list:
-    """r - tr(s_a s_b) = 4 - (a, b)^2 for every rotation s_a s_b != 1 made by
-    two reflections, each rotation once.
+    """r - tr(s_a s_b) = 4 - (a, b)^2, raw, for every rotation s_a s_b != 1
+    made by two reflections, each rotation once.
 
     Every such rotation lies in the dihedral group of exactly one plane, and
     there it is s_a0 s_b for the plane's first mirror a0 and one other b."""
@@ -645,7 +633,7 @@ def rotation_gaps(rs: RootSystem, planes) -> list:
         a0 = p.member_roots[0]
         for b in p.member_roots[1:]:
             x = gram[a0][b]
-            out.append(FieldElement(sp, sp.raw_sub(four, sp.raw_mul(x, x))))
+            out.append(sp.raw_sub(four, sp.raw_mul(x, x)))
     return out
 
 
@@ -666,13 +654,12 @@ def verify_psi_identities(rs: RootSystem, dd: DegreeData) -> PsiReport:
     planes = rank2_parabolics(rs)
     parabolic_sum = sum(2 * p.m * p.m - 2 for p in planes)
     sp = rs.spec
-    acc = sp.zero()
-    for co, count in Counter(g.co for g in rotation_gaps(rs, planes)).items():
-        gap = FieldElement(sp, co)
-        if gap.sign() <= 0:
+    acc = sp.raw_zero()
+    for gap, count in Counter(rotation_gaps(rs, planes)).items():
+        if sp.raw_sign(gap) <= 0:
             raise ArithmeticError("rotation with r - trace <= 0 (internal bug)")
-        acc = acc + count * (1 / gap)
-    trace_ok = (24 * acc == sp.from_rational(psi))
+        acc = sp.raw_add(acc, sp.raw_mul(sp.raw(count), sp.raw_inv(gap)))
+    trace_ok = sp.raw_mul(sp.raw(24), acc) == sp.raw(psi)
     census = Counter(p.m for p in planes)
     return PsiReport(psi, parabolic_sum, parabolic_sum == psi, trace_ok,
                      tuple(sorted(census.items())))

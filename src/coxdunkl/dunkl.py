@@ -40,44 +40,30 @@ from .scalars import FieldElement, KPoly, rat
 # ---------------------------------------------------------------------------
 
 
-class DunklDirection:
-    """A direction in the reflection representation, in dual-basis coordinates.
+class DunklDirection(NamedTuple):
+    """A direction a in the reflection representation, in raw coordinates:
+    `dual[i]` is its coefficient of omega_i, and `pairings[b]` is
+    (alpha_b, a) for every positive root alpha_b."""
 
-    `dual[i]` is the coefficient of omega_i; `pairings[a]` caches (alpha, a)
-    for every positive root alpha."""
-
-    __slots__ = ("ring", "dual", "pairings")
-
-    def __init__(self, ring, dual_raw):
-        self.ring = ring
-        self.dual = tuple(dual_raw)
-        sp = ring.spec
-        roots = ring.roots_raw()
-        pairings = []
-        for c in roots:
-            acc = sp.raw_zero()
-            for i, a in enumerate(self.dual):
-                if any(a) and any(c[i]):
-                    acc = sp.raw_add(acc, sp.raw_mul(a, c[i]))
-            pairings.append(acc)
-        self.pairings = tuple(pairings)
+    ring: object
+    dual: tuple
+    pairings: tuple
 
     @classmethod
     def omega(cls, ring, i):
-        """The dual basis vector omega_i (so the derivative part is d/du_i)."""
+        """The dual basis vector omega_i (so the derivative part is d/du_i):
+        (alpha, omega_i) is alpha's coordinate i."""
         sp = ring.spec
-        dual = [sp.raw_zero()] * ring.rank
-        dual[i] = sp.raw_one()
-        return cls(ring, dual)
+        dual = tuple(sp.raw_one() if j == i else sp.raw_zero()
+                     for j in range(ring.rank))
+        return cls(ring, dual, tuple(c[i] for c in ring.roots_raw()))
 
     @classmethod
     def from_root(cls, ring, root_index):
-        """The positive root alpha as a direction: dual coordinates (alpha_i, alpha)."""
-        return cls(ring, ring.pair_vectors()[root_index])
-
-    @classmethod
-    def from_dual_coords(cls, ring, coords):
-        return cls(ring, [ring.spec.raw(c) for c in coords])
+        """The positive root alpha as a direction: dual coordinates
+        (alpha_i, alpha), pairings its row of the root Gram matrix."""
+        return cls(ring, ring.pair_vectors()[root_index],
+                   ring.root_gram()[root_index])
 
 
 def _omega_directions(rs):
@@ -236,15 +222,6 @@ class BFactorization(NamedTuple):
         for root, mult in self.roots:
             out = out * KPoly.from_coeffs(spec, [root, 1]) ** mult
         return out
-
-    def to_string(self):
-        parts = [str(self.b0)]
-        for root, mult in self.roots:
-            s = f"(k+{root})"
-            if mult > 1:
-                s += f"^{mult}"
-            parts.append(s)
-        return "*".join(parts)
 
 
 class BPolyResult(NamedTuple):
@@ -405,7 +382,7 @@ def verify_algebra_relations(rs, degree_cap=4, trials=25, seed=0) -> AlgebraRepo
                     w = sp.raw_mul(roots[a][i], pair_vecs[a][j])
                     if not any(w):
                         continue
-                    acc = acc + refl_images[a].scale(FieldElement(sp, w))
+                    acc = acc + refl_images[a] * MultiPoly(rs, _flat(rs, (w,)))
                 rhs = rhs + acc.k_shift(1)
                 checks += 1
                 if lhs != rhs:

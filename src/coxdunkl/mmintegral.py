@@ -35,37 +35,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824
 
 _MC_BLOCK = 1 << 16
 
-# Stirling series coefficients B_{2n} / (2n (2n-1)) for n = 1..8
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_LOG_TWO_PI = 1.8378770664093454835606594728112
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma on (0, inf) via the Stirling series with argument shift."""
-    if x <= 0.0:
-        raise ValueError("log_gamma needs a positive argument")
-    shift = 0.0
-    while x < 12.0:
-        shift += math.log(x)
-        x += 1.0
-    acc = (x - 0.5) * math.log(x) - x + 0.5 * _LOG_TWO_PI
-    xs = 1.0 / x
-    x2 = xs * xs
-    for c in _STIRLING:
-        acc += c * xs
-        xs *= x2
-    return acc - shift
-
 
 # ---------------------------------------------------------------------------
 # exact moments by Stein's recursion
@@ -157,7 +126,8 @@ def log_gamma_product(dd, k: float) -> float:
     """log of the degree-product value, safe far beyond float overflow."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return sum(log_gamma(1.0 + k * d) - log_gamma(1.0 + k) for d in dd.degrees)
+    return sum(math.lgamma(1.0 + k * d) - math.lgamma(1.0 + k)
+               for d in dd.degrees)
 
 
 def predicted_relative_se(dd, k: float, samples: int) -> float:

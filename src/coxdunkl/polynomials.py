@@ -18,11 +18,9 @@ monomial back as `KPoly` values.
 
 from __future__ import annotations
 
-from math import prod
-
 from .errors import ExactDivisionError, FieldMismatchError
-from .scalars import (FieldElement, KPoly, _compatible, as_kpoly, as_rational,
-                      join_terms)
+from .scalars import (KPoly, _compatible, as_kpoly, as_rational, join_terms,
+                      power, term_str)
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -137,13 +135,6 @@ class MultiPoly:
                                pack_exponents(exps)))
         return cls(ring, terms)
 
-    @classmethod
-    def linear_form(cls, ring, coeffs):
-        """sum_j coeffs[j] * u_j for field/rational coefficients."""
-        return cls.from_terms(ring, {
-            tuple(int(l == j) for l in range(ring.rank)): cf
-            for j, cf in enumerate(coeffs)})
-
     # -- inspection -----------------------------------------------------------
 
     def is_zero(self):
@@ -154,13 +145,6 @@ class MultiPoly:
             return -1
         r = self.ring.rank
         return max(key_degree(k, r) for k in self.terms)
-
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        r = self.ring.rank
-        degs = {key_degree(k, r) for k in self.terms}
-        return len(degs) == 1
 
     def _rows(self):
         """{packed u^E: [its flat terms]}, in the order the terms come."""
@@ -260,17 +244,6 @@ class MultiPoly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_field(self, point):
-        """Exact evaluation at a tuple of FieldElements / rationals (k stays formal)."""
-        sp = self.ring.spec
-        point = [FieldElement(sp, sp.raw(p)) for p in point]
-        total = KPoly.zero(sp)
-        for exps, kp in self.term_items():
-            total = total + kp * prod(
-                (p for p, e in zip(point, exps) for _ in range(e)),
-                start=sp.one())
-        return total
-
     def float_terms(self, k_value):
         """[(exponent tuple, float coefficient)] with k specialized to k_value."""
         kq = as_rational(k_value)
@@ -285,24 +258,16 @@ class MultiPoly:
     # -- serialization ---------------------------------------------------------
 
     def to_string(self, var_prefix="u"):
+        raw_str = self.ring.spec.raw_str
         parts = []
         for exps, kp in self.term_items():
-            mono = "*".join(
-                f"{var_prefix}{i+1}" if e == 1 else f"{var_prefix}{i+1}^{e}"
-                for i, e in enumerate(exps) if e)
-            cs = str(kp.coeff(0)) if kp.degree == 0 else kp.to_string()
-            simple_rat = (kp.degree <= 0 and kp.is_rational_coeffs())
-            if not mono:
-                s = cs if simple_rat else f"({cs})"
-            elif simple_rat and cs == "1":
-                s = mono
-            elif simple_rat and cs == "-1":
-                s = f"-{mono}"
-            elif simple_rat:
-                s = f"{cs}*{mono}"
+            mono = "*".join(power(f"{var_prefix}{i+1}", e)
+                            for i, e in enumerate(exps) if e)
+            if kp.degree:
+                parts.append(term_str(kp.to_string(), mono, False))
             else:
-                s = f"({cs})*{mono}"
-            parts.append(s)
+                a = kp.co[0]
+                parts.append(term_str(raw_str(a), mono, not any(a[1:])))
         return join_terms(parts)
 
     def __str__(self):
@@ -317,20 +282,31 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
+def _linear_terms(rs, coeffs):
+    """Flat terms of sum_j coeffs[j] u_j for raw coordinate tuples."""
+    terms = {}
+    for j, co in enumerate(coeffs):
+        terms.update(_flat(rs, (co,), 1 << (EXP_BITS * j)))
+    return terms
+
+
 def root_linear_form(rs, root_index) -> MultiPoly:
     """(alpha, x) as a polynomial; its coefficient vector is the root's coordinates."""
-    return MultiPoly.linear_form(rs, rs.positive_roots[root_index])
+    return MultiPoly(rs, _linear_terms(rs, rs.roots_raw()[root_index]))
 
 
 def reflection_forms(rs, root_index):
     """s_alpha(u_i) = u_i - (alpha_i, alpha) * (alpha, x) for each i, as
     tuples of flat (key, coordinate) terms (cached per root)."""
     def build():
-        form = root_linear_form(rs, root_index)
-        return tuple(
-            tuple((MultiPoly.variable(rs, i)
-                   - form.scale(FieldElement(rs.spec, w))).terms.items())
-            for i, w in enumerate(rs.pair_vectors()[root_index]))
+        sp = rs.spec
+        root = rs.roots_raw()[root_index]
+        forms = []
+        for i, w in enumerate(rs.pair_vectors()[root_index]):
+            coeffs = [sp.raw_neg(sp.raw_mul(w, c)) for c in root]
+            coeffs[i] = sp.raw_add(sp.raw_one(), coeffs[i])
+            forms.append(tuple(_linear_terms(rs, coeffs).items()))
+        return tuple(forms)
     return rs._cache(("refl_forms", root_index), build)
 
 

@@ -319,6 +319,14 @@ class FieldSpec:
         lo, hi = self.raw_embed(a, 60)
         return float(qdiv(lo + hi, 2))
 
+    def raw_str(self, a):
+        """a as printed: the rational alone, else its c^i terms from the
+        highest down."""
+        if not any(a[1:]):
+            return str(a[0])
+        return join_terms([term_str(str(x), power(self.name, i), True)
+                           for i, x in reversed(list(enumerate(a))) if x])
+
     # -- misc ----------------------------------------------------------------
 
     def element(self, *coords):
@@ -456,30 +464,7 @@ class FieldElement:
         return self.co[0]
 
     def __str__(self):
-        if self.spec.degree == 1 or self.is_rational():
-            return str(self.co[0])
-        name = self.spec.name
-        parts = []
-        for i in range(self.spec.degree - 1, -1, -1):
-            q = self.co[i]
-            if not q:
-                continue
-            if i == 0:
-                mono = ""
-            elif i == 1:
-                mono = name
-            else:
-                mono = f"{name}^{i}"
-            if not mono:
-                s = str(q)
-            elif q == 1:
-                s = mono
-            elif q == -1:
-                s = f"-{mono}"
-            else:
-                s = f"{q}*{mono}"
-            parts.append(s)
-        return join_terms(parts)
+        return self.spec.raw_str(self.co)
 
     def __repr__(self):
         return f"<{self}>"
@@ -487,6 +472,27 @@ class FieldElement:
 
 #: the values `FieldSpec.raw` accepts
 _SCALAR_TYPES = (FieldElement,) + _RAT_OK
+
+
+def power(var, i):
+    """var^i as printed: "" for i = 0, var for i = 1."""
+    return f"{var}^{i}" if i > 1 else var if i else ""
+
+
+def term_str(coeff, mono, plain, times="*"):
+    """The printed coefficient `coeff` times the monomial `mono` ("" for 1):
+    the one term rule of the printers.  A coefficient that is not a plain
+    rational is parenthesized and joined by "*"; a plain one is joined by
+    `times`, and a plain 1 or -1 before a monomial leaves only its sign."""
+    if not plain:
+        return f"({coeff})*{mono}" if mono else f"({coeff})"
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return "-" + mono
+    return coeff + times + mono
 
 
 def join_terms(parts):
@@ -658,36 +664,13 @@ class KPoly:
     def __hash__(self):
         return hash((self.spec.min_poly, self.co))
 
-    def is_rational_coeffs(self):
-        return all(not any(a[1:]) for a in self.co)
-
     def to_string(self, var="k"):
-        parts = []
-        for i in range(len(self.co) - 1, -1, -1):
-            a = self.co[i]
-            if self.spec.raw_is_zero(a):
-                continue
-            fe = FieldElement(self.spec, a)
-            if i == 0:
-                mono = ""
-            elif i == 1:
-                mono = var
-            else:
-                mono = f"{var}^{i}"
-            cs = str(fe)
-            plain = fe.is_rational()
-            if not mono:
-                s = cs if plain else f"({cs})"
-            elif plain and a[0] == 1:
-                s = mono
-            elif plain and a[0] == -1:
-                s = f"-{mono}"
-            elif plain:
-                s = f"{cs}{mono}"
-            else:
-                s = f"({cs})*{mono}"
-            parts.append(s)
-        return join_terms(parts)
+        """Terms from the highest power down; a rational coefficient is
+        written against its power of `var` (`2k`, `-1/2k`)."""
+        raw_str = self.spec.raw_str
+        return join_terms([term_str(raw_str(a), power(var, i), not any(a[1:]), "")
+                           for i, a in reversed(list(enumerate(self.co)))
+                           if any(a)])
 
     def __str__(self):
         return self.to_string()

@@ -11,8 +11,10 @@ from coxdunkl.coxeter import (DegreeData, build_root_system,
                               enumerate_group, poincare_polynomial,
                               psi_invariant, rank2_parabolics, rotation_gaps,
                               standard_diagram, verify_psi_identities)
+from coxdunkl.dunkl import dunkl_apply_omega, dunkl_apply_root
 from coxdunkl.errors import BudgetError, FactorizationError
-from coxdunkl.scalars import QQ, KPoly, kpoly_divexact, kpoly_gcd
+from coxdunkl.polynomials import apply_reflection, build_discriminant
+from coxdunkl.scalars import QQ, FieldElement, KPoly, kpoly_divexact, kpoly_gcd
 from coxdunkl.suite import group_context
 
 EXPECTED = {
@@ -45,6 +47,20 @@ def test_root_counts_orders_degrees(label):
 
 # Matrices built here from the Gram matrix and root coordinates alone, as
 # an oracle independent of the root permutations the group is stored as.
+# They hold FieldElements; the root system hands out raw coordinate tuples.
+
+
+def _fe(rs, raw):
+    return tuple(FieldElement(rs.spec, x) for x in raw)
+
+
+def _roots(rs):
+    """The positive roots as FieldElement vectors, from `roots_raw`."""
+    return [_fe(rs, c) for c in rs.roots_raw()]
+
+
+def _matrix(rs, rows):
+    return tuple(_fe(rs, row) for row in rows)
 
 
 def _identity(rs):
@@ -66,9 +82,11 @@ def _apply(rs, mat, v):
 
 def _reflection(rs, root):
     """s_alpha(v) = v - (alpha, v) alpha on simple-root coordinates, with
-    (alpha, v) from the Gram matrix."""
+    (alpha, v) from the Gram matrix (`RootSystem.inner`)."""
     basis = _identity(rs)
-    pair = [rs.inner(root, basis[b]) for b in range(rs.rank)]
+    raw = [x.co for x in root]
+    pair = [FieldElement(rs.spec, rs.inner(raw, [x.co for x in basis[b]]))
+            for b in range(rs.rank)]
     return tuple(tuple(basis[a][b] - root[a] * pair[b] for b in range(rs.rank))
                  for a in range(rs.rank))
 
@@ -80,24 +98,25 @@ def _trace(rs, mat):
 def test_a2_positive_roots_by_hand():
     # orbit closure with gram12 = -1 gives {e1, e2, e1+e2}
     rs = group_context("A2").rs
-    coords = {tuple(int(e.rational()) for e in root) for root in rs.positive_roots}
+    coords = {tuple(x for (x,) in root) for root in rs.roots_raw()}
     assert coords == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_roots_have_norm_two_and_reflections_permute():
     for label in ("A2", "B2", "I2(5)", "B3"):
         rs = group_context(label).rs
-        two = rs.spec.from_rational(2)
+        two = rs.spec.raw(2)
         signed = rs.signed_roots_raw()
-        root_set = {tuple(e.co for e in r) for r in rs.positive_roots}
+        root_set = set(rs.roots_raw())
         perms = rs.simple_reflection_perms()
         assert all(type(row) is bytes for row in perms)
         with pytest.raises(TypeError):
             perms[0][0] = 0
-        for i, root in enumerate(rs.positive_roots):
-            assert rs.inner(root, root) == two
+        roots = _roots(rs)
+        for i, (raw, root) in enumerate(zip(rs.roots_raw(), roots)):
+            assert rs.inner(raw, raw) == two
             mat = _reflection(rs, root)
-            for b, other in enumerate(rs.positive_roots):
+            for b, other in enumerate(roots):
                 img = _apply(rs, mat, other)
                 neg = tuple((-e).co for e in img)
                 assert tuple(e.co for e in img) in root_set or neg in root_set
@@ -109,10 +128,49 @@ def test_roots_have_norm_two_and_reflections_permute():
 
 def test_simple_roots_are_standard_basis():
     rs = group_context("B3").rs
-    for i in rs.simple_indices:
-        root = rs.positive_roots[i]
-        for j, e in enumerate(root):
-            assert e == (rs.spec.one() if i == j else rs.spec.zero())
+    sp = rs.spec
+    for i in range(rs.rank):
+        assert rs.roots_raw()[i] == tuple(
+            sp.raw_one() if i == j else sp.raw_zero() for j in range(rs.rank))
+
+
+def _reachable(obj):
+    """obj and every value reachable from it through containers and object
+    attributes, each once."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (int, float, str, bytes)):
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, dict):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack += x
+        elif hasattr(x, "__dict__"):
+            stack += vars(x).values()
+        else:
+            stack += [getattr(x, a) for a in getattr(type(x), "__slots__", ())
+                      if hasattr(x, a)]
+
+
+def test_root_system_stores_no_field_elements():
+    # every exact value a root system holds, its caches included, is a raw
+    # coordinate tuple; a FieldElement is built only for a caller
+    for label in ("B2", "I2(7)", "H3"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        verify_psi_identities(rs, ctx.degrees)
+        chevalley_q_identity(rs, ctx.elements, ctx.degrees)
+        rs.float_data()
+        f = build_discriminant(rs)
+        dunkl_apply_omega(rs, 0, f)
+        dunkl_apply_root(rs, rs.num_positive - 1, f)
+        apply_reflection(f, 0)
+        held = [type(x).__name__ for x in _reachable(rs)]
+        assert "FieldElement" not in held, label
+        assert "RootSystem" in held and "DunklDirection" in held
 
 
 @pytest.mark.parametrize("label, num_positive", [
@@ -122,8 +180,8 @@ def test_root_closure_past_rank_four(label, num_positive):
     # roots still fit the byte indices of the root permutations
     rs = build_root_system(standard_diagram(label))
     assert rs.num_positive == num_positive
-    two = rs.spec.from_rational(2)
-    assert all(rs.inner(root, root) == two for root in rs.positive_roots)
+    two = rs.spec.raw(2)
+    assert all(rs.inner(root, root) == two for root in rs.roots_raw())
     perms = rs.simple_reflection_perms()
     assert len(perms) == rs.rank
     assert all(sorted(p) == list(range(2 * num_positive)) for p in perms)
@@ -192,10 +250,11 @@ def test_elements_preserve_gram_and_word_rebuilds_matrix():
     for label in ("A3", "B2", "H3", "I2(12)"):
         ctx = group_context(label)
         rs = ctx.rs
-        gens = [_reflection(rs, rs.positive_roots[i]) for i in range(rs.rank)]
-        gram = rs.gram
+        roots = _roots(rs)
+        gens = [_reflection(rs, roots[i]) for i in range(rs.rank)]
+        gram = _matrix(rs, rs.gram_raw())
         for g in ctx.elements:
-            mat = g.matrix
+            mat = _matrix(rs, g.matrix)
             # M^T G M == G
             for a in range(rs.rank):
                 for b in range(rs.rank):
@@ -226,9 +285,9 @@ def test_length_counts_inverted_roots():
     rng = random.Random(5)
     sample = rng.sample(ctx.elements, 12)
     for g in sample:
-        mat = g.matrix
+        mat = _matrix(ctx.rs, g.matrix)
         inverted = 0
-        for root in ctx.rs.positive_roots:
+        for root in _roots(ctx.rs):
             img = _apply(ctx.rs, mat, root)
             lead = next(e for e in img if e)
             inverted += lead.sign() < 0
@@ -306,7 +365,8 @@ def _chevalley_lhs_oracle(rs, elements):
     every term summed into one growing fraction, then reduced by one gcd.
     The matrices come from the reduced words, not the root permutations."""
     sp = rs.spec
-    gens = [_reflection(rs, rs.positive_roots[i]) for i in range(rs.rank)]
+    roots = _roots(rs)
+    gens = [_reflection(rs, roots[i]) for i in range(rs.rank)]
     dets = Counter()
     for g in elements:
         mat = _identity(rs)
@@ -388,7 +448,7 @@ def test_rank2_partition_property():
         planes = rank2_parabolics(rs)
         n = rs.num_positive
         # plane membership against the coordinates of the roots
-        roots = rs.positive_roots
+        roots = _roots(rs)
         for p in planes:
             a, b = p.member_roots[:2]
             assert p.member_roots == tuple(
@@ -442,10 +502,11 @@ def test_f4_chevalley_and_psi():
 def test_a2_rotation_traces():
     # the two 3-cycles act on the plane with trace -1
     rs = group_context("A2").rs
+    sp = rs.spec
     gaps = rotation_gaps(rs, rank2_parabolics(rs))
     assert len(gaps) == 2
     for gap in gaps:
-        assert rs.rank - gap == rs.spec.from_rational(-1)
+        assert sp.raw_sub(sp.raw(rs.rank), gap) == sp.raw(-1)
 
 
 def test_rotations_have_positive_r_minus_trace():
@@ -453,7 +514,7 @@ def test_rotations_have_positive_r_minus_trace():
     # from matrices, equals the gaps read off the Gram entries
     for label in ("A3", "B3", "I2(7)"):
         rs = group_context(label).rs
-        mats = [_reflection(rs, root) for root in rs.positive_roots]
+        mats = [_reflection(rs, root) for root in _roots(rs)]
         rotations = {}
         for a, ma in enumerate(mats):
             for b, mb in enumerate(mats):
@@ -461,7 +522,6 @@ def test_rotations_have_positive_r_minus_trace():
                     rot = _matmul(rs, ma, mb)
                     rotations[rot] = rs.rank - _trace(rs, rot)
         gaps = rotation_gaps(rs, rank2_parabolics(rs))
-        assert sorted(g.co for g in gaps) == sorted(
-            g.co for g in rotations.values())
+        assert sorted(gaps) == sorted(g.co for g in rotations.values())
         for gap in gaps:
-            assert gap.sign() > 0
+            assert rs.spec.raw_sign(gap) > 0

@@ -2,17 +2,21 @@
 when every coordinate was a `fractions.Fraction`, before integral values
 became plain ints; DISCRIMINANTS, ORACLES and MM_EXACT were captured when
 `MultiPoly` still held tuples of k-coefficient tuples, before it took the
-Dunkl kernel's flat int dict.  Every string must reproduce byte for byte.
-D4 and H3 b_poly are not in the benchmark's golden file."""
+Dunkl kernel's flat int dict; STRINGS were captured when `FieldElement`,
+`KPoly` and `MultiPoly` each had a term printer of their own.  Every string
+must reproduce byte for byte.  D4 and H3 b_poly are not in the benchmark's
+golden file."""
 
 import hashlib
 
 import pytest
 
+from coxdunkl.coxeter import build_root_system, standard_diagram
 from coxdunkl.dunkl import dunkl_laplacian, gaussian_exponential
 from coxdunkl.mmintegral import mm_exact
 from coxdunkl.polynomials import (MultiPoly, build_discriminant,
                                   divided_difference)
+from coxdunkl.scalars import QQ, KPoly, cos_field, rat
 from coxdunkl.suite import SuiteConfig, _b_result, group_context, run_check
 
 #: "type/check" -> (status, expected, actual) of the suite report
@@ -172,3 +176,128 @@ def test_oracle_route_strings(label):
 def test_mm_exact_strings(label):
     rs = group_context(label).rs
     assert (str(mm_exact(rs, 1)), str(mm_exact(rs, 2))) == MM_EXACT[label]
+
+
+#: name -> str() of a FieldElement, KPoly or MultiPoly of `_string_values`:
+#: +-1 coefficients, negative and fractional rationals, powers of c in
+#: QQ(2cos(pi/5)) (where c^2 = c + 1) and QQ(2cos(pi/12)), zeros, and
+#: degree-0 irrational k-coefficients inside a MultiPoly
+STRINGS = {
+    'fe/qq_int': '-2',
+    'fe/qq_rat': '3/4',
+    'fe/zero5': '0',
+    'fe/one5': '1',
+    'fe/c5': 'c',
+    'fe/-c5': '-c',
+    'fe/c5^2': 'c + 1',
+    'fe/c5-1': 'c - 1',
+    'fe/half_c5': '1/2*c - 3/4',
+    'fe/-2/3c5+5': '-2/3*c + 5',
+    'fe/rat5': '-7/3',
+    'fe/c12^2': 'c^2',
+    'fe/c12^3': 'c^3',
+    'fe/-c12^2': '-c^2',
+    'fe/c12^3+4c': '-c^3 + 4*c',
+    'fe/c12_mixed': 'c^3 - c^2 + 1/2*c - 1',
+    'fe/c12^4': '4*c^2 - 1',
+    'kp/zero': '0',
+    'kp/one': '1',
+    'kp/-1': '-1',
+    'kp/2k+1': '2k + 1',
+    'kp/-k-1': '-k - 1',
+    'kp/k': 'k',
+    'kp/-k^2': '-k^2',
+    'kp/-half_k': '-1/2k',
+    'kp/rat_q': 'q^3 - 3/4q + 1/2',
+    'kp/f5': '(-c + 1)*k^2 + k + (c)',
+    'kp/f5_const': '(c + 1)',
+    'kp/f5_-c': '(-c)',
+    'kp/f5_rat': 'k^2 - k + 5/2',
+    'kp/f12_q': 'q^4 - 1/3q^3 + (-c^2)*q^2 + (c^3 - 1)',
+    'mp/zero': '0',
+    'mp/one': '1',
+    'mp/-3': '-3',
+    'mp/half': '1/2',
+    'mp/k_const': '(-2k + 1)',
+    'mp/a2': '(-k)*u1^3 + (2k + 1)*u1^2 - 1/2*u1*u2 - u2^2 + u1 - 3*u2 + 5/3',
+    'mp/i5': ('2/7*u2^3 + (-k + (c))*u1^2 + ((c + 1)*k)*u1*u2 + (c + 1)*u1'
+              ' + (-c)*u2 + (c)'),
+    'mp/i5_const': '(-c)',
+    'mp/i12': ('-u1^3 + (c^3 - 1/2*c)*u1*u2 + ((-c^2)*k^2 + 1/3)*u2^2'
+               ' + (-c^2)*u1 + ((c)*k - 1)'),
+}
+
+
+def _string_values():
+    """The values STRINGS prints: names ending in "_q" in the variable q."""
+    f5, f12 = cos_field(5), cos_field(12)
+    c5, c12 = f5.gen(), f12.gen()
+    c12_2 = c12 * c12
+    c12_3 = c12_2 * c12
+    a2, i5, i12 = (build_root_system(standard_diagram(label))
+                   for label in ("A2", "I2(5)", "I2(12)"))
+
+    def kp(spec, coeffs):
+        return KPoly.from_coeffs(spec, coeffs)
+
+    def mp(rs, mapping):
+        return MultiPoly.from_terms(rs, mapping)
+
+    return {
+        "fe/qq_int": QQ.from_rational(-2),
+        "fe/qq_rat": QQ.from_rational(rat(3, 4)),
+        "fe/zero5": f5.zero(),
+        "fe/one5": f5.one(),
+        "fe/c5": c5,
+        "fe/-c5": -c5,
+        "fe/c5^2": c5 * c5,
+        "fe/c5-1": c5 - 1,
+        "fe/half_c5": rat(1, 2) * c5 - rat(3, 4),
+        "fe/-2/3c5+5": -rat(2, 3) * c5 + 5,
+        "fe/rat5": f5.from_rational(rat(-7, 3)),
+        "fe/c12^2": c12_2,
+        "fe/c12^3": c12_3,
+        "fe/-c12^2": -c12_2,
+        "fe/c12^3+4c": -c12_3 + 4 * c12,
+        "fe/c12_mixed": c12_3 - c12_2 + rat(1, 2) * c12 - 1,
+        "fe/c12^4": c12_3 * c12,
+        "kp/zero": KPoly.zero(QQ),
+        "kp/one": KPoly.one(QQ),
+        "kp/-1": kp(QQ, [-1]),
+        "kp/2k+1": kp(QQ, [1, 2]),
+        "kp/-k-1": kp(QQ, [-1, -1]),
+        "kp/k": kp(QQ, [0, 1]),
+        "kp/-k^2": kp(QQ, [0, 0, -1]),
+        "kp/-half_k": kp(QQ, [0, rat(-1, 2)]),
+        "kp/rat_q": kp(QQ, [rat(1, 2), rat(-3, 4), 0, 1]),
+        "kp/f5": kp(f5, [c5, 1, 1 - c5]),
+        "kp/f5_const": kp(f5, [c5 * c5]),
+        "kp/f5_-c": kp(f5, [-c5]),
+        "kp/f5_rat": kp(f5, [rat(5, 2), -1, f5.one()]),
+        "kp/f12_q": kp(f12, [c12_3 - 1, 0, -c12_2, rat(-1, 3), 1]),
+        "mp/zero": MultiPoly.zero(a2),
+        "mp/one": MultiPoly.one(a2),
+        "mp/-3": MultiPoly.constant(a2, -3),
+        "mp/half": MultiPoly.constant(a2, rat(1, 2)),
+        "mp/k_const": MultiPoly.constant(a2, kp(a2.spec, [1, -2])),
+        "mp/a2": mp(a2, {(2, 0): kp(a2.spec, [1, 2]), (0, 1): -3,
+                         (1, 1): rat(-1, 2), (0, 0): rat(5, 3), (1, 0): 1,
+                         (0, 2): -1, (3, 0): kp(a2.spec, [0, -1])}),
+        "mp/i5": mp(i5, {(1, 0): c5 + 1, (0, 1): -c5,
+                         (2, 0): kp(f5, [c5, -1]),
+                         (1, 1): kp(f5, [0, c5 * c5]), (0, 0): c5,
+                         (0, 3): f5.from_rational(rat(2, 7))}),
+        "mp/i5_const": MultiPoly.constant(i5, -c5),
+        "mp/i12": mp(i12, {(1, 1): c12_3 - rat(1, 2) * c12,
+                           (0, 2): kp(f12, [rat(1, 3), 0, -c12_2]),
+                           (3, 0): -1, (0, 0): kp(f12, [-1, c12]),
+                           (1, 0): -c12_2}),
+    }
+
+
+def test_coefficient_strings():
+    values = _string_values()
+    assert list(values) == list(STRINGS)
+    for name, value in values.items():
+        printed = value.to_string("q") if name.endswith("_q") else str(value)
+        assert printed == STRINGS[name], name

@@ -13,8 +13,7 @@ from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  check_functional_equation, cross_check_plan,
                                  gamma_integral_cross_check, gaussian_moment,
                                  gamma_product_exact, gamma_product_rhs,
-                                 log_gamma, log_gamma_product,
-                                 log_moments_plan, mm_exact,
+                                 log_gamma_product, log_moments_plan, mm_exact,
                                  mc_pass, mm_exact_is_heavy, mm_log_moments,
                                  mm_monte_carlo, predicted_relative_se,
                                  wick_moment_bruteforce)
@@ -25,15 +24,6 @@ from coxdunkl.scalars import KPoly, rat
 from coxdunkl.suite import DEFAULT_GROUPS, SuiteConfig, group_context, run_check
 
 SAMPLES = 400_000   # unit-test scale; the acceptance suite uses 10^7
-
-
-def test_log_gamma_accuracy():
-    # Gamma(1/2)^2 = pi and Gamma(n) = (n-1)!
-    assert abs(math.exp(2 * log_gamma(0.5)) - math.pi) < 1e-12 * math.pi
-    for n in range(1, 25):
-        target = math.factorial(n - 1)
-        assert abs(math.exp(log_gamma(n)) - target) <= 1e-12 * target
-    assert abs(log_gamma(3.7) - math.lgamma(3.7)) < 1e-13
 
 
 def _form_moment(rs, factors):

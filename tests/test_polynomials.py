@@ -82,11 +82,11 @@ def test_degree_bookkeeping(ctx_a2):
 
 def test_root_linear_form_coefficients(ctx_b2):
     rs = ctx_b2.rs
-    for i, root in enumerate(rs.positive_roots):
+    for i, root in enumerate(rs.roots_raw()):
         form = root_linear_form(rs, i)
         for j in range(rs.rank):
             exps = tuple(1 if l == j else 0 for l in range(rs.rank))
-            assert form.coefficient(exps) == KPoly.const(rs.spec, root[j])
+            assert form.coefficient(exps) == KPoly(rs.spec, (root[j],))
 
 
 def test_reflection_rank1(ctx_a1):
@@ -156,8 +156,7 @@ def test_discriminant_antisymmetric():
     for label in ("A1", "A2", "B2", "A3", "I2(5)"):
         rs = group_context(label).rs
         delta = build_discriminant(rs)
-        assert delta.degree() == rs.num_positive
-        assert delta.is_homogeneous()
+        assert {sum(e) for e, _ in delta.term_items()} == {rs.num_positive}
         for a in range(rs.num_positive):
             assert apply_reflection(delta, a) == -delta
 
@@ -169,14 +168,6 @@ def test_to_string_deterministic(ctx_a2):
     f = MultiPoly.from_terms(rs, {(2, 0): KPoly.from_coeffs(rs.spec, [1, 2]),
                                   (0, 1): -3})
     assert f.to_string() == "(2k + 1)*u1^2 - 3*u2"
-
-
-def test_eval_field(ctx_a2):
-    rs = ctx_a2.rs
-    f = build_discriminant(rs)
-    # Delta(u1=1, u2=2) = 1*2*(1+2)... in coordinates: u1^2 u2 + u1 u2^2 = 2 + 4
-    val = f.eval_field((1, 2))
-    assert val == KPoly.const(rs.spec, 6)
 
 
 def test_float_terms(ctx_a2):
@@ -211,17 +202,7 @@ def test_from_terms_rejects_another_field(ctx_a2):
     for value in (cos_field(5).gen(), KPoly.gen(cos_field(5))):
         with pytest.raises(FieldMismatchError):
             MultiPoly.from_terms(rs, {(1, 0): value})
-
-
-def test_linear_form_rejects_another_field(ctx_a2):
-    rs = ctx_a2.rs
-    with pytest.raises(FieldMismatchError):
-        MultiPoly.linear_form(rs, [cos_field(5).gen(), 1])
-    assert MultiPoly.linear_form(rs, [rat(4, 2), 1]).to_string() == "2*u1 + u2"
-
-
-def test_eval_field_rejects_another_field(ctx_a2):
-    rs = ctx_a2.rs
-    f = build_discriminant(rs)
-    with pytest.raises(FieldMismatchError):
-        f.eval_field((cos_field(5).gen(), 1))
+    # an integral rational is demoted to an int
+    f = MultiPoly.from_terms(rs, {(1, 0): rat(4, 2), (0, 1): 1})
+    assert f.to_string() == "2*u1 + u2"
+    assert all(type(x) is int for x in f.terms.values())

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import coxdunkl.dunkl
-from coxdunkl.cli import main
+from coxdunkl.cli import _build_parser, main
+from coxdunkl.coxeter import DEFAULT_ENUMERATION_BUDGET
 from coxdunkl.errors import BudgetError, ConfigError
 from coxdunkl.mmintegral import mm_monte_carlo
 from coxdunkl.scalars import KPoly
@@ -33,6 +34,13 @@ def test_parse_defaults():
     assert cfg.shards == 16
     assert cfg.enumeration_budget == 20000
     assert not cfg.heavy_types_enabled
+
+
+def test_info_budget_default_is_the_suite_default():
+    # `info` and `suite` enumerate under the same default cap
+    args = _build_parser().parse_args(["info", "--type", "A2"])
+    assert args.budget == DEFAULT_ENUMERATION_BUDGET
+    assert SuiteConfig().enumeration_budget == DEFAULT_ENUMERATION_BUDGET
 
 
 def test_parse_examples():
