@@ -202,6 +202,13 @@ def test_from_terms_rejects_another_field(ctx_a2):
     for value in (cos_field(5).gen(), KPoly.gen(cos_field(5))):
         with pytest.raises(FieldMismatchError):
             MultiPoly.from_terms(rs, {(1, 0): value})
+
+
+def test_linear_form_rejects_another_field(ctx_a2):
+    # a linear form sum_j c_j u_j is built from degree-one terms
+    rs = ctx_a2.rs
+    with pytest.raises(FieldMismatchError):
+        MultiPoly.from_terms(rs, {(1, 0): cos_field(5).gen(), (0, 1): 1})
     # an integral rational is demoted to an int
     f = MultiPoly.from_terms(rs, {(1, 0): rat(4, 2), (0, 1): 1})
     assert f.to_string() == "2*u1 + u2"
