@@ -5,16 +5,16 @@ from .coxeter import (CoxeterDiagram, DegreeData, GroupElement, Rank2Parabolic,
                       compute_degrees, enumerate_group, poincare_polynomial,
                       psi_invariant, rank2_parabolics, standard_diagram,
                       verify_psi_identities)
-from .dunkl import (BFactorization, BPolyResult, DunklDirection, b_poly,
-                    beta_form, dunkl_apply, dunkl_apply_omega,
-                    dunkl_apply_root, dunkl_laplacian, gamma_form,
-                    verify_algebra_relations)
+from .dunkl import (BPolyResult, DunklDirection, b_poly, beta_form,
+                    dunkl_apply, dunkl_apply_omega, dunkl_apply_root,
+                    dunkl_laplacian, gamma_form, verify_algebra_relations)
 from .errors import (BudgetError, ConfigError, ExactDivisionError,
                      FactorizationError, FieldMismatchError,
                      PrecisionExhaustedError)
-from .mmintegral import (EULER_GAMMA, McEstimate, check_functional_equation,
-                         gamma_integral_cross_check, gamma_product_rhs,
-                         mm_exact, mm_log_moments, mm_monte_carlo)
+from .mmintegral import (EULER_GAMMA, McEstimate, cross_check_plan,
+                         functional_equation_plan, gamma_product_rhs,
+                         log_moments_plan, mm_exact, mm_monte_carlo,
+                         run_plans)
 from .polynomials import (MultiPoly, apply_reflection, build_discriminant,
                           divided_difference, root_linear_form)
 from .scalars import (FieldElement, FieldSpec, KPoly, cos_field,

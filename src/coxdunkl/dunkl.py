@@ -25,14 +25,13 @@ operators against it.
 """
 
 import random
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold,
                           _kpoly, _mul_into, apply_reflection,
                           build_discriminant, monomial_table, reflection_forms)
-from .scalars import FieldElement, KPoly, rat
+from .scalars import KPoly, rat
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +209,9 @@ def gamma_form(f: MultiPoly, g: MultiPoly) -> KPoly:
 # ---------------------------------------------------------------------------
 
 
-class BFactorization(NamedTuple):
-    """Leading constant and the positive rationals k_i with
-    b(k) = b0 * prod (k + k_i)^{n_i}."""
-
-    b0: FieldElement
-    roots: tuple  # sorted ((k_i as a Fraction, multiplicity), ...)
-
-    def expand(self, spec) -> KPoly:
-        out = KPoly.const(spec, self.b0)
-        for root, mult in self.roots:
-            out = out * KPoly.from_coeffs(spec, [root, 1]) ** mult
-        return out
-
-
 class BPolyResult(NamedTuple):
     computed: KPoly
     closed_form: KPoly
-    factorization: BFactorization    # None when the root pattern fails
-    roots_exact: bool
 
     @property
     def equal(self):
@@ -259,17 +242,17 @@ def b_poly_is_heavy(rs):
 
 
 def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
-    """The pairing of the discriminant with itself, three ways.
+    """The pairing of the discriminant with itself, two ways.
 
     `computed` applies the product of the root Dunkl operators to the
     discriminant and reads off the constant term (the discriminant is the
     product of the root linear forms, so this is its image under the
-    x -> y substitution).  `closed_form` is the degree product formula, and
-    the factorization certifies that the rational roots are exactly -m/d_i."""
+    x -> y substitution).  `closed_form` is the degree product formula, a
+    product of the factors (k d_i + m): equality with it certifies that the
+    roots of b are exactly -m/d_i, with their multiplicities."""
     if not allow_heavy and b_poly_is_heavy(rs):
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
-    sp = rs.spec
     flat = build_discriminant(rs).terms
     for direction in _root_directions(rs):
         flat = _apply_direction(rs, direction, flat)
@@ -278,34 +261,7 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
     computed = image.coefficient((0,) * rs.rank)
     clear_dunkl_caches(rs)
-
-    closed = closed_form_b(sp, dd)
-
-    fac = computed
-    roots = Counter()
-    exact = True
-    for d in dd.degrees:
-        for m in range(1, d):
-            divisor = KPoly.from_coeffs(sp, [rat(m, d), 1])
-            q, r = fac.divmod(divisor)
-            if not r.is_zero():
-                exact = False
-                break
-            fac = q
-            roots[rat(m, d)] += 1
-        if not exact:
-            break
-    factorization = None
-    if exact and fac.degree == 0:
-        b0 = fac.coeff(0)
-        factorization = BFactorization(b0, tuple(sorted(roots.items())))
-        if factorization.expand(sp) != computed:  # pragma: no cover
-            raise ArithmeticError("factorization does not expand to b")
-        if b0.sign() <= 0:  # pragma: no cover
-            raise ArithmeticError("leading coefficient of b not positive")
-    else:
-        exact = False
-    return BPolyResult(computed, closed, factorization, exact)
+    return BPolyResult(computed, closed_form_b(rs.spec, dd))
 
 
 # ---------------------------------------------------------------------------

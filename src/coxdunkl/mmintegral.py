@@ -479,12 +479,13 @@ def mc_pass(parts, samples, seed, shards, threads=1):
             for cols, counts in zip(zip(*states), zip(*rejected))]
 
 
-def _one_pass(rs, stat, samples, seed, shards, threads):
-    """One stat of one group over a pass: its merged state and redrawn
-    count."""
-    [((st,), rejected)] = mc_pass([(rs, [stat])], samples, seed, shards,
-                                  threads)
-    return st, rejected
+def run_plans(rs, plans, samples, seed, shards=16, threads=1):
+    """The finished reports of one group's (stat, finish) `plans`, all from
+    one `mc_pass`.  A plan's report does not depend on its companions: a
+    stat sees only its own group's blocks, and each keeps its own state."""
+    [(states, _)] = mc_pass([(rs, [stat for stat, _ in plans])], samples,
+                            seed, shards, threads)
+    return [finish(st) for (_, finish), st in zip(plans, states)]
 
 
 def _weight(logs, k, out):
@@ -505,7 +506,8 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
     if kf < 0:
         raise ValueError("k must be >= 0")
     weights = lambda u, logs, out: (_weight(logs, kf, out[0]),)
-    st, rejected = _one_pass(rs, weights, samples, seed, shards, threads)
+    [((st,), rejected)] = mc_pass([(rs, [weights])], samples, seed, shards,
+                                  threads)
     mean, se = st.mean_se()
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise BudgetError(f"the moments of the estimate of F({k}) on "
@@ -529,7 +531,6 @@ class FunctionalEquationReport(NamedTuple):
     b_at_k: float
     z_score: float
     passed: bool
-    exact: bool
     lhs_se: float = 0.0
     rhs_se: float = 0.0
 
@@ -550,29 +551,9 @@ def functional_equation_plan(b_at_k, k):
         rhs, rhs_se = st.mean_se((0.0, bf))
         z = diff / sigma if sigma > 0 else (0.0 if diff == 0 else math.inf)
         return FunctionalEquationReport(k, lhs, rhs, bf, z, abs(z) <= 4.0,
-                                        False, lhs_se, rhs_se)
+                                        lhs_se, rhs_se)
 
     return stat, finish
-
-
-def check_functional_equation(rs, b_computed: KPoly, k, samples, seed,
-                              shards=16, threads=1) -> FunctionalEquationReport:
-    """F(k+1) = b(k) F(k): exact when both sides are exact moments within
-    bound, otherwise both sides from one pass with a 4-sigma band."""
-    kq = as_rational(k)
-    if kq < 0:
-        raise ValueError("k must be >= 0")
-    b_at_k = b_computed(kq)
-    if kq.denominator == 1 and not mm_exact_is_heavy(rs, int(kq) + 1):
-        f0 = mm_exact(rs, int(kq))
-        f1 = mm_exact(rs, int(kq) + 1)
-        rhs = b_at_k * f0
-        ok = (f1 == rhs)
-        return FunctionalEquationReport(kq, float(f1), float(rhs),
-                                        float(b_at_k), 0.0, ok, True)
-    stat, finish = functional_equation_plan(b_at_k, kq)
-    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
-    return finish(st)
 
 
 def _poly_float_evaluator(poly, k_value):
@@ -649,14 +630,6 @@ def cross_check_plan(f, g, k):
     return stat, finish
 
 
-def gamma_integral_cross_check(rs, f, g, k, samples, seed, shards=16,
-                               threads=1) -> CrossCheckReport:
-    """`cross_check_plan` over a pass of its own."""
-    stat, finish = cross_check_plan(f, g, k)
-    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
-    return finish(st)
-
-
 class LogMomentsReport(NamedTuple):
     mean: float
     std_error: float
@@ -695,11 +668,3 @@ def log_moments_plan(rs, dd=None):
                                 c2, var_se, var_target, var_z)
 
     return (lambda u, logs, out: (logs,)), finish
-
-
-def mm_log_moments(rs, samples, seed, shards=16, threads=1,
-                   dd=None) -> LogMomentsReport:
-    """`log_moments_plan` over a pass of its own."""
-    stat, finish = log_moments_plan(rs, dd)
-    st, _ = _one_pass(rs, stat, samples, seed, shards, threads)
-    return finish(st)

@@ -67,3 +67,12 @@ def random_multipoly(rs, rng, max_degree=5, terms=4, homogeneous=False,
     if not mapping:
         mapping = {(0,) * rs.rank: 1}
     return MultiPoly.from_terms(rs, mapping)
+
+
+def divide_out_roots(b, roots):
+    """b divided exactly by (k + r) for each r of `roots`, repeats
+    included; asserts that every division leaves no remainder."""
+    for r in roots:
+        b, rem = b.divmod(KPoly.from_coeffs(b.spec, [r, 1]))
+        assert rem.is_zero(), f"k = -{r} is not a root of the quotient"
+    return b

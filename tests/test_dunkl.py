@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coxdunkl.coxeter import chevalley_q_identity
-from coxdunkl.dunkl import (BFactorization, DunklDirection, _apply_direction,
+from coxdunkl.dunkl import (DunklDirection, _apply_direction,
                             _root_directions, b_poly, beta_form, closed_form_b,
                             closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
@@ -15,7 +15,7 @@ from coxdunkl.polynomials import (MultiPoly, build_discriminant,
 from coxdunkl.scalars import QQ, FieldElement, KPoly, cos_field, kpoly_gcd, rat
 from coxdunkl.suite import group_context
 
-from conftest import random_multipoly
+from conftest import divide_out_roots, random_multipoly
 
 
 def kp(rs, coeffs):
@@ -222,22 +222,24 @@ def test_b_poly_small_closed_forms():
     a1 = group_context("A1")
     res = b_poly(a1.rs, a1.degrees)
     assert res.computed == kp(a1.rs, [2, 4])          # 2(2k+1)
-    assert res.equal and res.roots_exact
+    assert res.equal
 
     a2 = group_context("A2")
     res = b_poly(a2.rs, a2.degrees)
     # 6(2k+1)(3k+1)(3k+2) = 108k^3 + 162k^2 + 78k + 12
     assert res.computed == kp(a2.rs, [12, 78, 162, 108])
-    assert res.equal and res.roots_exact
+    assert res.equal
+    assert res.computed.leading().sign() > 0
     assert closed_form_b_string(a2.degrees) == "6*(2k+1)*(3k+1)*(3k+2)"
 
     i24 = group_context("I2(4)")
     res = b_poly(i24.rs, i24.degrees)
-    assert res.equal and res.roots_exact
+    assert res.equal
     assert closed_form_b_string(i24.degrees) == "8*(2k+1)*(4k+1)*(4k+2)*(4k+3)"
-    # root multiset: -1/4, -1/2 (twice), -3/4
-    assert res.factorization.roots == ((rat(1, 4), 1), (rat(1, 2), 2),
-                                       (rat(3, 4), 1))
+    # root multiset: -1/4, -1/2 (twice), -3/4, and no other root
+    rest = divide_out_roots(res.computed,
+                            [rat(1, 4), rat(1, 2), rat(1, 2), rat(3, 4)])
+    assert rest == kp(i24.rs, [8 * 4 * 4 * 4 * 2])
 
 
 def test_b_poly_degree_is_reflection_count():
@@ -253,12 +255,6 @@ def test_b_poly_matches_generic_beta_form():
         ctx = group_context(label)
         delta = build_discriminant(ctx.rs)
         assert beta_form(delta, delta) == b_poly(ctx.rs, ctx.degrees).computed
-
-
-def test_b_poly_factorization_expands_back(ctx_a2):
-    res = b_poly(ctx_a2.rs, ctx_a2.degrees)
-    assert res.factorization.expand(ctx_a2.rs.spec) == res.computed
-    assert res.factorization.b0.sign() > 0
 
 
 def test_exact_kernel_coordinates_are_ints():
@@ -318,8 +314,7 @@ def test_exact_results_demote_integral_coordinates_to_ints():
         assert ints(c for frac in (res.lhs, res.rhs) for p in frac for c in p.co)
     for label in ("B2", "I2(5)"):
         ctx = group_context(label)
-        fac = b_poly(ctx.rs, ctx.degrees).factorization
-        assert fac is not None and ints([fac.b0.co])
+        assert ints(b_poly(ctx.rs, ctx.degrees).computed.co)
     a = KPoly.from_coeffs(QQ, [2, 3, 1])                    # (k+1)(k+2)
     b = KPoly.from_coeffs(QQ, [rat(1, 2), rat(1, 2)])       # (k+1)/2
     q, r = a.divmod(b)

@@ -10,12 +10,12 @@ from coxdunkl.errors import BudgetError
 from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  _log_abs_delta, _merged, _Moments,
                                  _poly_float_evaluator, _substream,
-                                 check_functional_equation, cross_check_plan,
-                                 gamma_integral_cross_check, gaussian_moment,
-                                 gamma_product_exact, gamma_product_rhs,
-                                 log_gamma_product, log_moments_plan, mm_exact,
-                                 mc_pass, mm_exact_is_heavy, mm_log_moments,
-                                 mm_monte_carlo, predicted_relative_se,
+                                 cross_check_plan, functional_equation_plan,
+                                 gaussian_moment, gamma_product_exact,
+                                 gamma_product_rhs, log_gamma_product,
+                                 log_moments_plan, mm_exact, mc_pass,
+                                 mm_exact_is_heavy, mm_monte_carlo,
+                                 predicted_relative_se, run_plans,
                                  wick_moment_bruteforce)
 from coxdunkl.coxeter import build_root_system, standard_diagram
 from coxdunkl.dunkl import b_poly
@@ -186,19 +186,20 @@ def test_mc_monotone_in_k(ctx_a2):
     assert e1.mean < e2.mean - band
 
 
+def _fe_plan(ctx, k):
+    return functional_equation_plan(b_poly(ctx.rs, ctx.degrees).computed(k), k)
+
+
 def test_functional_equation_exact_path(ctx_a2):
+    # at k = 0 both sides are exact moments:
+    # b(0) F(0) = |W| prod (d_i - 1)! = 6 * 1 * 2 = 12 = F(1)
     b = b_poly(ctx_a2.rs, ctx_a2.degrees).computed
-    rep = check_functional_equation(ctx_a2.rs, b, 0, SAMPLES, seed=1)
-    assert rep.exact and rep.passed
-    # b(0) = |W| prod (d_i - 1)! = 6 * 1 * 2 = 12 = F(1)
-    assert rep.lhs == 12.0 and rep.rhs == 12.0
+    assert b(0) * mm_exact(ctx_a2.rs, 0) == mm_exact(ctx_a2.rs, 1) == 12
 
 
 def test_functional_equation_statistical(ctx_a1, ctx_b2):
     for ctx, k in [(ctx_a1, rat(1, 2)), (ctx_b2, rat(1, 4))]:
-        b = b_poly(ctx.rs, ctx.degrees).computed
-        rep = check_functional_equation(ctx.rs, b, k, SAMPLES, seed=6)
-        assert not rep.exact
+        [rep] = run_plans(ctx.rs, [_fe_plan(ctx, k)], SAMPLES, seed=6)
         assert rep.passed, rep
 
 
@@ -206,7 +207,8 @@ def test_functional_equation_a1_band(ctx_a1):
     # b(1/2) = 4 and F(3/2)/F(1/2) = 4
     b = b_poly(ctx_a1.rs, ctx_a1.degrees).computed
     assert float(b(rat(1, 2))) == 4.0
-    rep = check_functional_equation(ctx_a1.rs, b, rat(1, 2), SAMPLES, seed=2)
+    [rep] = run_plans(ctx_a1.rs, [_fe_plan(ctx_a1, rat(1, 2))], SAMPLES,
+                      seed=2)
     assert abs(rep.z_score) <= 4
 
 
@@ -214,9 +216,8 @@ def test_functional_equation_z_is_that_of_the_per_sample_difference(ctx_b2):
     # both sides come from one pass, so the band is the standard error of
     # the mean of w1 - b w0, recomputed here from the same blocks
     rs, k = ctx_b2.rs, rat(1, 4)
-    b = b_poly(rs, ctx_b2.degrees).computed
-    bf = float(b(k))
-    rep = check_functional_equation(rs, b, k, 150_000, seed=8, shards=3)
+    bf = float(b_poly(rs, ctx_b2.degrees).computed(k))
+    [rep] = run_plans(rs, [_fe_plan(ctx_b2, k)], 150_000, seed=8, shards=3)
     w0, w1 = [], []
     for shard, n in enumerate((50_000,) * 3):
         sampler = _BlockSampler([rs], 8, shard)
@@ -238,28 +239,30 @@ def test_gamma_cross_check_rank1(ctx_a1):
     u2 = MultiPoly.variable(rs, 0, 2)
     one = MultiPoly.one(rs)
     # k=0: plain Gaussian moment E[u^2] = 2, exactly the pairing value
-    rep = gamma_integral_cross_check(rs, u2, one, 0, SAMPLES, seed=11)
-    assert rep.exact_value == 2.0
-    assert rep.passed
-    rep = gamma_integral_cross_check(rs, u2, one, rat(1, 2), SAMPLES, seed=12)
-    assert rep.exact_value == 4.0   # 2(1 + 2k) at k = 1/2
-    assert rep.passed
+    k0, k1 = run_plans(rs, [cross_check_plan(u2, one, 0),
+                            cross_check_plan(u2, one, rat(1, 2))],
+                       SAMPLES, seed=11)
+    assert k0.exact_value == 2.0
+    assert k0.passed
+    assert k1.exact_value == 4.0   # 2(1 + 2k) at k = 1/2
+    assert k1.passed
 
 
 def test_gamma_cross_check_trivial_pair(ctx_a2):
     one = MultiPoly.one(ctx_a2.rs)
-    rep = gamma_integral_cross_check(ctx_a2.rs, one, one, rat(1, 2),
-                                     50_000, seed=13)
+    [rep] = run_plans(ctx_a2.rs, [cross_check_plan(one, one, rat(1, 2))],
+                      50_000, seed=13)
     assert rep.exact_value == 1.0
     assert rep.estimate == 1.0 and rep.passed
 
 
 def test_log_moments(ctx_a1, ctx_a2):
-    rep = mm_log_moments(ctx_a1.rs, SAMPLES, seed=21, shards=8)
+    [rep] = run_plans(ctx_a1.rs, [log_moments_plan(ctx_a1.rs)], SAMPLES,
+                      seed=21, shards=8)
     assert abs(rep.target - (-EULER_GAMMA)) < 1e-12
     assert rep.passed, rep
-    rep = mm_log_moments(ctx_a2.rs, SAMPLES, seed=22, shards=8,
-                         dd=ctx_a2.degrees)
+    [rep] = run_plans(ctx_a2.rs, [log_moments_plan(ctx_a2.rs, ctx_a2.degrees)],
+                      SAMPLES, seed=22, shards=8)
     assert abs(rep.target - (-3 * EULER_GAMMA)) < 1e-12
     assert rep.passed, rep
     # second-moment target (pi^2/6) * sum(d_i^2 - 1) = (pi^2/6) * 11
@@ -716,18 +719,32 @@ def test_empty_shards_merge_to_the_others(ctx_a2):
     assert est.samples == 5 and math.isfinite(est.mean) and est.mean > 0
 
 
+def test_plan_reports_do_not_depend_on_their_companions(ctx_b2):
+    # a plan's report is the same to the bit alone and beside other plans
+    # in one `run_plans` pass, in any order: batching a group's plans into
+    # one pass changes no estimate and no z-score
+    rs, k = ctx_b2.rs, rat(1, 4)
+    u2, one = MultiPoly.variable(rs, 0, 2), MultiPoly.one(rs)
+    plans = [_fe_plan(ctx_b2, k), cross_check_plan(u2, one, k),
+             log_moments_plan(rs, ctx_b2.degrees)]
+    together = run_plans(rs, plans, 60_000, seed=9, shards=4)
+    alone = [run_plans(rs, [plan], 60_000, seed=9, shards=4)[0]
+             for plan in plans]
+    assert together == alone
+    assert list(map(repr, together)) == list(map(repr, alone))
+    assert run_plans(rs, plans[::-1], 60_000, seed=9,
+                     shards=4) == together[::-1]
+
+
 def test_estimates_do_not_depend_on_the_thread_count(ctx_b2):
     rs = ctx_b2.rs
     f = MultiPoly.variable(rs, 0, 2)
     one = MultiPoly.one(rs)
+    plans = [log_moments_plan(rs, ctx_b2.degrees),
+             cross_check_plan(f, one, rat(1, 2))]
     for threads in (2, 3):
-        assert (mm_log_moments(rs, 150_000, 6, 8, threads=threads,
-                               dd=ctx_b2.degrees)
-                == mm_log_moments(rs, 150_000, 6, 8, dd=ctx_b2.degrees))
-        assert (gamma_integral_cross_check(rs, f, one, rat(1, 2), 150_000, 6,
-                                           8, threads=threads)
-                == gamma_integral_cross_check(rs, f, one, rat(1, 2), 150_000,
-                                              6, 8))
+        assert (run_plans(rs, plans, 150_000, 6, 8, threads=threads)
+                == run_plans(rs, plans, 150_000, 6, 8))
         assert (mm_monte_carlo(rs, 0.75, 150_000, 6, 8, threads=threads)
                 == mm_monte_carlo(rs, 0.75, 150_000, 6, 8))
 

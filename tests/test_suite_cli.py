@@ -12,9 +12,9 @@ from coxdunkl.coxeter import DEFAULT_ENUMERATION_BUDGET
 from coxdunkl.errors import BudgetError, ConfigError
 from coxdunkl.mmintegral import mm_monte_carlo
 from coxdunkl.scalars import KPoly
-from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, SuiteConfig,
-                            default_threads, group_context, parse_config,
-                            render_report, run_check, run_suite)
+from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, CheckReport,
+                            SuiteConfig, default_threads, group_context,
+                            parse_config, render_report, run_check, run_suite)
 
 FAST_EXACT = ("poincare_identity", "degrees_consistency", "chevalley",
               "psi_identities", "mm_exact_k1", "mm_exact_k2")
@@ -63,6 +63,16 @@ def test_parse_comments_and_errors():
         parse_config("groups = Q5")
     with pytest.raises(ConfigError, match="unknown check"):
         parse_config("checks = flux_capacitor")
+    # an empty list would verify nothing and exit 0
+    with pytest.raises(ConfigError, match="line 2: groups needs at least"):
+        parse_config("seed = 1\ngroups =\n")
+    with pytest.raises(ConfigError, match="line 1: checks needs at least"):
+        parse_config("checks = ,  # none")
+    # a repeated group would be reported twice and drawn twice in the pass
+    with pytest.raises(ConfigError, match="line 1: group 'A1' listed twice"):
+        parse_config("groups = A1, A2, A1")
+    with pytest.raises(ConfigError, match="line 3: check 'b_poly' listed"):
+        parse_config("\n\nchecks = b_poly,b_poly")
     with pytest.raises(ConfigError, match="integer"):
         parse_config("shards = many")
     with pytest.raises(ConfigError, match="true/false"):
@@ -81,6 +91,28 @@ def test_config_round_trip():
 def test_render_report_empty_and_schema():
     assert render_report([], "json", seed=42) == \
         '{"suite_version":1,"seed":42,"checks":[],"failures":0}'
+
+
+def test_report_serialization_is_pinned():
+    # key order and values of one exact and one statistical report; an
+    # exact report carries no z_score key
+    exact = CheckReport("b_poly", "A2", "exact", "pass",
+                        "6*(2k+1)*(3k+1)*(3k+2)",
+                        "6*(2k+1)*(3k+1)*(3k+2) (roots -m/d_i verified)",
+                        None, 12)
+    stat = CheckReport("log_moments", "A2", "statistical", "pass",
+                       "E[log Delta^2] = -EulerGamma*|S| = -1.7316469",
+                       "mean=-1.7315 (se=0.00033)", -0.123456789012345, 3401)
+    dump = lambda r: json.dumps(r.as_dict(), separators=(",", ":"))
+    assert dump(exact) == (
+        '{"name":"b_poly","group":"A2","mode":"exact","status":"pass",'
+        '"expected":"6*(2k+1)*(3k+1)*(3k+2)","actual":"6*(2k+1)*(3k+1)*'
+        '(3k+2) (roots -m/d_i verified)","runtime_ms":12}')
+    assert dump(stat) == (
+        '{"name":"log_moments","group":"A2","mode":"statistical",'
+        '"status":"pass","expected":"E[log Delta^2] = -EulerGamma*|S| = '
+        '-1.7316469","actual":"mean=-1.7315 (se=0.00033)",'
+        '"z_score":-0.123456789012345,"runtime_ms":3401}')
 
 
 def _strip_runtime(doc):
