@@ -557,9 +557,8 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
 class Rank2Parabolic(NamedTuple):
     """Codimension-2 mirror intersection: a dihedral pointwise stabilizer."""
 
-    flat_id: tuple        # sorted indices of the mirrors through the flat
-    m: int                # number of such mirrors; the group is I2(m)
-    member_roots: tuple
+    m: int                # mirrors through the flat; the group is I2(m)
+    member_roots: tuple   # sorted indices of those mirrors
 
 
 def rank2_parabolics(rs: RootSystem) -> list:
@@ -569,7 +568,7 @@ def rank2_parabolics(rs: RootSystem) -> list:
     partition is verified by the pair count identity."""
     if rs.rank == 2:   # a dihedral group: one plane, holding every root
         every = tuple(range(rs.num_positive))
-        return [Rank2Parabolic(every, len(every), every)]
+        return [Rank2Parabolic(len(every), every)]
     sp = rs.spec
     gram = rs.root_gram()
     n = len(gram)
@@ -603,7 +602,7 @@ def rank2_parabolics(rs: RootSystem) -> list:
                 if hit:
                     members.append(g)
             members = tuple(members)
-            planes.append(Rank2Parabolic(members, len(members), members))
+            planes.append(Rank2Parabolic(len(members), members))
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     assigned.add((members[a], members[b]))

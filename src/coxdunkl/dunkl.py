@@ -10,18 +10,17 @@ acting on polynomials in the coordinates u_i = (alpha_i, x).  Directions are
 stored in the basis {omega_i} dual to the simple roots, so d_{omega_i} is the
 plain partial derivative in u_i.  The divided differences come from per-root
 monomial tables built by `polynomials.monomial_table` with the division-free
-twisted-Leibniz step
+twisted-Leibniz step (`polynomials.reflection_step`)
 
-    dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F),
+    dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F).
 
-where s_alpha(u_i) comes from `polynomials.reflection_forms`.  The kernel
-works directly on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
-`polynomials`, with its one product `_mul_into` and its c-fold `_fold`.  An
-application builds each input monomial's image once and applies it to all
-of its (c, k) slots.
-The reflect-and-divide route (`apply_reflection`, `divided_difference`,
-`divide_by_root_form`) does not use these tables; the tests check the
-operators against it.
+The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
+`polynomials`: an application is one `_map_monomials` walk, which builds
+each input monomial's image once for all of its (c, k) slots.  The tables
+are locals of the call that fills them (`b_poly`, `dunkl_apply`,
+`dunkl_laplacian`, `beta_form`).  The reflect-and-divide route
+(`apply_reflection`, `divided_difference`, `divide_by_root_form`) does not
+use these tables; the tests check the operators against it.
 """
 
 import random
@@ -29,8 +28,8 @@ from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold,
-                          _kpoly, _mul_into, apply_reflection,
-                          build_discriminant, monomial_table, reflection_forms)
+                          _kpoly, _map_monomials, _mul_into, apply_reflection,
+                          build_discriminant, monomial_table, reflection_step)
 from .scalars import KPoly, rat
 
 
@@ -80,61 +79,41 @@ def _root_directions(rs):
 # ---------------------------------------------------------------------------
 
 
-def _dd_monomial(rs, root_index, key):
-    """(u^E - s_alpha u^E) / (alpha, x) as a flat {u^F c^e: int} table.
-
-    Twisted Leibniz on u^E = u_i * u^(E - e_i):
-        dd(u^E) = (alpha_i, alpha) u^(E-e_i) + s_alpha(u_i) * dd(u^(E-e_i)).
-    """
-    pair = rs.pair_vectors()[root_index]
-    forms = reflection_forms(rs, root_index)
-
-    def step(i, prev_key, prev):
-        dst = _flat(rs, (pair[i],), prev_key)
-        _mul_into(dst, forms[i], prev.items())
-        return _fold(rs, dst)
-
-    return monomial_table(rs._cache(("dd", root_index), lambda: {0: {}}),
-                          step, key)
+def _dd_tables(rs):
+    """Empty divided-difference memos, one per positive root, for the call
+    that creates them: entry E of table alpha is dd_alpha(u^E), as flat terms."""
+    return [{0: {}} for _ in range(rs.num_positive)]
 
 
-def clear_dunkl_caches(rs):
-    """Drop the divided-difference memo tables (after every `b_poly`, so
-    that they do not outlive the computation)."""
-    for key in [k for k in rs._caches if isinstance(k, tuple) and k[0] == "dd"]:
-        rs._caches.pop(key, None)
-
-
-def _apply_direction(rs, direction, flat):
+def _apply_direction(rs, direction, flat, tables):
     """Dunkl application on a flat dict; k-degree rises by <= 1.  The image
-    d_a u^E + k sum_alpha (alpha, a) dd_alpha(u^E) of each u^E is built once."""
+    d_a u^E + k sum_alpha (alpha, a) dd_alpha(u^E) of each u^E is built once,
+    its divided differences from `tables` (see `_dd_tables`)."""
     cs = EXP_BITS * rs.rank
-    umask = (1 << cs) - 1
     grad = [[(e << cs, x) for e, x in enumerate(w) if x] for w in direction.dual]
-    refl = [(alpha, [((e << cs) + (1 << (cs + EXP_BITS)), x)
-                     for e, x in enumerate(w) if x])
+    refl = [(tables[alpha], reflection_step(rs, alpha, divided=True),
+             [((e << cs) + (1 << (cs + EXP_BITS)), x) for e, x in enumerate(w) if x])
             for alpha, w in enumerate(direction.pairings) if any(w)]
-    slots = {}
-    for key, x in flat.items():
-        slots.setdefault(key & umask, []).append((key & ~umask, x))
-    out = {}
-    for u, ux in slots.items():
-        image = {}
+
+    def image(u):
+        out = {}
         for i, ws in enumerate(grad):
             e = u >> (EXP_BITS * i) & EXP_MASK
             if e:
-                _mul_into(image, ((u - (1 << (EXP_BITS * i)), e),), ws)
-        for alpha, ws in refl:
-            _mul_into(image, _dd_monomial(rs, alpha, u).items(), ws)
-        _mul_into(out, ux, _fold(rs, image).items())
-    return _fold(rs, out)
+                _mul_into(out, ((u - (1 << (EXP_BITS * i)), e),), ws)
+        for memo, step, ws in refl:
+            _mul_into(out, monomial_table(memo, step, u).items(), ws)
+        return _fold(rs, out)
+
+    return _map_monomials(rs, flat, image)
 
 
 def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:
     """Apply the Dunkl operator for the given direction."""
     if direction.ring is not f.ring:
         raise ValueError("direction and polynomial from different rings")
-    return MultiPoly(f.ring, _apply_direction(f.ring, direction, f.terms))
+    rs = f.ring
+    return MultiPoly(rs, _apply_direction(rs, direction, f.terms, _dd_tables(rs)))
 
 
 def dunkl_apply_omega(rs, i, f: MultiPoly) -> MultiPoly:
@@ -160,17 +139,17 @@ def beta_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     rs = f.ring
     umask = (1 << (EXP_BITS * rs.rank)) - 1
     y_dirs = _root_directions(rs)
-    memo = {0: g.terms}
+    tables = _dd_tables(rs)
+    memo = {0: g.terms}   # y^E g by packed E, for this call only
 
     def step(i, prev_key, prev):
-        return _apply_direction(rs, y_dirs[i], prev)
+        return _apply_direction(rs, y_dirs[i], prev, tables)
 
-    out = {}
-    for u, row in f._rows().items():
-        node = monomial_table(memo, step, u)
-        _mul_into(out, ((key - u, x) for key, x in row),
-                  [(k, y) for k, y in node.items() if not k & umask])
-    return _kpoly(rs, _fold(rs, out).items())
+    def image(u):
+        return {k: y for k, y in monomial_table(memo, step, u).items()
+                if not k & umask}
+
+    return _kpoly(rs, _map_monomials(rs, f.terms, image).items())
 
 
 def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
@@ -180,8 +159,9 @@ def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
     rs = f.ring
     omega = _omega_directions(rs)
     ydirs = _root_directions(rs)
+    tables = _dd_tables(rs)
     return sum((MultiPoly(rs, _apply_direction(
-        rs, omega[j], _apply_direction(rs, ydirs[j], f.terms)))
+        rs, omega[j], _apply_direction(rs, ydirs[j], f.terms, tables), tables))
         for j in range(rs.rank)), MultiPoly.zero(rs))
 
 
@@ -254,13 +234,13 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
     flat = build_discriminant(rs).terms
+    tables = _dd_tables(rs)
     for direction in _root_directions(rs):
-        flat = _apply_direction(rs, direction, flat)
+        flat = _apply_direction(rs, direction, flat, tables)
     image = MultiPoly(rs, flat)
     if image.degree() > 0:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
     computed = image.coefficient((0,) * rs.rank)
-    clear_dunkl_caches(rs)
     return BPolyResult(computed, closed_form_b(rs.spec, dd))
 
 
@@ -279,12 +259,12 @@ class AlgebraReport(NamedTuple):
         return not self.failures
 
 
-def random_poly(rs, max_degree, rng, homogeneous=True, terms=4):
-    """Random small-integer polynomial for property checks (deterministic rng)."""
+def random_poly(rs, max_degree, rng):
+    """Random homogeneous small-integer polynomial (deterministic rng)."""
     r = rs.rank
     deg = rng.randint(1, max_degree)
     mapping = {}
-    for _ in range(terms):
+    for _ in range(4):
         cuts = sorted(rng.randint(0, deg) for _ in range(r - 1)) if r > 1 else []
         exps = []
         prev = 0
@@ -295,8 +275,6 @@ def random_poly(rs, max_degree, rng, homogeneous=True, terms=4):
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         exps = tuple(exps)
         mapping[exps] = mapping.get(exps, 0) + coeff
-        if not homogeneous and rng.random() < 0.3:
-            deg = rng.randint(1, max_degree)
     return MultiPoly.from_terms(rs, {e: c for e, c in mapping.items() if c})
 
 

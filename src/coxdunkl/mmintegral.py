@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold, _kpoly,
-                          _mul_into, build_discriminant)
+                          _map_monomials, _mul_into, build_discriminant)
 from .scalars import FieldElement, KPoly, as_rational, qdiv
 
 #: Euler's constant, accurate to well below 1e-15
@@ -54,10 +54,9 @@ def gaussian_moment(p) -> KPoly:
     """E[p] for a MultiPoly p, where u ~ N(0, G) with G = `rs.gram_raw()`.
 
     Stein's identity E[u_i f] = sum_j G_ij E[d_j f] peels the lowest variable
-    u_i of each monomial: E[u_i u^F] = sum_j G_ij F_j E[u^(F - e_j)].  Each
-    moment is a flat {c^e: coordinate} dict, worked by the polynomial kernel."""
+    u_i of each monomial: E[u_i u^F] = sum_j G_ij F_j E[u^(F - e_j)], a flat
+    {c^e: coordinate} dict that `_map_monomials` maps over p's monomials."""
     rs = p.ring
-    umask = (1 << (EXP_BITS * rs.rank)) - 1
     rows = [[(j, _flat(rs, (g,)).items()) for j, g in enumerate(row) if any(g)]
             for row in rs.gram_raw()]
     memo = {0: {0: 1}}   # packed key -> moment, for this call only
@@ -75,11 +74,7 @@ def gaussian_moment(p) -> KPoly:
             memo[key] = _fold(rs, acc)
         return memo[key]
 
-    out = {}
-    for key, x in p.terms.items():
-        u = key & umask
-        _mul_into(out, ((key - u, x),), moment(u).items())
-    return _kpoly(rs, _fold(rs, out).items())
+    return _kpoly(rs, _map_monomials(rs, p.terms, moment).items())
 
 
 def mm_exact(rs, k: int) -> FieldElement:
@@ -218,13 +213,12 @@ def _log_abs(p, pairings):
     return p, odd[(sub == 0.0).any(axis=0)]
 
 
-def _log_abs_delta(dots, out=None):
+def _log_abs_delta(dots):
     """`_log_abs` of the products of the pairings `dots`, held as
-    (|S|, samples) so that the product runs along contiguous rows; written
-    to `out` when given."""
+    (|S|, samples) so that the product runs along contiguous rows."""
     import numpy as np
     with np.errstate(over="ignore"):
-        p = dots.prod(axis=0, out=out)
+        p = dots.prod(axis=0)
     return _log_abs(p, lambda odd: dots[:, odd])
 
 

@@ -96,6 +96,26 @@ def _kpoly(rs, terms):
                       for j in range(max(kco, default=-1) + 1)])
 
 
+def _by_monomial(rs, terms):
+    """{packed u^E: [its flat (key, coordinate) terms]} of the flat dict
+    `terms`, in the order the terms come."""
+    umask = (1 << (EXP_BITS * rs.rank)) - 1
+    rows = {}
+    for key, x in terms.items():
+        rows.setdefault(key & umask, []).append((key, x))
+    return rows
+
+
+def _map_monomials(rs, terms, image):
+    """The linear map u^E -> image(u^E) (a flat dict) applied to the flat
+    dict `terms`: each monomial's image is built once and multiplied by all
+    of its (c, k) slots, and the sum is folded once."""
+    out = {}
+    for u, row in _by_monomial(rs, terms).items():
+        _mul_into(out, [(key - u, x) for key, x in row], image(u).items())
+    return _fold(rs, out)
+
+
 class MultiPoly:
     """Exact sparse polynomial over a root system's coordinate ring."""
 
@@ -146,18 +166,10 @@ class MultiPoly:
         r = self.ring.rank
         return max(key_degree(k, r) for k in self.terms)
 
-    def _rows(self):
-        """{packed u^E: [its flat terms]}, in the order the terms come."""
-        umask = (1 << (EXP_BITS * self.ring.rank)) - 1
-        rows = {}
-        for key, x in self.terms.items():
-            rows.setdefault(key & umask, []).append((key, x))
-        return rows
-
     def term_items(self):
         """Deterministic list of (exponent tuple, KPoly) pairs, graded order."""
         r = self.ring.rank
-        rows = self._rows()
+        rows = _by_monomial(self.ring, self.terms)
         keys = sorted(rows,
                       key=lambda k: (-key_degree(k, r),
                                      tuple(-e for e in unpack_exponents(k, r))))
@@ -165,7 +177,8 @@ class MultiPoly:
                 for k in keys]
 
     def coefficient(self, exps) -> KPoly:
-        return _kpoly(self.ring, self._rows().get(pack_exponents(exps), ()))
+        rows = _by_monomial(self.ring, self.terms)
+        return _kpoly(self.ring, rows.get(pack_exponents(exps), ()))
 
     def _check_ring(self, other):
         if self.ring is other.ring:
@@ -247,12 +260,12 @@ class MultiPoly:
     def float_terms(self, k_value):
         """[(exponent tuple, float coefficient)] with k specialized to k_value."""
         kq = as_rational(k_value)
-        r = self.ring.rank
+        rs = self.ring
         out = []
-        for u, row in self._rows().items():
-            value = _kpoly(self.ring, row)(kq)
-            if value:
-                out.append((unpack_exponents(u, r), float(value)))
+        for u, row in _by_monomial(rs, self.terms).items():
+            value = _kpoly(rs, row).raw_at(kq)
+            if any(value):
+                out.append((unpack_exponents(u, rs.rank), rs.spec.raw_float(value)))
         return out
 
     # -- serialization ---------------------------------------------------------
@@ -297,17 +310,19 @@ def root_linear_form(rs, root_index) -> MultiPoly:
 
 def reflection_forms(rs, root_index):
     """s_alpha(u_i) = u_i - (alpha_i, alpha) * (alpha, x) for each i, as
-    tuples of flat (key, coordinate) terms (cached per root)."""
+    tuples of flat (key, coordinate) terms (cached for every root at once)."""
     def build():
         sp = rs.spec
-        root = rs.roots_raw()[root_index]
-        forms = []
-        for i, w in enumerate(rs.pair_vectors()[root_index]):
-            coeffs = [sp.raw_neg(sp.raw_mul(w, c)) for c in root]
-            coeffs[i] = sp.raw_add(sp.raw_one(), coeffs[i])
-            forms.append(tuple(_linear_terms(rs, coeffs).items()))
-        return tuple(forms)
-    return rs._cache(("refl_forms", root_index), build)
+        out = []
+        for root, pair in zip(rs.roots_raw(), rs.pair_vectors()):
+            forms = []
+            for i, w in enumerate(pair):
+                coeffs = [sp.raw_neg(sp.raw_mul(w, c)) for c in root]
+                coeffs[i] = sp.raw_add(sp.raw_one(), coeffs[i])
+                forms.append(tuple(_linear_terms(rs, coeffs).items()))
+            out.append(tuple(forms))
+        return tuple(out)
+    return rs._cache("reflection_forms", build)[root_index]
 
 
 def monomial_table(memo, step, key):
@@ -328,29 +343,29 @@ def monomial_table(memo, step, key):
     return table
 
 
-def _reflected_monomial(rs, root_index, key):
-    """Image of the monomial u^E under s_alpha: s(u^E) = s(u_i) s(u^(E-e_i))."""
+def reflection_step(rs, root_index, divided=False):
+    """The `monomial_table` step T(u_i u^F) = s_alpha(u_i) T(u^F), which from
+    T(0) = 1 tabulates s_alpha(u^E).  `divided` adds (alpha_i, alpha) u^F,
+    the twisted Leibniz rule that from T(0) = 0 tabulates the divided
+    differences (u^E - s_alpha u^E) / (alpha, x)."""
     forms = reflection_forms(rs, root_index)
+    pair = rs.pair_vectors()[root_index]
 
     def step(i, prev_key, prev):
-        dst = {}
+        dst = _flat(rs, (pair[i],), prev_key) if divided else {}
         _mul_into(dst, forms[i], prev.items())
         return _fold(rs, dst)
 
-    return monomial_table(rs._cache(("refl_img", root_index),
-                                    lambda: {0: {0: 1}}), step, key)
+    return step
 
 
 def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:
     """f composed with the reflection in the given positive root (an involution)."""
     rs = f.ring
-    umask = (1 << (EXP_BITS * rs.rank)) - 1
-    dst = {}
-    for key, x in f.terms.items():
-        u = key & umask
-        _mul_into(dst, ((key - u, x),),
-                  _reflected_monomial(rs, root_index, u).items())
-    return MultiPoly(rs, _fold(rs, dst))
+    memo = {0: {0: 1}}   # s_alpha(u^E) by packed E, for this call only
+    step = reflection_step(rs, root_index)
+    return MultiPoly(rs, _map_monomials(
+        rs, f.terms, lambda u: monomial_table(memo, step, u)))
 
 
 def divided_difference(f: MultiPoly, root_index) -> MultiPoly:
@@ -376,7 +391,7 @@ def divide_by_root_form(g: MultiPoly, root_index) -> MultiPoly:
         if l != pivot and any(co):
             ul = 1 << (EXP_BITS * l)
             others.append((ul, [(k, -x) for k, x in _flat(rs, (co,), ul).items()]))
-    rows = {u: dict(row) for u, row in g._rows().items()}
+    rows = {u: dict(row) for u, row in _by_monomial(rs, g.terms).items()}
     buckets = {}
     for u in rows:
         buckets.setdefault(u >> (EXP_BITS * pivot) & EXP_MASK, []).append(u)

@@ -88,16 +88,14 @@ class FieldSpec:
     `top`, a float estimate of that root, lets the bracket start next to it
     after three Sturm counts instead of bisecting from the Cauchy bound."""
 
-    __slots__ = ("name", "min_poly", "degree", "_pow", "_lo", "_hi",
-                 "_zero", "_one")
+    __slots__ = ("min_poly", "degree", "_pow", "_lo", "_hi", "_zero", "_one")
 
-    def __init__(self, min_poly, name="c", top=None):
+    def __init__(self, min_poly, top=None):
         mp_ = tuple(int(a) for a in min_poly)
         if len(mp_) < 2 or mp_[-1] != 1:
             raise ValueError("minimal polynomial must be monic of degree >= 1")
         self.min_poly = mp_
         self.degree = len(mp_) - 1
-        self.name = name
         d = self.degree
         # reduction rows: coordinates of c^d, ..., c^(2d-2)
         rows = []
@@ -139,7 +137,7 @@ class FieldSpec:
             seq.append(-seq[-2].divmod(seq[-1])[1])
 
         def changes(x):
-            signs = [v > 0 for f in seq if (v := f(x).co[0])]
+            signs = [v > 0 for f in seq if (v := f.raw_at(x)[0])]
             return sum(map(ne, signs, signs[1:]))
 
         hi = rat(1 + max(map(abs, p[:-1])))   # Cauchy: every root is below
@@ -324,7 +322,7 @@ class FieldSpec:
         highest down."""
         if not any(a[1:]):
             return str(a[0])
-        return join_terms([term_str(str(x), power(self.name, i), True)
+        return join_terms([term_str(str(x), power("c", i), True)
                            for i, x in reversed(list(enumerate(a))) if x])
 
     # -- misc ----------------------------------------------------------------
@@ -352,7 +350,7 @@ class FieldSpec:
         return FieldElement(self, self.raw(q))
 
     def __repr__(self):
-        return f"FieldSpec(min_poly={self.min_poly}, name={self.name!r})"
+        return f"FieldSpec(min_poly={self.min_poly})"
 
 
 def _compatible(s1, s2):
@@ -620,13 +618,18 @@ class KPoly:
             n >>= 1
         return out
 
-    def __call__(self, x):
+    def raw_at(self, x):
+        """The value at x (a rational or a field element) as raw coordinates,
+        by Horner's rule."""
         sp = self.spec
         xr = sp.raw(x)
         acc = sp.raw_zero()
         for a in reversed(self.co):
             acc = sp.raw_add(sp.raw_mul(acc, xr), a)
-        return FieldElement(sp, acc)
+        return acc
+
+    def __call__(self, x):
+        return FieldElement(self.spec, self.raw_at(x))
 
     def divmod(self, other):
         o = self._coerce(other)

@@ -258,8 +258,8 @@ _INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
 
 def parse_config(text: str) -> SuiteConfig:
     """Line-oriented `key = value` format; '#' starts a comment; lists are
-    comma separated.  Unknown keys, groups or checks, and empty lists or
-    repeated entries, are rejected up front."""
+    comma separated.  Unknown or repeated keys, unknown groups or checks,
+    and empty lists or repeated entries, are rejected up front."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -270,6 +270,8 @@ def parse_config(text: str) -> SuiteConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in fields:
+            raise ConfigError(f"key {key!r} given twice", lineno)
         if key in ("groups", "checks"):
             what, known = (("group", known_label) if key == "groups"
                            else ("check", CHECKS.__contains__))

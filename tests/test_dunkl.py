@@ -3,15 +3,16 @@ import random
 import pytest
 
 from coxdunkl.coxeter import chevalley_q_identity
-from coxdunkl.dunkl import (DunklDirection, _apply_direction,
+from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
                             _root_directions, b_poly, beta_form, closed_form_b,
                             closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
                             verify_algebra_relations)
 from coxdunkl.errors import BudgetError
-from coxdunkl.polynomials import (MultiPoly, build_discriminant,
-                                  divided_difference, reflection_forms)
+from coxdunkl.polynomials import (MultiPoly, apply_reflection,
+                                  build_discriminant, divided_difference,
+                                  reflection_forms)
 from coxdunkl.scalars import QQ, FieldElement, KPoly, cos_field, kpoly_gcd, rat
 from coxdunkl.suite import group_context
 
@@ -263,18 +264,15 @@ def test_exact_kernel_coordinates_are_ints():
     for label in ("B3", "I2(7)", "I2(12)"):
         ctx = group_context(label)
         rs = ctx.rs
-        # b_poly's root-direction applications, made here so that the
-        # divided-difference memos they fill can be read: b_poly clears them
+        # b_poly's root-direction applications, made here with a table list
+        # of their own so that the divided-difference memos can be read
         flat = build_discriminant(rs).terms
+        tables = _dd_tables(rs)
         for direction in _root_directions(rs):
-            flat = _apply_direction(rs, direction, flat)
-        tables = [memo for key, memo in rs._caches.items()
-                  if isinstance(key, tuple) and key[0] == "dd"]
-        assert len(tables) == rs.num_positive
+            flat = _apply_direction(rs, direction, flat, tables)
+        assert all(len(memo) > 1 for memo in tables)
         res = b_poly(rs, ctx.degrees)
         assert res.equal
-        assert not [key for key in rs._caches
-                    if isinstance(key, tuple) and key[0] == "dd"]
         raws = list(rs.roots_raw()) + list(rs.pair_vectors())
         raws = [x for vec in raws for x in vec]
         raws += list(res.computed.co)
@@ -289,6 +287,27 @@ def test_exact_kernel_coordinates_are_ints():
         assert len(values) > 100
         bad = {type(x).__name__ for x in values if type(x) is not int}
         assert not bad, (label, bad)
+
+
+def test_kernel_tables_live_only_in_the_call_that_fills_them():
+    # every memo table is a local of the call that fills it, so what the
+    # exact kernel leaves on the root system is per-system data under fixed
+    # names, and a later b(k) builds its own tables again
+    for label in ("B3", "I2(7)"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        first = b_poly(rs, ctx.degrees)
+        u = MultiPoly.variable(rs, 0)
+        f = u * u - MultiPoly.variable(rs, 1) * 3
+        beta_form(f, f)
+        dunkl_apply_omega(rs, 1, f)
+        dunkl_laplacian(f)
+        gamma_form(f, u)
+        for a in range(rs.num_positive):
+            apply_reflection(f, a)
+            divided_difference(f, a)
+        assert all(type(key) is str for key in rs._caches), list(rs._caches)
+        assert b_poly(rs, ctx.degrees) == first
 
 
 def test_exact_results_demote_integral_coordinates_to_ints():

@@ -73,6 +73,11 @@ def test_parse_comments_and_errors():
         parse_config("groups = A1, A2, A1")
     with pytest.raises(ConfigError, match="line 3: check 'b_poly' listed"):
         parse_config("\n\nchecks = b_poly,b_poly")
+    # a repeated key would silently override the earlier line
+    with pytest.raises(ConfigError, match="line 2: key 'groups' given twice"):
+        parse_config("groups = A2\ngroups = B2")
+    with pytest.raises(ConfigError, match="line 3: key 'seed' given twice"):
+        parse_config("seed = 1\n# again\nseed = 2")
     with pytest.raises(ConfigError, match="integer"):
         parse_config("shards = many")
     with pytest.raises(ConfigError, match="true/false"):

@@ -58,3 +58,18 @@ def test_cross_check_plan_reads_gamma_form_at_call_time(ctx_a1,
     one = MultiPoly.one(ctx_a1.rs)
     cross_check_plan(one, one, rat(1, 2))
     assert calls == [(one, one)]
+
+
+def test_b_poly_reads_build_discriminant_at_call_time(ctx_a1, monkeypatch):
+    # so that the benchmark's polynomials.build_discriminant span, a
+    # wrapper installed on coxdunkl.dunkl, sees b_poly's discriminant
+    calls = []
+    build_discriminant = coxdunkl.dunkl.build_discriminant
+
+    def counted(rs):
+        calls.append(rs)
+        return build_discriminant(rs)
+
+    monkeypatch.setattr(coxdunkl.dunkl, "build_discriminant", counted)
+    assert coxdunkl.dunkl.b_poly(ctx_a1.rs, ctx_a1.degrees).equal
+    assert calls == [ctx_a1.rs]
