@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .coxeter import DEFAULT_ENUMERATION_BUDGET, HEAVY_LABELS, known_label
+from .coxeter import DEFAULT_ENUMERATION_BUDGET, known_label
 from .errors import BudgetError, ConfigError
 from .mmintegral import (gamma_product_rhs, log_gamma_product,
                          mm_monte_carlo)
@@ -56,8 +56,6 @@ def _build_parser():
 
     p_info = sub.add_parser("info", help="print group census as JSON")
     p_info.add_argument("--type", required=True, dest="group")
-    p_info.add_argument("--heavy", action="store_true",
-                        help="allow F4/H4")
     p_info.add_argument("--budget", type=_positive_int,
                         default=DEFAULT_ENUMERATION_BUDGET)
 
@@ -87,9 +85,6 @@ def _build_parser():
 
 
 def _cmd_info(args):
-    if args.group in HEAVY_LABELS and not args.heavy:
-        print(f"{args.group} is gated; pass --heavy", file=sys.stderr)
-        return USAGE_ERROR
     info = group_info(args.group, args.budget)
     print(json.dumps(info, separators=(",", ":")))
     return 0

@@ -24,9 +24,6 @@ from .scalars import QQ, KPoly, cos_field, kpoly_divexact, kpoly_gcd, qdiv
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
 
-#: groups whose expensive checks are opt-in
-HEAVY_LABELS = frozenset({"F4", "H4"})
-
 _LABEL_RE = re.compile(r"^([ABDEFH])(\d+)$|^I2\((\d+)\)$")
 
 

@@ -18,12 +18,13 @@ The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
 `polynomials`: an application is one `_map_monomials` walk, which builds
 each input monomial's image once for all of its (c, k) slots.  The tables
 are locals of the call that fills them (`b_poly`, `dunkl_apply`,
-`dunkl_laplacian`, `beta_form`).  The reflect-and-divide route
-(`apply_reflection`, `divided_difference`, `divide_by_root_form`) does not
-use these tables; the tests check the operators against it.
+`dunkl_laplacian`, `beta_form`, `verify_algebra_relations`).  The
+reflect-and-divide route (`apply_reflection`, `divided_difference`,
+`divide_by_root_form`) does not use these tables; the tests check the
+operators against it.
 """
 
-import random
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -250,7 +251,7 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
 
 
 class AlgebraReport(NamedTuple):
-    trials: int
+    monomials: int
     checks: int
     failures: list
 
@@ -259,78 +260,56 @@ class AlgebraReport(NamedTuple):
         return not self.failures
 
 
-def random_poly(rs, max_degree, rng):
-    """Random homogeneous small-integer polynomial (deterministic rng)."""
-    r = rs.rank
-    deg = rng.randint(1, max_degree)
-    mapping = {}
-    for _ in range(4):
-        cuts = sorted(rng.randint(0, deg) for _ in range(r - 1)) if r > 1 else []
-        exps = []
-        prev = 0
-        for c in cuts:
-            exps.append(c - prev)
-            prev = c
-        exps.append(deg - prev)
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        exps = tuple(exps)
-        mapping[exps] = mapping.get(exps, 0) + coeff
-    return MultiPoly.from_terms(rs, {e: c for e, c in mapping.items() if c})
-
-
-def verify_algebra_relations(rs, degree_cap=4, trials=25, seed=0) -> AlgebraReport:
-    """Exact checks, coefficientwise in k, on random polynomials:
+def verify_algebra_relations(rs, degree_cap=4) -> AlgebraReport:
+    """Exact checks, coefficientwise in k, on every monomial u^E with
+    1 <= |E| <= degree_cap.  Each relation is linear in f, so this proves it
+    for every polynomial of those degrees:
 
     (a) the Dunkl operators commute;
     (b) the commutator [T_a, x_b] equals (a,b) + k sum (alpha,a)(alpha,b) s_alpha;
     (c) the deformed Euler identity
         sum_j u_j T_{omega_j} f = deg(f) f + k sum_alpha (f - s_alpha f).
     """
-    rng = random.Random(seed)
-    sp = rs.spec
     r = rs.rank
     roots = rs.roots_raw()
     pair_vecs = rs.pair_vectors()
+    omega = _omega_directions(rs)
+    tables = _dd_tables(rs)
+    k = MultiPoly.constant(rs, KPoly.from_coeffs(rs.spec, [0, 1]))
+    u = [MultiPoly.variable(rs, j) for j in range(r)]
+
+    def t(i, f):
+        return MultiPoly(rs, _apply_direction(rs, omega[i], f.terms, tables))
+
+    monomials = [tuple(c.count(i) for i in range(r))
+                 for deg in range(1, degree_cap + 1)
+                 for c in combinations_with_replacement(range(r), deg)]
     failures = []
     checks = 0
-    for t in range(trials):
-        f = random_poly(rs, degree_cap, rng)
+    for exps in monomials:
+        f = MultiPoly.from_terms(rs, {exps: 1})
+        tf = [t(i, f) for i in range(r)]
         # (a) commutativity on dual-basis pairs
         for i in range(r):
-            ti = dunkl_apply_omega(rs, i, f)
             for j in range(i + 1, r):
-                tj = dunkl_apply_omega(rs, j, f)
                 checks += 1
-                if dunkl_apply_omega(rs, j, ti) != dunkl_apply_omega(rs, i, tj):
-                    failures.append(f"commutator trial {t} pair ({i},{j})")
+                if t(j, tf[i]) != t(i, tf[j]):
+                    failures.append(f"commutator {exps} pair ({i},{j})")
         # (b) deformed Heisenberg with a = omega_i, b = alpha_j
         refl_images = [apply_reflection(f, a) for a in range(rs.num_positive)]
         for i in range(r):
-            tf = dunkl_apply_omega(rs, i, f)
             for j in range(r):
-                uj_f = MultiPoly.variable(rs, j) * f
-                lhs = dunkl_apply_omega(rs, i, uj_f) - MultiPoly.variable(rs, j) * tf
                 rhs = f if i == j else MultiPoly.zero(rs)
-                acc = MultiPoly.zero(rs)
-                for a in range(rs.num_positive):
-                    w = sp.raw_mul(roots[a][i], pair_vecs[a][j])
-                    if not any(w):
-                        continue
-                    acc = acc + refl_images[a] * MultiPoly(rs, _flat(rs, (w,)))
-                rhs = rhs + acc.k_shift(1)
+                for a, sf in enumerate(refl_images):
+                    w = rs.spec.raw_mul(roots[a][i], pair_vecs[a][j])
+                    rhs = rhs + k * sf * MultiPoly(rs, _flat(rs, (w,)))
                 checks += 1
-                if lhs != rhs:
-                    failures.append(f"heisenberg trial {t} pair ({i},{j})")
+                if t(i, u[j] * f) - u[j] * tf[i] != rhs:
+                    failures.append(f"heisenberg {exps} pair ({i},{j})")
         # (c) deformed Euler identity on the homogeneous f
-        deg = f.degree()
-        lhs = MultiPoly.zero(rs)
-        for j in range(r):
-            lhs = lhs + MultiPoly.variable(rs, j) * dunkl_apply_omega(rs, j, f)
-        anti = MultiPoly.zero(rs)
-        for a in range(rs.num_positive):
-            anti = anti + (f - refl_images[a])
-        rhs = f.scale(deg) + anti.k_shift(1)
+        lhs = sum((u[j] * tf[j] for j in range(r)), MultiPoly.zero(rs))
+        anti = sum((f - sf for sf in refl_images), MultiPoly.zero(rs))
         checks += 1
-        if lhs != rhs:
-            failures.append(f"euler trial {t}")
-    return AlgebraReport(trials, checks, failures)
+        if lhs != f.scale(sum(exps)) + k * anti:
+            failures.append(f"euler {exps}")
+    return AlgebraReport(len(monomials), checks, failures)

@@ -225,12 +225,6 @@ class MultiPoly:
         """Multiply by a KPoly / FieldElement / rational scalar."""
         return self * MultiPoly.constant(self.ring, value)
 
-    def k_shift(self, n):
-        """Multiply every coefficient by k^n."""
-        shift = n << (EXP_BITS * (self.ring.rank + 1))
-        return MultiPoly(self.ring,
-                         {k + shift: x for k, x in self.terms.items()})
-
     def partial(self, i):
         """Derivative with respect to u_i (the dual-basis direction omega_i)."""
         if not 0 <= i < self.ring.rank:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coxdunkl.dunkl
 from coxdunkl.coxeter import chevalley_q_identity
 from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
                             _root_directions, b_poly, beta_form, closed_form_b,
@@ -109,8 +110,29 @@ def test_dunkl_operators_match_the_divided_difference_definition():
 def test_algebra_relations():
     for label in ("A1", "A2", "B2"):
         ctx = group_context(label)
-        rep = verify_algebra_relations(ctx.rs, degree_cap=4, trials=15, seed=3)
+        rep = verify_algebra_relations(ctx.rs, degree_cap=4)
         assert rep.ok, rep.failures
+        # every monomial of degree 1..4
+        assert rep.monomials == {1: 4, 2: 14}[ctx.rs.rank]
+
+
+def test_algebra_relations_catch_a_wrong_multiplicity(monkeypatch):
+    # T_i taken at 2k (every omega direction's root pairings doubled) breaks
+    # the Heisenberg and Euler relations on B2; the operators still commute,
+    # as they do for any constant multiplicity
+    omega = coxdunkl.dunkl._omega_directions
+
+    def doubled(rs):
+        return tuple(d._replace(pairings=tuple(tuple(2 * x for x in p)
+                                               for p in d.pairings))
+                     for d in omega(rs))
+
+    monkeypatch.setattr(coxdunkl.dunkl, "_omega_directions", doubled)
+    rep = verify_algebra_relations(group_context("B2").rs, degree_cap=3)
+    kinds = [f.split()[0] for f in rep.failures]
+    assert (rep.monomials, rep.checks) == (9, 54)
+    assert (kinds.count("commutator"), kinds.count("heisenberg"),
+            kinds.count("euler")) == (0, 30, 9)
 
 
 def test_beta_rank1_values(ctx_a1):

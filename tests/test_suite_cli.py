@@ -55,6 +55,13 @@ def test_parse_examples():
 def test_parse_comments_and_errors():
     cfg = parse_config("# a comment\n\nseed = 7   # trailing\n")
     assert cfg.seed == 7
+    # a seed is only hashed into the substreams, so any integer is one, as
+    # on the command line; the counts stay positive
+    assert parse_config("seed = 0").seed == 0
+    assert parse_config("seed = -3").seed == -3
+    for key in ("mc_samples", "shards", "enumeration_budget"):
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            parse_config(f"{key} = 0")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("seed = 1\nnot a pair\n")
     with pytest.raises(ConfigError, match="unknown key"):
@@ -294,12 +301,36 @@ def test_statistical_checks_gated_by_predicted_error():
 
 
 def test_heavy_group_skipped_without_flag():
-    cfg = SuiteConfig(groups=("A1", "H4"), checks=("degrees_consistency",))
+    # no group is gated by its name: H4 runs what the size gates admit
+    cfg = SuiteConfig(groups=("A1", "H4"),
+                      checks=("degrees_consistency", "b_poly", "mm_exact_k1"))
     reports, code = run_suite(cfg, threads=1)
     assert code == 0
-    by_group = {r.group: r for r in reports}
-    assert by_group["A1"].status == "pass"
-    assert by_group["H4"].status == "skipped"
+    by_key = {(r.group, r.name): r for r in reports}
+    assert all(by_key["A1", c].status == "pass" for c in cfg.checks)
+    assert by_key["H4", "degrees_consistency"].status == "pass"
+    b = by_key["H4", "b_poly"]
+    assert (b.status, b.expected, b.actual) == (
+        "skipped", "|S|=60 exceeds the default budget",
+        "skipped (enable heavy_types_enabled)")
+    mm = by_key["H4", "mm_exact_k1"]
+    assert (mm.status, mm.expected) == (
+        "skipped", "2k|S|=120 exceeds moment degree bound 60")
+
+
+def test_heavy_flag_changes_only_b():
+    # F4's census reads the same with and without heavy_types_enabled
+    census = ("poincare_identity", "degrees_consistency", "chevalley",
+              "psi_identities")
+    runs = []
+    for heavy in (False, True):
+        cfg = SuiteConfig(groups=("F4",), checks=census,
+                          heavy_types_enabled=heavy)
+        reports, code = run_suite(cfg, threads=1)
+        assert code == 0
+        runs.append([r._replace(runtime_ms=0) for r in reports])
+    assert runs[0] == runs[1]
+    assert [r.status for r in runs[0]] == ["pass"] * len(census)
 
 
 def test_budget_exhaustion_exit_code():
@@ -355,7 +386,13 @@ def test_cli_info_unknown_type(capsys):
 
 
 def test_cli_info_heavy_gate(capsys):
-    assert main(["info", "--type", "H4"]) == 2
+    # `info` has no name gate and no --heavy flag
+    assert main(["info", "--type", "H4"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"type":"H4","rank":4,"order":14400,"num_reflections":60,'
+        '"degrees":[2,12,20,30],"psi":9356,'
+        '"rank2_parabolics":{"2":450,"3":200,"5":72}}')
+    assert main(["info", "--type", "H4", "--heavy"]) == 2
 
 
 def test_cli_verify(tmp_path, capsys):
