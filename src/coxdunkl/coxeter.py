@@ -4,6 +4,10 @@ Roots are kept in simple-root coordinates with the normalization
 (alpha, alpha) = 2 for every root, so the Gram matrix of the simple roots
 has 2 on the diagonal and -2cos(pi/m_ij) off it, and every coordinate lies
 in the single field QQ(2cos(pi/m*)) for the largest bond label m*.
+The root closure decides no sign: s_i sends alpha_i to -alpha_i and
+permutes the other positive roots (Humphreys, "Reflection Groups and
+Coxeter Groups", 1990, Prop. 1.4), and it records each s_i's permutation
+of the roots as it finds the images.
 
 A group element is the permutation it induces on the 2|S| roots (Casselman,
 "Machine calculations in Weyl groups", 1994), held as an immutable `bytes`
@@ -24,7 +28,7 @@ from .scalars import QQ, KPoly, cos_field, kpoly_divexact, kpoly_gcd, qdiv
 DEFAULT_ENUMERATION_BUDGET = 20000
 DEFAULT_ROOT_BUDGET = 600
 
-_LABEL_RE = re.compile(r"^([ABDEFH])(\d+)$|^I2\((\d+)\)$")
+_LABEL_RE = re.compile(r"([ABDEFH])([1-9][0-9]*)|I2\(([1-9][0-9]*)\)")
 
 
 class CoxeterDiagram:
@@ -69,16 +73,16 @@ def _chain(n, special=None):
 
 def standard_diagram(label: str) -> CoxeterDiagram:
     """Diagram for a canonical type label: A1..An, Bn, Dn, E6-E8, F4, H3, H4, I2(m)."""
-    m = _LABEL_RE.match(label.strip())
+    m = _LABEL_RE.fullmatch(label)
     if not m:
         raise ValueError(f"unknown Coxeter type label {label!r}")
     if m.group(3) is not None:
         order = int(m.group(3))
         if order < 2:
             raise ValueError("I2(m) needs m >= 2")
-        return CoxeterDiagram([[1, order], [order, 1]], f"I2({order})")
+        return CoxeterDiagram([[1, order], [order, 1]], label)
     family, n = m.group(1), int(m.group(2))
-    if family == "A" and n >= 1:
+    if family == "A":
         return CoxeterDiagram(_chain(n), label)
     if family == "B" and 2 <= n <= 8:
         return CoxeterDiagram(_chain(n, (n - 2, n - 1, 4)), label)
@@ -118,14 +122,17 @@ class RootSystem:
     """Positive roots of a finite Coxeter group in simple-root coordinates.
 
     Built by `build_root_system`; every value it holds is a raw coordinate
-    tuple, as `gram_raw`, `roots_raw` and `pair_vectors` return them."""
+    tuple, as `gram_raw`, `roots_raw` and `pair_vectors` return them, or a
+    signed root index, as the closure recorded the simple reflections."""
 
-    def __init__(self, diagram, spec, gram_raw, roots_raw, pair_vectors):
+    def __init__(self, diagram, spec, gram_raw, roots_raw, pair_vectors,
+                 reflection_images):
         self.diagram = diagram
         self.spec = spec
         self._gram_raw = gram_raw
         self._roots_raw = roots_raw
         self._pair_vectors = pair_vectors
+        self._reflection_images = reflection_images
         self._caches = {}
 
     @property
@@ -201,30 +208,11 @@ class RootSystem:
 
     def simple_reflection_perms(self):
         """r `bytes` of length 2|S|: byte b of row j is the index of
-        s_j(beta_b), from s_j(beta) = beta - (alpha_j, beta) alpha_j."""
-        def build():
-            sp = self.spec
-            n = self.num_positive
-            if 2 * n > 256:
-                raise BudgetError(f"{self.label}: {2 * n} roots exceed a byte index")
-            roots = self.signed_roots_raw()
-            index = {c: b for b, c in enumerate(roots)}
-            pv = self.pair_vectors()
-            perms = []
-            for j in range(self.rank):
-                row = bytearray(2 * n)
-                for b, c in enumerate(roots):
-                    pair = pv[b][j] if b < n else sp.raw_neg(pv[b - n][j])
-                    img = list(c)
-                    img[j] = sp.raw_sub(c[j], pair)
-                    img = index.get(tuple(img))
-                    if img is None:
-                        raise ArithmeticError(
-                            "simple reflection image is not a root (internal bug)")
-                    row[b] = img
-                perms.append(bytes(row))
-            return tuple(perms)
-        return self._cache("simple_reflection_perms", build)
+        s_j(beta_b), as `build_root_system` recorded it."""
+        n = self.num_positive
+        if 2 * n > 256:
+            raise BudgetError(f"{self.label}: {2 * n} roots exceed a byte index")
+        return tuple(map(bytes, self._reflection_images))
 
     # -- float data for the Monte Carlo sampler ------------------------------
 
@@ -246,11 +234,12 @@ class RootSystem:
 
 def build_root_system(diagram: CoxeterDiagram,
                       root_budget=DEFAULT_ROOT_BUDGET) -> RootSystem:
-    """Close the simple roots under reflection, keeping positive representatives.
+    """Close the simple roots under reflection, recording each reflection.
 
     The closure is breadth-first on raw coordinate tuples.  Reflecting v in
     alpha_i needs (alpha_i, v) for every i, which is v's pair vector, and
-    (v, v) = sum_i v_i (alpha_i, v) must be 2 for every root."""
+    (v, v) = sum_i v_i (alpha_i, v) must be 2 for every root.  Every image
+    but s_i(alpha_i) = -alpha_i is a positive root (Humphreys, Sec. 5.6)."""
     spec = cos_field(diagram.max_bond())
     r = diagram.rank
     add, mul, sub = spec.raw_add, spec.raw_mul, spec.raw_sub
@@ -273,11 +262,11 @@ def build_root_system(diagram: CoxeterDiagram,
 
     zero, one, two = spec.raw_zero(), spec.raw_one(), spec.raw(2)
     roots = [tuple(one if j == i else zero for j in range(r)) for i in range(r)]
-    seen = set(roots)
+    index = {v: b for b, v in enumerate(roots)}
     pairs = []
-    signs = {}
+    images = [[] for _ in range(r)]   # images[i][b]: the index of s_i(root b)
     # the list grows behind the loop, a BFS queue
-    for v in roots:
+    for b, v in enumerate(roots):
         pair = []
         for row in rows:
             t = zero
@@ -292,26 +281,22 @@ def build_root_system(diagram: CoxeterDiagram,
         if norm != two:
             raise ArithmeticError("root with norm != 2 (internal bug)")
         for i, t in enumerate(pair):
-            w = list(v)
-            w[i] = sub(v[i], t)
-            # decide positivity from the first nonzero coordinate, whose
-            # sign is often known from an earlier root
-            e = next(e for e in w if any(e))
-            sgn = signs.get(e)
-            if sgn is None:
-                sgn = signs[e] = spec.raw_sign(e)
-            if sgn <= 0:
-                continue
-            w = tuple(w)
-            if w in seen:
-                continue
-            if len(roots) >= root_budget:
-                raise BudgetError(
-                    f"root closure for {diagram.label} exceeded budget {root_budget}"
-                    " (non-finite diagram?)")
-            seen.add(w)
-            roots.append(w)
-    return RootSystem(diagram, spec, gram, tuple(roots), tuple(pairs))
+            w = v[:i] + (sub(v[i], t),) + v[i + 1:]
+            c = index.get(w) if i != b else -1   # s_i(alpha_i), set below
+            if c is None:
+                if len(roots) >= root_budget:
+                    raise BudgetError(
+                        f"root closure for {diagram.label} exceeded budget"
+                        f" {root_budget} (non-finite diagram?)")
+                c = index[w] = len(roots)
+                roots.append(w)
+            images[i].append(c)
+    n = len(roots)
+    for i, row in enumerate(images):
+        row[i] = i + n   # s_i(alpha_i) = -alpha_i
+        row += [c + n if c < n else c - n for c in row]   # s_i(-beta) = -s_i(beta)
+    return RootSystem(diagram, spec, gram, tuple(roots), tuple(pairs),
+                      tuple(map(tuple, images)))
 
 
 # ---------------------------------------------------------------------------

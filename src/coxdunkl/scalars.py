@@ -659,7 +659,10 @@ class KPoly:
     def __eq__(self, other):
         if isinstance(other, KPoly):
             return _compatible(self.spec, other.spec) and self.co == other.co
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except FieldMismatchError:
+            return False
         if o is None:
             return NotImplemented
         return self.co == o.co

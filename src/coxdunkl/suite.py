@@ -59,9 +59,14 @@ class GroupContext(NamedTuple):
     cache: dict     # results shared by the checks of one group
 
 
-@lru_cache(maxsize=None)
 def group_context(label: str,
                   enumeration_budget=DEFAULT_ENUMERATION_BUDGET) -> GroupContext:
+    """The one shared context of (label, budget), however the call spells it."""
+    return _group_context(label, enumeration_budget)
+
+
+@lru_cache(maxsize=None)
+def _group_context(label, enumeration_budget):
     diagram = standard_diagram(label)
     rs = build_root_system(diagram)
     elements = enumerate_group(rs, budget=enumeration_budget)

@@ -8,7 +8,7 @@ import pytest
 from coxdunkl.cli import main
 from coxdunkl.coxeter import (DegreeData, build_root_system,
                               chevalley_q_identity, compute_degrees,
-                              enumerate_group, poincare_polynomial,
+                              enumerate_group, known_label, poincare_polynomial,
                               psi_invariant, rank2_parabolics, rotation_gaps,
                               standard_diagram, verify_psi_identities)
 from coxdunkl.dunkl import dunkl_apply_omega, dunkl_apply_root
@@ -103,7 +103,7 @@ def test_a2_positive_roots_by_hand():
 
 
 def test_roots_have_norm_two_and_reflections_permute():
-    for label in ("A2", "B2", "I2(5)", "B3"):
+    for label in ("A2", "B2", "I2(5)", "B3", "H3", "F4"):
         rs = group_context(label).rs
         two = rs.spec.raw(2)
         signed = rs.signed_roots_raw()
@@ -124,6 +124,27 @@ def test_roots_have_norm_two_and_reflections_permute():
                     # the stored permutation of s_i agrees with the matrix
                     assert signed[perms[i][b]] == tuple(e.co for e in img)
                     assert signed[perms[i][b + rs.num_positive]] == neg
+
+
+def test_root_closure_decides_no_sign(monkeypatch):
+    # s_i permutes the positive roots other than alpha_i, so the closure
+    # never asks the field for a sign
+    from coxdunkl import scalars
+    calls = []
+    sign = scalars.FieldSpec.raw_sign
+    monkeypatch.setattr(scalars.FieldSpec, "raw_sign",
+                        lambda sp, a: calls.append(a) or sign(sp, a))
+    for label in ("H3", "F4", "H4", "E8", "I2(128)"):
+        build_root_system(standard_diagram(label))
+        assert calls == [], label
+
+
+def test_only_canonical_labels_are_known():
+    # one group, one name: no padding and no leading zeros
+    for label in (" A2", "A2 ", "A2\n", "A02", "I2(05)", "I2( 5)", "A0", "I2(0)"):
+        assert not known_label(label), label
+    assert known_label("A2") and known_label("I2(5)")
+    assert standard_diagram("I2(5)").label == "I2(5)"
 
 
 def test_simple_roots_are_standard_basis():

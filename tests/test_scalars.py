@@ -357,6 +357,16 @@ def test_values_from_another_field_raise():
     assert f5.raw(f5.gen()) == (0, 1) and f5.raw(rat(2, 2)) == (1, 0)
 
 
+def test_comparisons_across_fields_are_false():
+    # equality never raises: a value of another field is simply unequal
+    f5, f7 = cos_field(5), cos_field(7)
+    k5, c7 = KPoly.gen(f5), f7.gen()
+    assert not (k5 == c7) and k5 != c7
+    assert not (c7 == k5) and c7 != k5
+    assert KPoly.const(f5, 1) == 1 and KPoly.const(f5, f5.gen()) == f5.gen()
+    assert f5.gen() != c7 and KPoly.gen(f5) != KPoly.gen(f7)
+
+
 def test_kpoly_products_skip_zero_coefficients(monkeypatch):
     # a sparse factor such as 1 - q^3 (Poincare and Chevalley products) must
     # not send its zero coefficients to the field multiplication, on either side

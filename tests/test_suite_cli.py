@@ -68,6 +68,9 @@ def test_parse_comments_and_errors():
         parse_config("colour = red")
     with pytest.raises(ConfigError, match="unknown group"):
         parse_config("groups = Q5")
+    # A02 would pass the duplicate check beside A2 and run A2 twice
+    with pytest.raises(ConfigError, match="unknown group 'A02'"):
+        parse_config("groups = A2, A02")
     with pytest.raises(ConfigError, match="unknown check"):
         parse_config("checks = flux_capacitor")
     # an empty list would verify nothing and exit 0
@@ -383,6 +386,14 @@ def test_cli_info(capsys):
 
 def test_cli_info_unknown_type(capsys):
     assert main(["info", "--type", "Z9"]) == 2
+    assert main(["info", "--type", "A03"]) == 2   # only canonical labels
+
+
+def test_group_context_is_one_object_per_label_and_budget():
+    ctx = group_context("A2")
+    assert group_context("A2", DEFAULT_ENUMERATION_BUDGET) is ctx
+    assert group_context("A2", enumeration_budget=DEFAULT_ENUMERATION_BUDGET) is ctx
+    assert group_context(label="A2") is ctx
 
 
 def test_cli_info_heavy_gate(capsys):
