@@ -18,7 +18,10 @@ The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
 `polynomials`: an application is one `_map_monomials` walk, which builds
 each input monomial's image once for all of its (c, k) slots.  The tables
 are locals of the call that fills them (`b_poly`, `dunkl_apply`,
-`dunkl_laplacian`, `beta_form`, `verify_algebra_relations`).  The
+`dunkl_laplacian`, `beta_form`, `verify_algebra_relations`).  `b_poly`
+starts from the anti-invariant discriminant, on which T_a acts as
+(1 + 2k) d_a, so its first application is a plain derivative and its
+tables stop below degree |S|.  The
 reflect-and-divide route (`apply_reflection`, `divided_difference`,
 `divide_by_root_form`) does not use these tables; the tests check the
 operators against it.
@@ -228,20 +231,31 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     `computed` applies the product of the root Dunkl operators to the
     discriminant and reads off the constant term (the discriminant is the
     product of the root linear forms, so this is its image under the
-    x -> y substitution).  `closed_form` is the degree product formula, a
-    product of the factors (k d_i + m): equality with it certifies that the
-    roots of b are exactly -m/d_i, with their multiplicities."""
+    x -> y substitution).  The discriminant is anti-invariant: s_alpha Delta
+    = -Delta, so every divided difference of it is 2 Delta / (alpha, x) and
+    the first operator acts as T_a Delta = (1 + 2k) d_a Delta (Dunkl, Trans.
+    AMS 311, 1989).  That step is the plain derivative, a direction with no
+    root pairings, and its factor (1 + 2k) multiplies the constant term, so
+    no divided-difference table of degree |S| is built.  `closed_form` is
+    the degree product formula, a product of the factors (k d_i + m):
+    equality with it certifies that the roots of b are exactly -m/d_i, with
+    their multiplicities."""
     if not allow_heavy and b_poly_is_heavy(rs):
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
-    flat = build_discriminant(rs).terms
+    first, *rest = _root_directions(rs)
+    # the first step is the plain derivative: no table is touched
+    zero = rs.spec.raw_zero()
+    derivative = first._replace(pairings=(zero,) * rs.num_positive)
     tables = _dd_tables(rs)
-    for direction in _root_directions(rs):
+    flat = _apply_direction(rs, derivative, build_discriminant(rs).terms, tables)
+    for direction in rest:
         flat = _apply_direction(rs, direction, flat, tables)
     image = MultiPoly(rs, flat)
     if image.degree() > 0:
         raise ArithmeticError("discriminant pairing left positive-degree terms")
-    computed = image.coefficient((0,) * rs.rank)
+    computed = KPoly.from_coeffs(rs.spec, [1, 2]) * image.coefficient(
+        (0,) * rs.rank)
     return BPolyResult(computed, closed_form_b(rs.spec, dd))
 
 

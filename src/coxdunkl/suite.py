@@ -261,6 +261,31 @@ class SuiteConfig(NamedTuple):
 _INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
 
 
+def _check_setting(key, value, line=None):
+    """Raise ConfigError unless `value` suits the `SuiteConfig` field `key`:
+    groups and checks are non-empty lists of known, distinct names, the
+    counts are positive integers (a seed is any integer: it is only hashed)
+    and heavy_types_enabled is a bool.  `parse_config` checks each line with
+    it and `run_suite` each field."""
+    if key in ("groups", "checks"):
+        what, known = (("group", known_label) if key == "groups"
+                       else ("check", CHECKS.__contains__))
+        if not value:
+            raise ConfigError(f"{key} needs at least one {what}", line)
+        for i, name in enumerate(value):
+            if not (isinstance(name, str) and known(name)):
+                raise ConfigError(f"unknown {what} {name!r}", line)
+            if name in value[:i]:
+                raise ConfigError(f"{what} {name!r} listed twice", line)
+    elif key in _INT_KEYS:
+        if type(value) is not int:
+            raise ConfigError(f"{key} needs an integer, got {value!r}", line)
+        if value <= 0 and key != "seed":
+            raise ConfigError(f"{key} must be positive", line)
+    elif key == "heavy_types_enabled" and type(value) is not bool:
+        raise ConfigError(f"{key} needs true/false, got {value!r}", line)
+
+
 def parse_config(text: str) -> SuiteConfig:
     """Line-oriented `key = value` format; '#' starts a comment; lists are
     comma separated.  Unknown or repeated keys, unknown groups or checks,
@@ -278,34 +303,18 @@ def parse_config(text: str) -> SuiteConfig:
         if key in fields:
             raise ConfigError(f"key {key!r} given twice", lineno)
         if key in ("groups", "checks"):
-            what, known = (("group", known_label) if key == "groups"
-                           else ("check", CHECKS.__contains__))
-            names = tuple(n.strip() for n in value.split(",") if n.strip())
-            if not names:
-                raise ConfigError(f"{key} needs at least one {what}", lineno)
-            for i, name in enumerate(names):
-                if not known(name):
-                    raise ConfigError(f"unknown {what} {name!r}", lineno)
-                if name in names[:i]:
-                    raise ConfigError(f"{what} {name!r} listed twice", lineno)
-            fields[key] = names
+            value = tuple(n.strip() for n in value.split(",") if n.strip())
         elif key in _INT_KEYS:
             try:
-                iv = int(value)
+                value = int(value)
             except ValueError:
-                raise ConfigError(f"{key} needs an integer, got {value!r}", lineno)
-            if iv <= 0 and key != "seed":   # a seed is only hashed
-                raise ConfigError(f"{key} must be positive", lineno)
-            fields[key] = iv
+                pass    # left a string, which _check_setting rejects
         elif key == "heavy_types_enabled":
-            low = value.lower()
-            if low not in ("true", "false"):
-                raise ConfigError(f"{key} needs true/false, got {value!r}", lineno)
-            fields[key] = (low == "true")
-        elif key == "output_path":
-            fields[key] = value
-        else:
+            value = {"true": True, "false": False}.get(value.lower(), value)
+        elif key != "output_path":
             raise ConfigError(f"unknown key {key!r}", lineno)
+        _check_setting(key, value, lineno)
+        fields[key] = value
     return SuiteConfig(**fields)
 
 
@@ -387,7 +396,10 @@ def run_suite(cfg: SuiteConfig, threads=None):
     The tasks run one at a time: first the statistical checks of every
     group, one task whose shared `mc_pass` runs its shards on `threads`
     threads; then the exact checks, one task each.  Returns (reports,
-    exit_code), with the reports in (group, check) order."""
+    exit_code), with the reports in (group, check) order.  A config built
+    in code is checked as `parse_config` checks its text (ConfigError)."""
+    for key, value in cfg._asdict().items():
+        _check_setting(key, value)
     if threads is None:
         threads = default_threads()
     checks = [c for c in CHECK_ORDER if c in cfg.checks]

@@ -11,9 +11,10 @@ from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
                             verify_algebra_relations)
 from coxdunkl.errors import BudgetError
+from coxdunkl.mmintegral import mm_exact
 from coxdunkl.polynomials import (MultiPoly, apply_reflection,
                                   build_discriminant, divided_difference,
-                                  reflection_forms)
+                                  key_degree, reflection_forms)
 from coxdunkl.scalars import QQ, FieldElement, KPoly, cos_field, kpoly_gcd, rat
 from coxdunkl.suite import group_context
 
@@ -265,6 +266,53 @@ def test_b_poly_small_closed_forms():
     assert rest == kp(i24.rs, [8 * 4 * 4 * 4 * 2])
 
 
+def test_dunkl_operators_scale_the_discriminant_by_one_plus_2k():
+    # Delta is anti-invariant, so each divided difference of it is
+    # 2 Delta / (alpha, x) and T_a Delta = (1 + 2k) d_a Delta for every a,
+    # with d_a = sum_i (alpha_i, a) d/du_i: the identity behind b_poly's
+    # first step
+    for label in ("A2", "B2", "I2(5)", "A3", "B3"):
+        rs = group_context(label).rs
+        delta = build_discriminant(rs)
+        one_2k = MultiPoly.constant(rs, kp(rs, [1, 2]))
+        directions = list(_root_directions(rs))
+        directions.append(DunklDirection.omega(rs, rs.rank - 1))
+        for a in directions:
+            deriv = MultiPoly.zero(rs)
+            for i, w in enumerate(a.dual):
+                deriv = deriv + delta.partial(i).scale(FieldElement(rs.spec, w))
+            assert dunkl_apply(a, delta) == one_2k * deriv, (label, a.dual)
+
+
+def test_b_poly_builds_no_top_degree_tables(monkeypatch):
+    # the first step is a plain derivative, so no divided-difference entry
+    # of Delta's degree |S| is built; the later steps read degree |S| - 1
+    lists = []
+
+    def recorded(rs):
+        lists.append(_dd_tables(rs))
+        return lists[-1]
+
+    monkeypatch.setattr(coxdunkl.dunkl, "_dd_tables", recorded)
+    for label in ("B3", "I2(7)"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        lists.clear()
+        assert b_poly(rs, ctx.degrees).equal
+        assert len(lists) == 1
+        degrees = {key_degree(key, rs.rank) for memo in lists[0] for key in memo}
+        assert max(degrees) == rs.num_positive - 1, (label, sorted(degrees))
+
+
+def test_b_at_zero_is_the_exact_moment_f1():
+    # F(1) = b(0) F(0) with F(0) = 1: the kernel against the Stein moment,
+    # without the Gamma product
+    for label in ("A2", "B2", "I2(5)", "A3", "B3", "I2(7)"):
+        ctx = group_context(label)
+        assert b_poly(ctx.rs, ctx.degrees).computed(0) == mm_exact(ctx.rs, 1), \
+            label
+
+
 def test_b_poly_degree_is_reflection_count():
     for label in ("A2", "B2", "A3", "I2(6)"):
         ctx = group_context(label)
@@ -286,13 +334,20 @@ def test_exact_kernel_coordinates_are_ints():
     for label in ("B3", "I2(7)", "I2(12)"):
         ctx = group_context(label)
         rs = ctx.rs
-        # b_poly's root-direction applications, made here with a table list
-        # of their own so that the divided-difference memos can be read
-        flat = build_discriminant(rs).terms
+        # b_poly's applications, made here with a table list of their own so
+        # that the divided-difference memos can be read: the derivative along
+        # the first root (no root pairings), then the other |S| - 1 roots
+        first, *rest = _root_directions(rs)
+        zero = rs.spec.raw_zero()
         tables = _dd_tables(rs)
-        for direction in _root_directions(rs):
+        flat = _apply_direction(
+            rs, first._replace(pairings=(zero,) * rs.num_positive),
+            build_discriminant(rs).terms, tables)
+        for direction in rest:
             flat = _apply_direction(rs, direction, flat, tables)
         assert all(len(memo) > 1 for memo in tables)
+        assert (MultiPoly.constant(rs, kp(rs, [1, 2])) * MultiPoly(rs, flat)
+                == MultiPoly.constant(rs, b_poly(rs, ctx.degrees).computed))
         res = b_poly(rs, ctx.degrees)
         assert res.equal
         raws = list(rs.roots_raw()) + list(rs.pair_vectors())

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,31 @@ def test_parse_comments_and_errors():
         parse_config("shards = many")
     with pytest.raises(ConfigError, match="true/false"):
         parse_config("heavy_types_enabled = maybe")
+
+
+def test_run_suite_checks_a_config_built_in_code():
+    # run_suite holds a SuiteConfig built in code to the rules parse_config
+    # holds config text to, before any group is built or reported
+    cfg = SuiteConfig(groups=("A2",), checks=("poincare_identity",))
+    for fields, message in [
+            ({"groups": ("A2", "A2")}, "group 'A2' listed twice"),
+            ({"groups": (" A2",)}, "unknown group ' A2'"),
+            ({"groups": ("Q5",)}, "unknown group 'Q5'"),
+            ({"groups": ()}, "groups needs at least one group"),
+            ({"checks": ("b_poly", "b_poly")}, "check 'b_poly' listed twice"),
+            ({"checks": ("flux_capacitor",)}, "unknown check 'flux_capacitor'"),
+            ({"checks": ()}, "checks needs at least one check"),
+            ({"mc_samples": 0}, "mc_samples must be positive"),
+            ({"shards": -2}, "shards must be positive"),
+            ({"enumeration_budget": 0}, "enumeration_budget must be positive"),
+            ({"mc_samples": 1e6}, "mc_samples needs an integer"),
+            ({"heavy_types_enabled": "false"},
+             "heavy_types_enabled needs true/false, got 'false'")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            run_suite(cfg._replace(**fields), threads=1)
+    # a seed is any integer, as in config text
+    reports, code = run_suite(cfg._replace(seed=-3), threads=1)
+    assert code == 0 and [r.group for r in reports] == ["A2"]
 
 
 def test_config_round_trip():
