@@ -14,6 +14,11 @@ twisted-Leibniz step (`polynomials.reflection_step`)
 
     dd(u_i u^F) = (alpha_i, alpha) u^F + s_alpha(u_i) dd(u^F).
 
+s_alpha fixes every u_j with (alpha_j, alpha) = 0, so dd(u_j g) = u_j dd(g):
+the table of alpha is keyed by the exponents of the variables s_alpha moves
+alone, and an application shifts its entry by the fixed variables' u^E
+(A4's b(k) fills 1272 table entries, 3901 with full-monomial keys).
+
 The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
 `polynomials`: an application is one `_map_monomials` walk, which builds
 each input monomial's image once for all of its (c, k) slots.  The tables
@@ -89,13 +94,22 @@ def _dd_tables(rs):
     return [{0: {}} for _ in range(rs.num_positive)]
 
 
+def _fixed_masks(rs):
+    """Per positive root alpha, the exponent bits of the u_j that s_alpha
+    fixes, those with (alpha_j, alpha) = 0."""
+    return rs._cache("fixed_masks", lambda: tuple(
+        sum(EXP_MASK << (EXP_BITS * j) for j, w in enumerate(pair) if not any(w))
+        for pair in rs.pair_vectors()))
+
+
 def _apply_direction(rs, direction, flat, tables):
     """Dunkl application on a flat dict; k-degree rises by <= 1.  The image
     d_a u^E + k sum_alpha (alpha, a) dd_alpha(u^E) of each u^E is built once,
     its divided differences from `tables` (see `_dd_tables`)."""
     cs = EXP_BITS * rs.rank
+    masks = _fixed_masks(rs)
     grad = [[(e << cs, x) for e, x in enumerate(w) if x] for w in direction.dual]
-    refl = [(tables[alpha], reflection_step(rs, alpha, divided=True),
+    refl = [(tables[alpha], reflection_step(rs, alpha, divided=True), masks[alpha],
              [((e << cs) + (1 << (cs + EXP_BITS)), x) for e, x in enumerate(w) if x])
             for alpha, w in enumerate(direction.pairings) if any(w)]
 
@@ -105,11 +119,23 @@ def _apply_direction(rs, direction, flat, tables):
             e = u >> (EXP_BITS * i) & EXP_MASK
             if e:
                 _mul_into(out, ((u - (1 << (EXP_BITS * i)), e),), ws)
-        for memo, step, ws in refl:
-            _mul_into(out, monomial_table(memo, step, u).items(), ws)
+        for memo, step, fixed, ws in refl:
+            # dd(u^E_fixed u^E_moved) = u^E_fixed dd(u^E_moved)
+            uf = u & fixed
+            _mul_into(out, monomial_table(memo, step, u - uf).items(),
+                      [(key + uf, x) for key, x in ws] if uf else ws)
         return _fold(rs, out)
 
     return _map_monomials(rs, flat, image)
+
+
+def root_derivative(rs, root_index, flat):
+    """d_alpha on a flat dict, d_alpha = sum_i (alpha_i, alpha) d/du_i: the
+    root direction alpha with no root pairings, so no table is read."""
+    direction = _root_directions(rs)[root_index]
+    zero = rs.spec.raw_zero()
+    return _apply_direction(
+        rs, direction._replace(pairings=(zero,) * rs.num_positive), flat, ())
 
 
 def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:
@@ -243,13 +269,9 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     if not allow_heavy and b_poly_is_heavy(rs):
         raise BudgetError(
             f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
-    first, *rest = _root_directions(rs)
-    # the first step is the plain derivative: no table is touched
-    zero = rs.spec.raw_zero()
-    derivative = first._replace(pairings=(zero,) * rs.num_positive)
     tables = _dd_tables(rs)
-    flat = _apply_direction(rs, derivative, build_discriminant(rs).terms, tables)
-    for direction in rest:
+    flat = root_derivative(rs, 0, build_discriminant(rs).terms)
+    for direction in _root_directions(rs)[1:]:
         flat = _apply_direction(rs, direction, flat, tables)
     image = MultiPoly(rs, flat)
     if image.degree() > 0:

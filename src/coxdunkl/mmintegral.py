@@ -4,7 +4,9 @@ seeded Monte Carlo for real k, and the statistical identity checks.
 The integral is F(k) = (2pi)^(-r/2) * int exp(-(x,x)/2) |Delta(x)|^(2k) dx
 over the reflection representation.  For nonnegative integer k the integrand
 is the polynomial Delta^(2k), so F(k) is an exact Gaussian moment, taken by
-Stein's recursion on its monomials; for real k it is estimated by seeded
+Stein's recursion on its monomials.  At k = 1 no product is formed: Delta
+is harmonic, so E[Delta^2] is the Fischer pairing Delta(d)Delta, the |S|
+root derivatives of Delta.  For real k, F(k) is estimated by seeded
 Monte Carlo.  One pass serves groups of every rank: each block is drawn
 once, row j of it from the SFC64 stream of (seed, "axis<j>", shard), and a
 group of rank r maps rows 0..r-1 into its own root coordinates; a sample
@@ -25,6 +27,7 @@ import math
 import sys
 from typing import NamedTuple
 
+from .dunkl import root_derivative
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold, _kpoly,
                           _map_monomials, _mul_into, build_discriminant)
@@ -78,13 +81,23 @@ def gaussian_moment(p) -> KPoly:
 
 
 def mm_exact(rs, k: int) -> FieldElement:
-    """F(k) for a nonnegative integer k: the moment of Delta^(2k)."""
+    """F(k) for a nonnegative integer k: the moment of Delta^(2k).
+
+    At k = 1 it is Delta(d)Delta = d_alpha_1 ... d_alpha_N Delta over the
+    positive roots, since Delta is harmonic and E[p q] is the Fischer
+    pairing p(d)q when p is harmonic and p, q are homogeneous of the same
+    degree.  Every other k takes the Stein moment of the expanded power."""
     if k < 0 or k != int(k):
         raise ValueError("exact evaluation needs a nonnegative integer k")
     k = int(k)
     if mm_exact_is_heavy(rs, k):
         raise BudgetError(f"k={k} on {rs.label} needs a moment of degree "
                           f"{2 * k * rs.num_positive} > {MOMENT_DEGREE_LIMIT}")
+    if k == 1:
+        flat = build_discriminant(rs).terms
+        for alpha in range(rs.num_positive):
+            flat = root_derivative(rs, alpha, flat)
+        return _kpoly(rs, flat.items()).coeff(0)
     p = MultiPoly.one(rs)
     for _ in range(2 * k):
         p = p * build_discriminant(rs)

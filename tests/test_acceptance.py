@@ -83,10 +83,8 @@ def test_criterion_02_b_roots():
 @pytest.mark.skipif(not os.environ.get("COXDUNKL_HEAVY"),
                     reason="heavy b(k) (B4 takes seconds); set COXDUNKL_HEAVY=1")
 def test_criterion_01_heavy_b_equals_closed_form():
-    # past the default b(k) budget.  F4 is not run: with every step an
-    # operator its first application would fill divided-difference memos of
-    # about 9e7 entries, and b_poly's derivative first step drops only the
-    # 2e7 of degree 24
+    # past the default b(k) budget.  F4 is not run: its b(k) takes 80-110 s
+    # at 3.8 GB peak RSS (BENCH_moved_variables.json)
     for label in ("B4",):
         ctx = group_context(label)
         start = time.perf_counter()

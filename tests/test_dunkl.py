@@ -9,12 +9,13 @@ from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
                             closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
-                            verify_algebra_relations)
+                            root_derivative, verify_algebra_relations)
 from coxdunkl.errors import BudgetError
-from coxdunkl.mmintegral import mm_exact
-from coxdunkl.polynomials import (MultiPoly, apply_reflection,
-                                  build_discriminant, divided_difference,
-                                  key_degree, reflection_forms)
+from coxdunkl.mmintegral import gaussian_moment
+from coxdunkl.polynomials import (EXP_BITS, EXP_MASK, MultiPoly,
+                                  apply_reflection, build_discriminant,
+                                  divided_difference, key_degree,
+                                  reflection_forms)
 from coxdunkl.scalars import QQ, FieldElement, KPoly, cos_field, kpoly_gcd, rat
 from coxdunkl.suite import group_context
 
@@ -73,17 +74,19 @@ def test_dunkl_operators_match_the_divided_difference_definition():
     # memoized twisted-Leibniz tables inside dunkl_apply_*.  I2(7) and I2(12)
     # (field degrees 3 and 4) fold powers of c by the minimal polynomial at
     # every table step and application; the last polynomial has coefficients
-    # with denominator 3
-    for label in ("A2", "B2", "I2(5)", "I2(7)", "I2(12)"):
+    # with denominator 3.  On A3 and B3, half or more of the reflections fix
+    # some u_j, whose powers the tables factor out
+    for label, max_degree in (("A2", 4), ("B2", 4), ("I2(5)", 4), ("I2(7)", 4),
+                              ("I2(12)", 4), ("A3", 3), ("B3", 3)):
         rs = group_context(label).rs
         roots = rs.roots_raw()
         fe = lambda raw: FieldElement(rs.spec, raw)
         k = MultiPoly.constant(rs, KPoly.gen(rs.spec))
         rng = random.Random(23)
-        polys = [random_multipoly(rs, rng, max_degree=4, k_degree=2)
+        polys = [random_multipoly(rs, rng, max_degree=max_degree, k_degree=2)
                  for _ in range(6)]
-        polys.append(random_multipoly(rs, rng, max_degree=4, k_degree=1)
-                     .scale(rat(1, 3)))
+        polys.append(random_multipoly(rs, rng, max_degree=max_degree,
+                                      k_degree=1).scale(rat(1, 3)))
         assert any(type(x) is not int for x in polys[-1].terms.values())
         for f in polys:
             dds = [divided_difference(f, a) for a in range(rs.num_positive)]
@@ -284,9 +287,8 @@ def test_dunkl_operators_scale_the_discriminant_by_one_plus_2k():
             assert dunkl_apply(a, delta) == one_2k * deriv, (label, a.dual)
 
 
-def test_b_poly_builds_no_top_degree_tables(monkeypatch):
-    # the first step is a plain derivative, so no divided-difference entry
-    # of Delta's degree |S| is built; the later steps read degree |S| - 1
+def _record_tables(monkeypatch):
+    """The list to which `_dd_tables` now appends every table list it makes."""
     lists = []
 
     def recorded(rs):
@@ -294,6 +296,13 @@ def test_b_poly_builds_no_top_degree_tables(monkeypatch):
         return lists[-1]
 
     monkeypatch.setattr(coxdunkl.dunkl, "_dd_tables", recorded)
+    return lists
+
+
+def test_b_poly_builds_no_top_degree_tables(monkeypatch):
+    # the first step is a plain derivative, so no divided-difference entry
+    # of Delta's degree |S| is built; the later steps read degree |S| - 1
+    lists = _record_tables(monkeypatch)
     for label in ("B3", "I2(7)"):
         ctx = group_context(label)
         rs = ctx.rs
@@ -304,13 +313,37 @@ def test_b_poly_builds_no_top_degree_tables(monkeypatch):
         assert max(degrees) == rs.num_positive - 1, (label, sorted(degrees))
 
 
+def test_b_poly_tables_hold_only_the_moved_variables(monkeypatch):
+    # s_alpha fixes every u_j with (alpha_j, alpha) = 0, so dd_alpha(u_j g) =
+    # u_j dd_alpha(g): table alpha is keyed by the exponents of the other
+    # variables alone
+    lists = _record_tables(monkeypatch)
+    for label in ("A4", "B3"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        lists.clear()
+        assert b_poly(rs, ctx.degrees).equal
+        assert len(lists) == 1
+        fixed = 0
+        for alpha, (memo, pair) in enumerate(zip(lists[0], rs.pair_vectors())):
+            assert len(memo) > 1, (label, alpha)
+            for j, w in enumerate(pair):
+                if not any(w):
+                    fixed += 1
+                    assert not any(key >> (EXP_BITS * j) & EXP_MASK
+                                   for key in memo), (label, alpha, j)
+        assert fixed, label
+
+
 def test_b_at_zero_is_the_exact_moment_f1():
-    # F(1) = b(0) F(0) with F(0) = 1: the kernel against the Stein moment,
-    # without the Gamma product
+    # F(1) = b(0) F(0) with F(0) = 1: the kernel against the Stein moment of
+    # Delta^2, without the Gamma product (mm_exact at k = 1 runs the same
+    # derivative chain as b(0), so it is no oracle here)
     for label in ("A2", "B2", "I2(5)", "A3", "B3", "I2(7)"):
         ctx = group_context(label)
-        assert b_poly(ctx.rs, ctx.degrees).computed(0) == mm_exact(ctx.rs, 1), \
-            label
+        delta = build_discriminant(ctx.rs)
+        assert (b_poly(ctx.rs, ctx.degrees).computed(0)
+                == gaussian_moment(delta * delta).coeff(0)), label
 
 
 def test_b_poly_degree_is_reflection_count():
@@ -337,13 +370,9 @@ def test_exact_kernel_coordinates_are_ints():
         # b_poly's applications, made here with a table list of their own so
         # that the divided-difference memos can be read: the derivative along
         # the first root (no root pairings), then the other |S| - 1 roots
-        first, *rest = _root_directions(rs)
-        zero = rs.spec.raw_zero()
         tables = _dd_tables(rs)
-        flat = _apply_direction(
-            rs, first._replace(pairings=(zero,) * rs.num_positive),
-            build_discriminant(rs).terms, tables)
-        for direction in rest:
+        flat = root_derivative(rs, 0, build_discriminant(rs).terms)
+        for direction in _root_directions(rs)[1:]:
             flat = _apply_direction(rs, direction, flat, tables)
         assert all(len(memo) > 1 for memo in tables)
         assert (MultiPoly.constant(rs, kp(rs, [1, 2])) * MultiPoly(rs, flat)

@@ -19,7 +19,8 @@ from coxdunkl.mmintegral import (EULER_GAMMA, _MC_BLOCK, _BlockSampler,
                                  wick_moment_bruteforce)
 from coxdunkl.coxeter import build_root_system, standard_diagram
 from coxdunkl.dunkl import b_poly
-from coxdunkl.polynomials import MultiPoly, apply_reflection, root_linear_form
+from coxdunkl.polynomials import (MultiPoly, apply_reflection,
+                                  build_discriminant, root_linear_form)
 from coxdunkl.scalars import KPoly, rat
 from coxdunkl.suite import DEFAULT_GROUPS, SuiteConfig, group_context, run_check
 
@@ -113,6 +114,16 @@ def test_mm_exact_values():
     assert mm_exact(a1.rs, 1) == a1.rs.spec.from_rational(2)
     a2 = group_context("A2")
     assert mm_exact(a2.rs, 1) == a2.rs.spec.from_rational(12)
+
+
+def test_mm_exact_k1_fischer_pairing_matches_the_stein_moment():
+    # Delta is harmonic, so F(1) = E[Delta^2] is the Fischer pairing
+    # Delta(d)Delta: the |S| root derivatives of Delta against the Stein
+    # moment of the product, on every field degree up to 3
+    for label in ("A2", "B2", "I2(5)", "I2(7)", "A3", "B3", "D4", "H3"):
+        rs = group_context(label).rs
+        delta = build_discriminant(rs)
+        assert mm_exact(rs, 1) == gaussian_moment(delta * delta).coeff(0), label
 
 
 def test_mm_exact_matches_gamma_product():
