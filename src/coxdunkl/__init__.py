@@ -8,9 +8,8 @@ from .coxeter import (CoxeterDiagram, DegreeData, GroupElement, Rank2Parabolic,
 from .dunkl import (BPolyResult, DunklDirection, b_poly, beta_form,
                     dunkl_apply, dunkl_apply_omega, dunkl_apply_root,
                     dunkl_laplacian, gamma_form, verify_algebra_relations)
-from .errors import (BudgetError, ConfigError, ExactDivisionError,
-                     FactorizationError, FieldMismatchError,
-                     PrecisionExhaustedError)
+from .errors import (BudgetError, ConfigError, FactorizationError,
+                     FieldMismatchError, PrecisionExhaustedError)
 from .mmintegral import (EULER_GAMMA, McEstimate, cross_check_plan,
                          functional_equation_plan, gamma_product_rhs,
                          log_moments_plan, mm_exact, mm_monte_carlo,

@@ -23,13 +23,13 @@ The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
 `polynomials`: an application is one `_map_monomials` walk, which builds
 each input monomial's image once for all of its (c, k) slots.  The tables
 are locals of the call that fills them (`b_poly`, `dunkl_apply`,
-`dunkl_laplacian`, `beta_form`, `verify_algebra_relations`).  `b_poly`
+`dunkl_laplacian`, `gaussian_exponential`, `beta_form`,
+`verify_algebra_relations`).  `b_poly`
 starts from the anti-invariant discriminant, on which T_a acts as
 (1 + 2k) d_a, so its first application is a plain derivative and its
-tables stop below degree |S|.  The
-reflect-and-divide route (`apply_reflection`, `divided_difference`,
-`divide_by_root_form`) does not use these tables; the tests check the
-operators against it.
+tables stop below degree |S|.  The tests check the operators against
+`polynomials.divided_difference`, which sums Taylor's formula in
+d_alpha and shares no table, reflection form or step with this kernel.
 """
 
 from itertools import combinations_with_replacement
@@ -182,28 +182,35 @@ def beta_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     return _kpoly(rs, _map_monomials(rs, f.terms, image).items())
 
 
+def _laplacian(rs, flat, tables):
+    """sum_j T_{omega_j} (y_{alpha_j} f) on a flat dict, its divided
+    differences from `tables` (see `_dd_tables`)."""
+    omega = _omega_directions(rs)
+    ydirs = _root_directions(rs)
+    return sum((MultiPoly(rs, _apply_direction(
+        rs, omega[j], _apply_direction(rs, ydirs[j], flat, tables), tables))
+        for j in range(rs.rank)), MultiPoly.zero(rs))
+
+
 def dunkl_laplacian(f: MultiPoly) -> MultiPoly:
     """Sum of squared Dunkl operators over any orthonormal frame.
 
     Computed basis-independently as sum_j T_{omega_j} (y_{alpha_j} f)."""
-    rs = f.ring
-    omega = _omega_directions(rs)
-    ydirs = _root_directions(rs)
-    tables = _dd_tables(rs)
-    return sum((MultiPoly(rs, _apply_direction(
-        rs, omega[j], _apply_direction(rs, ydirs[j], f.terms, tables), tables))
-        for j in range(rs.rank)), MultiPoly.zero(rs))
+    return _laplacian(f.ring, f.terms, _dd_tables(f.ring))
 
 
 def gaussian_exponential(f: MultiPoly) -> MultiPoly:
     """exp of half the Dunkl Laplacian applied to f (a finite sum: the
-    Laplacian lowers degree by exactly two)."""
+    Laplacian lowers degree by exactly two), one set of tables for all of
+    its terms."""
+    rs = f.ring
+    tables = _dd_tables(rs)
     total = f
     term = f
     n = 0
     while not term.is_zero():
         n += 1
-        term = dunkl_laplacian(term).scale(rat(1, 2 * n))
+        term = _laplacian(rs, term.terms, tables).scale(rat(1, 2 * n))
         total = total + term
     return total
 

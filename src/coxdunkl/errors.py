@@ -9,10 +9,6 @@ class PrecisionExhaustedError(ArithmeticError):
     """Sign refinement hit the 4096-bit interval bound (implementation bug)."""
 
 
-class ExactDivisionError(ArithmeticError):
-    """An exact polynomial division left a nonzero remainder."""
-
-
 class FactorizationError(RuntimeError):
     """Length generating function did not factor into q-integers."""
 

@@ -44,7 +44,7 @@ _MC_BLOCK = 1 << 16
 # ---------------------------------------------------------------------------
 
 #: the largest degree 2k|S| of Delta^(2k) that `mm_exact` takes on (2 cores,
-#: product and moment: H3 k = 2, degree 60, 0.17-0.27 s; B4 k = 2, 64, 1.7-2.1 s)
+#: product and moment: H3 k = 2, degree 60, about 0.14 s; B4 k = 2, 64, 1.3 s)
 MOMENT_DEGREE_LIMIT = 60
 
 

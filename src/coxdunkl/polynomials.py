@@ -18,9 +18,9 @@ monomial back as `KPoly` values.
 
 from __future__ import annotations
 
-from .errors import ExactDivisionError, FieldMismatchError
+from .errors import FieldMismatchError
 from .scalars import (KPoly, _compatible, as_kpoly, as_rational, join_terms,
-                      power, term_str)
+                      power, qdiv, term_str)
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -363,52 +363,28 @@ def apply_reflection(f: MultiPoly, root_index) -> MultiPoly:
 
 
 def divided_difference(f: MultiPoly, root_index) -> MultiPoly:
-    """(f - s_alpha f) / (alpha, x), with the division certified exact."""
+    """(f - s_alpha f) / (alpha, x) by Taylor's formula.  (alpha, alpha) = 2,
+    so s_alpha x = x - (alpha, x) alpha, and with t = (alpha, x)
+
+        dd_alpha f = g_1 - t (g_2 - t (g_3 - ...)),  g_j = d_alpha g_{j-1} / j,
+
+    g_0 = f and d_alpha = sum_i (alpha_i, alpha) d/du_i.  No reflection or
+    memo table is formed, so this shares nothing with the Dunkl kernel, which
+    the tests check against it.  g_j = d_alpha^j f / j! has integer
+    coordinates whenever f has."""
     rs = f.ring
-    g = f - apply_reflection(f, root_index)
-    return divide_by_root_form(g, root_index)
-
-
-def divide_by_root_form(g: MultiPoly, root_index) -> MultiPoly:
-    """Exact division by the linear form (alpha, x); raises if a remainder is left.
-
-    Synthetic division along the pivot variable: monomials are peeled in
-    strictly decreasing pivot exponent, so every one is final before it is
-    processed."""
-    rs = g.ring
-    croot = rs.roots_raw()[root_index]
-    pivot = next(j for j, co in enumerate(croot) if any(co))
-    step = 1 << (EXP_BITS * pivot)
-    inv = _flat(rs, (rs.spec.raw_inv(croot[pivot]),)).items()
-    others = []   # (u_l, the flat terms of -croot[l] u_l) for l != pivot
-    for l, co in enumerate(croot):
-        if l != pivot and any(co):
-            ul = 1 << (EXP_BITS * l)
-            others.append((ul, [(k, -x) for k, x in _flat(rs, (co,), ul).items()]))
-    rows = {u: dict(row) for u, row in _by_monomial(rs, g.terms).items()}
-    buckets = {}
-    for u in rows:
-        buckets.setdefault(u >> (EXP_BITS * pivot) & EXP_MASK, []).append(u)
-    quot = {}
-    for e in range(max(buckets, default=0), 0, -1):
-        for u in sorted(buckets.get(e, ())):
-            row = _fold(rs, rows.pop(u))
-            if not row:
-                continue
-            q = {}
-            _mul_into(q, ((k - step, x) for k, x in row.items()), inv)
-            q = _fold(rs, q).items()
-            quot.update(q)
-            for ul, form in others:
-                u2 = u - step + ul
-                if u2 not in rows:
-                    rows[u2] = {}
-                    buckets.setdefault(e - 1, []).append(u2)
-                _mul_into(rows[u2], q, form)
-    if any(_fold(rs, row) for row in rows.values()):
-        raise ExactDivisionError(
-            f"division by root form {root_index} left remainder")
-    return MultiPoly(rs, quot)
+    weights = [(i, MultiPoly(rs, _flat(rs, (w,))))
+               for i, w in enumerate(rs.pair_vectors()[root_index]) if any(w)]
+    gs = [f]   # g_0, g_1, ... up to the first zero
+    while not gs[-1].is_zero():
+        dg = sum((gs[-1].partial(i) * w for i, w in weights), MultiPoly.zero(rs))
+        gs.append(MultiPoly(rs, {key: qdiv(x, len(gs))
+                                 for key, x in dg.terms.items()}))
+    t = root_linear_form(rs, root_index)
+    dd = MultiPoly.zero(rs)
+    for g in reversed(gs[1:]):
+        dd = g - t * dd
+    return dd
 
 
 def build_discriminant(rs) -> MultiPoly:

@@ -243,20 +243,6 @@ class SuiteConfig(NamedTuple):
     heavy_types_enabled: bool = False
     output_path: str = None
 
-    def render(self) -> str:
-        lines = [
-            f"groups = {', '.join(self.groups)}",
-            f"checks = {', '.join(self.checks)}",
-            f"mc_samples = {self.mc_samples}",
-            f"seed = {self.seed}",
-            f"shards = {self.shards}",
-            f"enumeration_budget = {self.enumeration_budget}",
-            f"heavy_types_enabled = {'true' if self.heavy_types_enabled else 'false'}",
-        ]
-        if self.output_path:
-            lines.append(f"output_path = {self.output_path}")
-        return "\n".join(lines) + "\n"
-
 
 _INT_KEYS = {"mc_samples", "seed", "shards", "enumeration_budget"}
 
@@ -406,8 +392,10 @@ def run_suite(cfg: SuiteConfig, threads=None):
     stat = tuple(c for c in checks if c in STATISTICAL)
 
     def skipped(label, names, expected, actual):
-        return [CheckReport(c, label, "exact", "skipped", expected, actual,
-                            None, 0) for c in names]
+        return [CheckReport(c, label,
+                            "statistical" if c in STATISTICAL else "exact",
+                            "skipped", expected, actual, None, 0)
+                for c in names]
 
     budget_hit = False
     done, groups, exact = [], [], []

@@ -70,14 +70,15 @@ def test_dunkl_lowers_degree_and_raises_k(ctx_a2):
 
 def test_dunkl_operators_match_the_divided_difference_definition():
     # T_a f = d_a f + k sum_alpha (alpha, a) (f - s_alpha f) / (alpha, x), with
-    # the divided differences from the reflect-and-divide route, against the
-    # memoized twisted-Leibniz tables inside dunkl_apply_*.  I2(7) and I2(12)
-    # (field degrees 3 and 4) fold powers of c by the minimal polynomial at
-    # every table step and application; the last polynomial has coefficients
-    # with denominator 3.  On A3 and B3, half or more of the reflections fix
-    # some u_j, whose powers the tables factor out
+    # the divided differences from Taylor's formula in d_alpha, which reads no
+    # table, against the memoized twisted-Leibniz tables inside dunkl_apply_*.
+    # I2(7) and I2(12) (field degrees 3 and 4) fold powers of c by the minimal
+    # polynomial at every table step and application; the last polynomial has
+    # coefficients with denominator 3.  On A3 and B3 half or more of the
+    # reflections fix some u_j, whose powers the tables factor out, and on H3
+    # (non-crystallographic, over QQ(sqrt 5)) 5 of the 15 do
     for label, max_degree in (("A2", 4), ("B2", 4), ("I2(5)", 4), ("I2(7)", 4),
-                              ("I2(12)", 4), ("A3", 3), ("B3", 3)):
+                              ("I2(12)", 4), ("A3", 3), ("B3", 3), ("H3", 3)):
         rs = group_context(label).rs
         roots = rs.roots_raw()
         fe = lambda raw: FieldElement(rs.spec, raw)

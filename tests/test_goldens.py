@@ -8,6 +8,8 @@ must reproduce byte for byte.  D4 and H3 b_poly are not in the benchmark's
 golden file."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,19 @@ def test_exact_report_strings(name):
     label, check = name.split("/")
     rep = run_check(check, group_context(label), SuiteConfig())
     assert (rep.status, rep.expected, rep.actual) == REPORTS[name]
+
+
+def test_benchmark_golden_ops_reproduce():
+    # every exact op of the benchmark's golden file, as the suite reports it:
+    # a mismatch here is an `outputs_incorrect` benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    golden = json.loads(path.read_text())
+    assert golden
+    for name, want in sorted(golden.items()):
+        label, check = name.split("/")
+        rep = run_check(check, group_context(label), SuiteConfig())
+        assert rep.mode == "exact" and rep.status == "pass", name
+        assert {"expected": rep.expected, "actual": rep.actual} == want, name
 
 
 @pytest.mark.parametrize("label", list(B_COMPUTED))

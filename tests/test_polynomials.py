@@ -144,6 +144,44 @@ def test_divided_difference_properties(ctx_a2):
         assert df * root_linear_form(rs, a) == f - apply_reflection(f, a)
 
 
+def test_divided_difference_reads_no_reflection_table(monkeypatch):
+    # Taylor's formula needs no reflection form, step, memo table or image,
+    # so the reference for the Dunkl kernel's tables shares none of them
+    import coxdunkl.polynomials as polynomials
+    want = {}
+    for label in ("A2", "B3", "I2(7)"):
+        rs = group_context(label).rs
+        f = random_multipoly(rs, random.Random(15), max_degree=4, k_degree=1)
+        want[label] = (f, [f - apply_reflection(f, a)
+                           for a in range(rs.num_positive)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("divided_difference read a reflection table")
+
+    for name in ("monomial_table", "reflection_step", "reflection_forms",
+                 "apply_reflection"):
+        monkeypatch.setattr(polynomials, name, refuse)
+    for label, (f, diffs) in want.items():
+        rs = group_context(label).rs
+        for a, diff in enumerate(diffs):
+            assert polynomials.divided_difference(f, a) * \
+                root_linear_form(rs, a) == diff, (label, a)
+
+
+def test_divided_difference_keeps_integer_coordinates():
+    # g_j = d_alpha^j f / j! is integral when f is, and so is every
+    # coordinate of dd_alpha f, also where a root has a non-unit coordinate
+    for label in ("B2", "I2(12)", "B3"):
+        rs = group_context(label).rs
+        rng = random.Random(16)
+        for _ in range(4):
+            f = random_multipoly(rs, rng, max_degree=5)
+            for a in range(rs.num_positive):
+                dd = divided_difference(f, a)
+                assert all(type(x) is int for x in dd.terms.values()), \
+                    (label, a)
+
+
 def test_discriminant_a2(ctx_a2):
     rs = ctx_a2.rs
     u1 = MultiPoly.variable(rs, 0)

@@ -121,12 +121,20 @@ def test_run_suite_checks_a_config_built_in_code():
 
 
 def test_config_round_trip():
-    cfg = SuiteConfig()
-    assert parse_config(cfg.render()) == cfg
-    cfg2 = SuiteConfig(groups=("A2",), checks=("b_poly",), mc_samples=1000,
-                       seed=3, shards=2, heavy_types_enabled=True,
-                       output_path="/tmp/out.json")
-    assert parse_config(cfg2.render()) == cfg2
+    # every key written out, defaults and a non-default config alike
+    text = ("groups = A1, A2, A3, B2, B3, D4, I2(5), I2(7), H3\n"
+            "checks = poincare_identity, degrees_consistency, chevalley, "
+            "psi_identities, b_poly, mm_exact_k1, mm_exact_k2, "
+            "functional_equation, gamma_cross_check, log_moments\n"
+            "mc_samples = 10000000\nseed = 42\nshards = 16\n"
+            "enumeration_budget = 20000\nheavy_types_enabled = false\n")
+    assert parse_config(text) == SuiteConfig()
+    text = ("groups = A2\nchecks = b_poly\nmc_samples = 1000\nseed = 3\n"
+            "shards = 2\nenumeration_budget = 20000\n"
+            "heavy_types_enabled = true\noutput_path = /tmp/out.json\n")
+    assert parse_config(text) == SuiteConfig(
+        groups=("A2",), checks=("b_poly",), mc_samples=1000, seed=3,
+        shards=2, heavy_types_enabled=True, output_path="/tmp/out.json")
 
 
 def test_render_report_empty_and_schema():
@@ -368,6 +376,19 @@ def test_budget_exhaustion_exit_code():
     reports, code = run_suite(cfg, threads=1)
     assert code == 3
     assert reports[0].status == "skipped"
+
+
+def test_budget_skipped_rows_keep_their_check_mode():
+    # E6 (order 51840) is past the default enumeration budget, so every row
+    # is skipped; a statistical check still reports mode "statistical"
+    checks = ("degrees_consistency", "gamma_cross_check", "log_moments")
+    reports, code = run_suite(SuiteConfig(groups=("E6",), checks=checks),
+                              threads=1)
+    assert code == 3
+    assert [(r.name, r.mode, r.status) for r in reports] == [
+        ("degrees_consistency", "exact", "skipped"),
+        ("gamma_cross_check", "statistical", "skipped"),
+        ("log_moments", "statistical", "skipped")]
 
 
 def test_mm_exact_skipped_when_over_budget():
