@@ -84,6 +84,19 @@ def _build_parser():
     return parser
 
 
+def _write_report(path, text):
+    """Write a report file.  An unwritable path is reported on stderr and
+    returns False, for a usage-error exit (2), since exit 1 means a failed
+    check."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_info(args):
     info = group_info(args.group, args.budget)
     print(json.dumps(info, separators=(",", ":")))
@@ -97,9 +110,9 @@ def _cmd_verify(args, threads):
                       heavy_types_enabled=args.heavy)
     reports, code = run_suite(cfg, threads=threads)
     print(render_report(reports, "table", seed=cfg.seed))
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(render_report(reports, "json", seed=cfg.seed))
+    if args.json_path and not _write_report(
+            args.json_path, render_report(reports, "json", seed=cfg.seed)):
+        return USAGE_ERROR
     return code
 
 
@@ -139,10 +152,10 @@ def _cmd_integrate(args, threads):
         "gamma_product": str(rhs) if not isinstance(rhs, float) else rhs,
         "z_score": z,
     }
-    print(json.dumps(doc, separators=(",", ":")))
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(json.dumps(doc, separators=(",", ":")))
+    text = json.dumps(doc, separators=(",", ":"))
+    print(text)
+    if args.json_path and not _write_report(args.json_path, text):
+        return USAGE_ERROR
     return 0 if abs(z) <= 4.0 else 1
 
 
@@ -156,12 +169,12 @@ def _cmd_suite(args, threads):
     cfg = parse_config(text)
     reports, code = run_suite(cfg, threads=threads)
     print(render_report(reports, "table", seed=cfg.seed))
-    json_path = args.json_path or cfg.output_path
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(render_report(reports, "json", seed=cfg.seed))
     failures = sum(1 for r in reports if r.status == "fail")
     print(f"{len(reports)} checks, {failures} failures")
+    json_path = args.json_path or cfg.output_path
+    if json_path and not _write_report(
+            json_path, render_report(reports, "json", seed=cfg.seed)):
+        return USAGE_ERROR
     return code
 
 

@@ -362,9 +362,12 @@ def run_check(name, ctx, cfg):
 
 def default_threads():
     """COXDUNKL_THREADS when set (a positive integer, else ConfigError), or
-    the available parallelism."""
+    the available parallelism: the CPUs this process may run on, where the
+    platform reports its affinity, else the machine's CPU count."""
     env = os.environ.get("COXDUNKL_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(env)

@@ -83,8 +83,8 @@ def test_criterion_02_b_roots():
 @pytest.mark.skipif(not os.environ.get("COXDUNKL_HEAVY"),
                     reason="heavy b(k) (B4 takes seconds); set COXDUNKL_HEAVY=1")
 def test_criterion_01_heavy_b_equals_closed_form():
-    # past the default b(k) budget.  F4 is not run: its b(k) takes 80-110 s
-    # at 3.8 GB peak RSS (BENCH_moved_variables.json)
+    # past the default b(k) budget.  F4 is not run: its b(k) takes about
+    # 62 s at 1.83 GB peak RSS (one run, BENCH_operator_order.json)
     for label in ("B4",):
         ctx = group_context(label)
         start = time.perf_counter()

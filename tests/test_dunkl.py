@@ -5,7 +5,8 @@ import pytest
 import coxdunkl.dunkl
 from coxdunkl.coxeter import chevalley_q_identity
 from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
-                            _root_directions, b_poly, beta_form, closed_form_b,
+                            _operator_order, _root_directions, b_poly,
+                            beta_form, closed_form_b,
                             closed_form_b_string, dunkl_apply,
                             dunkl_apply_omega, dunkl_apply_root,
                             dunkl_laplacian, gamma_form, gaussian_exponential,
@@ -300,6 +301,53 @@ def _record_tables(monkeypatch):
     return lists
 
 
+def _operator_chain(rs, order, tables):
+    """b_poly's applications in the given order of the roots: the derivative
+    along the first (no root pairings), then the other |S| - 1 root Dunkl
+    operators, their divided differences from `tables`."""
+    directions = _root_directions(rs)
+    flat = root_derivative(rs, order[0], build_discriminant(rs).terms)
+    for b in order[1:]:
+        flat = _apply_direction(rs, directions[b], flat, tables)
+    return flat
+
+
+def _table_terms(tables):
+    return sum(len(entry) for memo in tables for entry in memo.values())
+
+
+def test_b_poly_is_independent_of_the_operator_order():
+    # the root Dunkl operators commute, so the helper's order, the index
+    # order and the reversed order reach the same constant b(k) / (1 + 2k);
+    # T_a Delta = (1 + 2k) d_a Delta for every root a, so each chain may
+    # start with the derivative along its own first root
+    for label in ("A3", "B3", "I2(7)"):
+        rs = group_context(label).rs
+        n = rs.num_positive
+        orders = (_operator_order(rs), list(range(n)), list(range(n))[::-1])
+        assert orders[0][0] == 0 and sorted(orders[0]) == orders[1], label
+        images = [_operator_chain(rs, order, _dd_tables(rs)) for order in orders]
+        assert images[0] == images[1] == images[2], label
+        assert len(images[0]) > 1 and all(
+            not key & ((1 << (EXP_BITS * rs.rank)) - 1) for key in images[0])
+
+
+def test_operator_order_fills_fewer_table_terms(monkeypatch):
+    # the helper's order opens each table late, at a lower degree, so the
+    # divided-difference tables of b_poly hold fewer terms than those of
+    # the index order
+    lists = _record_tables(monkeypatch)
+    for label in ("A4", "B3", "D4"):
+        ctx = group_context(label)
+        rs = ctx.rs
+        lists.clear()
+        assert b_poly(rs, ctx.degrees).equal
+        assert len(lists) == 1
+        index_tables = _dd_tables(rs)
+        _operator_chain(rs, range(rs.num_positive), index_tables)
+        assert _table_terms(lists[0]) < _table_terms(index_tables), label
+
+
 def test_b_poly_builds_no_top_degree_tables(monkeypatch):
     # the first step is a plain derivative, so no divided-difference entry
     # of Delta's degree |S| is built; the later steps read degree |S| - 1
@@ -368,13 +416,10 @@ def test_exact_kernel_coordinates_are_ints():
     for label in ("B3", "I2(7)", "I2(12)"):
         ctx = group_context(label)
         rs = ctx.rs
-        # b_poly's applications, made here with a table list of their own so
-        # that the divided-difference memos can be read: the derivative along
-        # the first root (no root pairings), then the other |S| - 1 roots
+        # b_poly's applications, in its order, made here with a table list
+        # of their own so that the divided-difference memos can be read
         tables = _dd_tables(rs)
-        flat = root_derivative(rs, 0, build_discriminant(rs).terms)
-        for direction in _root_directions(rs)[1:]:
-            flat = _apply_direction(rs, direction, flat, tables)
+        flat = _operator_chain(rs, _operator_order(rs), tables)
         assert all(len(memo) > 1 for memo in tables)
         assert (MultiPoly.constant(rs, kp(rs, [1, 2])) * MultiPoly(rs, flat)
                 == MultiPoly.constant(rs, b_poly(rs, ctx.degrees).computed))

@@ -568,6 +568,39 @@ def test_cli_suite(tmp_path, capsys):
     assert len(doc["checks"]) == 6
 
 
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a failed check; a report that cannot be written is a
+    # usage error (2) with one stderr line, on every route that writes one
+    cfg_path = tmp_path / "suite.cfg"
+    cfg_path.write_text("groups = A1\nchecks = degrees_consistency\n")
+    missing = tmp_path / "missing" / "report.json"
+    out_cfg = tmp_path / "out.cfg"
+    out_cfg.write_text("groups = A1\nchecks = degrees_consistency\n"
+                       f"output_path = {missing}\n")
+    routes = [
+        ["suite", "--config", str(cfg_path), "--json", str(missing)],
+        ["suite", "--config", str(out_cfg)],
+        ["verify", "--check", "degrees_consistency", "--type", "A1",
+         "--json", str(missing)],
+        ["integrate", "--type", "A1", "--k", "1", "--samples", "20000",
+         "--shards", "2", "--json", str(missing)],
+    ]
+    for argv in routes:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write report:"), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+    assert not missing.parent.exists()
+
+
+def test_default_threads_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("COXDUNKL_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_threads() == 1
+
+
 def test_cli_suite_missing_config(capsys):
     assert main(["suite", "--config", "/nonexistent/path.cfg"]) == 2
 
