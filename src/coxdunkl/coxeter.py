@@ -13,13 +13,14 @@ A group element is the permutation it induces on the 2|S| roots (Casselman,
 "Machine calculations in Weyl groups", 1994), held as an immutable `bytes`
 object (every finite group here has 2|S| <= 240).  Composition is one
 `bytes.translate` (g * s_i is `s_i.translate(g + pad)`), length counts the
-positive roots sent negative, and the matrix, traces and det(1 - q w) are
-read off the permutation only where a check needs them.  numpy is loaded
-only by `RootSystem.float_data`, for the Monte Carlo sampler.
+positive roots sent negative, and the matrix and traces are read off the
+permutation only where a check needs them.  numpy is loaded only by
+`RootSystem.float_data`, for the Monte Carlo sampler.
 """
 
 import re
 from collections import Counter
+from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetError, FactorizationError
@@ -178,21 +179,26 @@ class RootSystem:
 
     def root_gram(self):
         """Raw matrix of inner products (alpha, beta) over positive roots,
-        (alpha_a, alpha_b) = sum_i coord_i(alpha_a) (alpha_i, alpha_b); one
-        triangle is formed and mirrored."""
+        (alpha_a, alpha_b) = sum_i coord_i(alpha_a) (alpha_i, alpha_b), each
+        summed with c unfolded and folded once; one triangle is formed and
+        mirrored."""
         def build():
             sp = self.spec
-            add, mul = sp.raw_add, sp.raw_mul
-            pv = self.pair_vectors()
+            width = 2 * sp.degree - 1
+            pv = [[[(f, y) for f, y in enumerate(c) if y] for c in v]
+                  for v in self.pair_vectors()]
             out = []
             for a, root in enumerate(self.roots_raw()):
-                nz = [(i, x) for i, x in enumerate(root) if any(x)]
+                nz = [(i, e, x) for i, c in enumerate(root)
+                      for e, x in enumerate(c) if x]
                 row = [out[b][a] for b in range(a)]
                 for b in range(a, len(pv)):
-                    acc = sp.raw_zero()
-                    for i, x in nz:
-                        acc = add(acc, mul(x, pv[b][i]))
-                    row.append(acc)
+                    acc = [0] * width
+                    pb = pv[b]
+                    for i, e, x in nz:
+                        for f, y in pb[i]:
+                            acc[e + f] += x * y
+                    row.append(sp.raw_fold(acc))
                 out.append(row)
             return tuple(map(tuple, out))
         return self._cache("root_gram", build)
@@ -442,35 +448,53 @@ class ChevalleyResult(NamedTuple):
 
 
 def _char_traces(rs: RootSystem, elements) -> Counter:
-    """How many elements w share each (tr(w), ..., tr(w^r)), in order of
-    first occurrence; a trace is a coordinate tuple in Z[c].
+    """How many elements w share each key (tr(w), ..., tr(w^h), l(w) mod 2)
+    for h = max(1, floor(r/2)), in order of first occurrence; a trace is a
+    coordinate tuple in Z[c], and `_det_from_traces` reads det(1 - q w) off
+    the key.  `elements` come as `enumerate_group` orders them.
 
-    tr(v) = sum_b coord_b(v(alpha_b)) is read once per element v off its
-    simple-root images; the images under w^j are those under w^(j-1)
-    translated by w."""
-    r = rs.rank
-    roots = rs.signed_roots_raw()
-    pad = bytes(256 - len(roots))
-    trace = {}
+    Traces follow the reduced words.  For w = g s_i, w(v) = g(v) - (alpha_i,
+    v) g(alpha_i) and g(alpha_i) = -w(alpha_i), so tr(w) = tr(g) + (alpha_i,
+    w(alpha_i)): entry i of the pair vector of the root w(alpha_i), negated
+    when that root is negative.  That is one field add per element and reads
+    no Gram matrix of the roots.  g = w s_i is w with the last letter of its
+    word dropped, so it comes earlier; its simple-root images are s_i's
+    translated by w.  The images under w^j are those under w^(j-1)
+    translated by w, h - 1 translations per element."""
+    r, n = rs.rank, rs.num_positive
+    gens = [s[:r] for s in rs.simple_reflection_perms()]
+    pv = rs.pair_vectors()
+    # pairs[i][x] = (alpha_i, beta_x) over the signed root indices x
+    pairs = [[v[i] for v in pv] + [tuple(-y for y in v[i]) for v in pv]
+             for i in range(r)]
+    pad = bytes(256 - 2 * n)
+    trace = {bytes(range(r)): rs.spec.raw(r)}
     for g in elements:
-        head = g.perm[:r]
-        trace[head] = tuple(map(sum, zip(*(roots[x][b]
-                                           for b, x in enumerate(head)))))
+        if g.word:
+            i = g.word[-1]
+            parent = trace[gens[i].translate(g.perm + pad)]
+            trace[g.perm[:r]] = tuple(map(add, parent, pairs[i][g.perm[i]]))
     out = Counter()
     for g in elements:
         table = g.perm + pad
         head = g.perm[:r]
         key = [trace[head]]
-        for _ in range(r - 1):
+        for _ in range(r // 2 - 1):
             head = head.translate(table)
             key.append(trace[head])
+        key.append(g.length & 1)
         out[tuple(key)] += 1
     return out
 
 
-def _det_from_traces(spec, p) -> KPoly:
-    """det(1 - q w) = sum_k (-1)^k e_k q^k from the power sums p_j = tr(w^j)
-    by Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i."""
+def _det_from_traces(spec, rank, key) -> KPoly:
+    """det(1 - q w) = sum_k (-1)^k e_k q^k from the key (p_1, ..., p_h,
+    l(w) mod 2) of `_char_traces`, p_j = tr(w^j) and h >= floor(rank/2).
+
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i give e_0..e_h.
+    w is orthogonal, so its eigenvalues are closed under inversion and
+    e_(r-k) = det(w) e_k with det(w) = (-1)^l(w): the rest follow."""
+    *p, parity = key
     e = [spec.raw_one()]
     for k in range(1, len(p) + 1):
         acc = spec.raw_zero()
@@ -478,6 +502,8 @@ def _det_from_traces(spec, p) -> KPoly:
             term = spec.raw_mul(e[k - i], p[i - 1])
             acc = spec.raw_add(acc, term) if i % 2 else spec.raw_sub(acc, term)
         e.append(tuple(qdiv(x, k) for x in acc))
+    e += [spec.raw_neg(e[rank - k]) if parity else e[rank - k]
+          for k in range(len(e), rank + 1)]
     return KPoly(spec, [ek if k % 2 == 0 else spec.raw_neg(ek)
                         for k, ek in enumerate(e)])
 
@@ -515,9 +541,9 @@ def chevalley_q_identity(rs: RootSystem, elements, dd: DegreeData) -> ChevalleyR
     dprod = qints * one_minus_q_r
     total = KPoly.zero(spec)
     side_num, side_den = KPoly.zero(spec), KPoly.one(spec)
-    # (p_1..p_r) fixes det(1 - q w); grouping by it leaves few distinct terms
-    for p, count in _char_traces(rs, elements).items():
-        cp = _det_from_traces(spec, p)
+    # the key fixes det(1 - q w); grouping by it leaves few distinct terms
+    for key, count in _char_traces(rs, elements).items():
+        cp = _det_from_traces(spec, rs.rank, key)
         quotient, rem = dprod.divmod(cp)
         if rem.is_zero():
             total = total + count * quotient

@@ -24,11 +24,11 @@ The kernel works on `MultiPoly.terms`, the flat {u^E c^e k^j: int} dicts of
 `polynomials`: an application is one `_map_monomials` walk, which builds
 each input monomial's image once for all of its (c, k) slots.  The tables
 are locals of the call that fills them (`b_poly`, `dunkl_apply`,
-`dunkl_laplacian`, `gaussian_exponential`, `beta_form`,
-`verify_algebra_relations`).  `b_poly`
-starts from the anti-invariant discriminant, on which T_a acts as
-(1 + 2k) d_a, so its first application is a plain derivative and its
-tables stop below degree |S|.  The root operators commute, and `b_poly`
+`dunkl_laplacian`, `gaussian_exponential`, `beta_form`, `gamma_form`,
+which shares one set between its two exponentials and its pairing, and
+`verify_algebra_relations`).  `b_poly` starts from the anti-invariant
+discriminant, on which T_a acts as (1 + 2k) d_a, so its first application
+is a plain derivative and its tables stop below degree |S|.  The root operators commute, and `b_poly`
 takes them in the order of `_operator_order`, which reads each table first
 as late, and so at as low a degree, as a count of entries finds (A4: 1037
 entries, 11814 terms; 1272 and 15985 in root-index order).  The tests check
@@ -174,10 +174,15 @@ def beta_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     Normalized so that pairing(1, 1) = 1; homogeneous polynomials of
     different degrees pair to zero."""
     f._check_ring(g)
+    return _beta_form(f, g, _dd_tables(f.ring))
+
+
+def _beta_form(f, g, tables):
+    """`beta_form` with its divided differences from `tables` (see
+    `_dd_tables`)."""
     rs = f.ring
     umask = (1 << (EXP_BITS * rs.rank)) - 1
     y_dirs = _root_directions(rs)
-    tables = _dd_tables(rs)
     memo = {0: g.terms}   # y^E g by packed E, for this call only
 
     def step(i, prev_key, prev):
@@ -211,8 +216,12 @@ def gaussian_exponential(f: MultiPoly) -> MultiPoly:
     """exp of half the Dunkl Laplacian applied to f (a finite sum: the
     Laplacian lowers degree by exactly two), one set of tables for all of
     its terms."""
+    return _gaussian_exponential(f, _dd_tables(f.ring))
+
+
+def _gaussian_exponential(f, tables):
+    """`gaussian_exponential` with its divided differences from `tables`."""
     rs = f.ring
-    tables = _dd_tables(rs)
     total = f
     term = f
     n = 0
@@ -225,8 +234,14 @@ def gaussian_exponential(f: MultiPoly) -> MultiPoly:
 
 def gamma_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     """The Gaussian pairing: the contravariant pairing twisted by exp of half
-    the Dunkl Laplacian on both arguments."""
-    return beta_form(gaussian_exponential(f), gaussian_exponential(g))
+    the Dunkl Laplacian on both arguments.  The two exponentials and the
+    pairing read one set of tables (g's own if it is from another, compatible
+    ring)."""
+    f._check_ring(g)
+    tables = _dd_tables(f.ring)
+    g_tables = tables if g.ring is f.ring else _dd_tables(g.ring)
+    return _beta_form(_gaussian_exponential(f, tables),
+                      _gaussian_exponential(g, g_tables), tables)
 
 
 # ---------------------------------------------------------------------------

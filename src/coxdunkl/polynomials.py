@@ -68,10 +68,9 @@ def _fold(rs, flat):
         for key in [key for key in flat if key >> cs & EXP_MASK >= d]:
             e = key >> cs & EXP_MASK
             x = flat.pop(key)
-            for j, r in enumerate(rs.spec._pow[e - d]):
-                if r:
-                    kj = key - ((e - j) << cs)
-                    flat[kj] = flat.get(kj, 0) + x * r
+            for j, r in rs.spec._folds[e - d][1]:
+                kj = key + (j << cs)
+                flat[kj] = flat.get(kj, 0) + x * r
     return {key: x for key, x in flat.items() if x}
 
 

@@ -21,9 +21,13 @@ and never returns a float.
 
 KPoly is a dense univariate polynomial over such a field.  It carries the
 formal deformation parameter k through the Dunkl calculus and doubles as
-the q-variable for length generating functions.  It has its own dense add
-and convolution (the sparse multivariate polynomials keep flat int dicts,
-see `polynomials`); `KPoly.divmod` is the one long division and
+the q-variable for length generating functions.  Its coefficients are
+coordinate tuples, but its sums, products and divisions run on one flat
+list of coordinates (the sparse multivariate polynomials keep flat int
+dicts, see `polynomials`): a product gathers the nonzero coordinate pairs
+with the powers of c unfolded and folds each q-coefficient once by the
+reduction rows, with no field call per pair.  `KPoly.divmod` is the one long
+division (a leading coefficient +-1 needs no field inverse) and
 `kpoly_xgcd` the one Euclid: inverses of irrational field elements, gcds
 and the minimal polynomials of 2cos(pi/m) (worked over `QQ`) all go
 through them.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as rat
 from functools import lru_cache
+from itertools import chain
 from operator import add, ne, neg, sub
 
 from .errors import FieldMismatchError, PrecisionExhaustedError
@@ -88,7 +93,7 @@ class FieldSpec:
     `top`, a float estimate of that root, lets the bracket start next to it
     after three Sturm counts instead of bisecting from the Cauchy bound."""
 
-    __slots__ = ("min_poly", "degree", "_pow", "_lo", "_hi", "_zero", "_one")
+    __slots__ = ("min_poly", "degree", "_folds", "_lo", "_hi", "_zero", "_one")
 
     def __init__(self, min_poly, top=None):
         mp_ = tuple(int(a) for a in min_poly)
@@ -108,7 +113,10 @@ class FieldSpec:
                 base = rows[0]
                 cur = [cur[j] + lead * base[j] for j in range(d)]
             rows.append(tuple(cur))
-        self._pow = tuple(rows)
+        # (e, the nonzero entries of c^e's row as (offset from c^e,
+        # coefficient)) for e = d .. 2d - 2
+        self._folds = tuple((e, tuple((j - e, r) for j, r in enumerate(row) if r))
+                            for e, row in zip(range(d, 2 * d - 1), rows))
         self._zero = (0,) * d
         self._one = (1,) + (0,) * (d - 1)
         self._init_bracket(top)
@@ -227,14 +235,18 @@ class FieldSpec:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        pow_ = self._pow
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
+        for e, row in self._folds:
+            c = prod[e]
             if c:
-                row = pow_[i - d]
-                for j in range(d):
-                    prod[j] += c * row[j]
+                for j, r in row:
+                    prod[e + j] += c * r
         return tuple(prod[:d])
+
+    def raw_fold(self, acc):
+        """The coordinates of sum_e acc[e] c^e over e <= 2d - 2, as an
+        unfolded product or a sum of them leaves it; `acc` is consumed."""
+        _fold(acc, self._folds, len(acc))
+        return _demoted(acc[:self.degree])
 
     def raw_inv(self, a):
         if not any(a):
@@ -506,6 +518,28 @@ def join_terms(parts):
 # ---------------------------------------------------------------------------
 
 
+_INT = frozenset((int,))
+
+
+def _nonzero(co, width):
+    """The nonzero coordinates of the coefficient tuples `co` as pairs
+    (i * width + e, coordinate of c^e in the q^i coefficient)."""
+    return [(i * width + e, x) for i, c in enumerate(co)
+            for e, x in enumerate(c) if x]
+
+
+def _fold(acc, folds, width):
+    """Fold the powers c^d .. c^(2d-2) of every slot of width = 2d - 1
+    coordinates of `acc` into the slot's first d, in place, by
+    `FieldSpec._folds` (the coordinates past c^(d-1) are left as they were)."""
+    for e, row in folds:
+        for i, x in enumerate(acc[e::width]):
+            if x:
+                i = i * width + e
+                for j, r in row:
+                    acc[i + j] += x * r
+
+
 class KPoly:
     """Dense univariate polynomial over a FieldSpec (formal parameter k or q)."""
 
@@ -519,6 +553,23 @@ class KPoly:
         self.co = tuple(map(_demoted, co))
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_flat(cls, spec, acc, width):
+        """The KPoly whose q^i coefficient is sum_e acc[i*width + e] c^e, for
+        slots of width d, or 2d - 1 for unfolded products, which are folded
+        here; `acc` is consumed."""
+        d = spec.degree
+        if width > d:
+            _fold(acc, spec._folds, width)
+        if not set(map(type, acc)) <= _INT:
+            acc = list(map(as_rational, acc))
+        co = [tuple(acc[base:base + d]) for base in range(0, len(acc), width)]
+        while co and not any(co[-1]):
+            co.pop()
+        p = object.__new__(cls)
+        p.spec, p.co = spec, tuple(co)
+        return p
 
     @classmethod
     def zero(cls, spec):
@@ -567,14 +618,21 @@ class KPoly:
             return as_kpoly(self.spec, other)
         return None
 
+    def _combine(self, o, op):
+        """The coordinatewise op(self, o) of two KPolys over one field."""
+        d = self.spec.degree
+        n = max(len(self.co), len(o.co)) * d
+        a = list(chain.from_iterable(self.co))
+        b = list(chain.from_iterable(o.co))
+        a += [0] * (n - len(a))
+        b += [0] * (n - len(b))
+        return KPoly._from_flat(self.spec, list(map(op, a, b)), d)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = sorted((self.co, o.co), key=len)
-        add = self.spec.raw_add
-        return KPoly(self.spec, [add(x, y) if any(x) else y
-                                 for x, y in zip(a, b)] + list(b[len(a):]))
+        return self._combine(o, add)
 
     __radd__ = __add__
 
@@ -582,27 +640,29 @@ class KPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, sub)
 
     def __neg__(self):
-        sp = self.spec
-        return KPoly(sp, [sp.raw_neg(a) for a in self.co])
+        return KPoly._from_flat(self.spec,
+                                [-x for x in chain.from_iterable(self.co)],
+                                self.spec.degree)
 
     def __mul__(self, other):
-        """Dense convolution; zero coefficients of either side are skipped."""
+        """Convolution over the nonzero coordinates of either side, with the
+        powers of c left unfolded and each q-slot folded once."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         sp = self.spec
-        mul, add = sp.raw_mul, sp.raw_add
-        b = [(j, y) for j, y in enumerate(o.co) if any(y)]
-        out = [sp.raw_zero()] * (len(self.co) + len(o.co))
-        for i, x in enumerate(self.co):
-            if any(x):
-                for j, y in b:
-                    p = mul(x, y)
-                    out[i + j] = add(out[i + j], p) if any(out[i + j]) else p
-        return KPoly(sp, out)
+        width = 2 * sp.degree - 1
+        a, b = _nonzero(self.co, width), _nonzero(o.co, width)
+        if not a or not b:
+            return KPoly.zero(sp)
+        acc = [0] * ((len(self.co) + len(o.co) - 1) * width)
+        for i, x in a:
+            for j, y in b:
+                acc[i + j] += x * y
+        return KPoly._from_flat(sp, acc, width)
 
     __rmul__ = __mul__
 
@@ -632,29 +692,53 @@ class KPoly:
         return FieldElement(self.spec, self.raw_at(x))
 
     def divmod(self, other):
+        """(q, r) with self = q * other + r and deg r < deg other: long
+        division on flat coordinates, each remainder slot folded once, when
+        it is read as the next quotient coefficient or returned.  A leading
+        coefficient +-1, as every det(1 - q w) has, needs no field inverse."""
         o = self._coerce(other)
         if o is None or not isinstance(o, KPoly):
             raise TypeError("divmod by non-polynomial")
         sp = self.spec
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.co)
-        dq = len(self.co) - len(o.co)
+        nb = len(o.co)
+        dq = len(self.co) - nb
         if dq < 0:
             return KPoly.zero(sp), self
-        inv_lead = sp.raw_inv(o.co[-1])
-        monic = inv_lead == sp.raw_one()
-        terms = [(j, y) for j, y in enumerate(o.co) if any(y)]
-        q = [sp.raw_zero()] * (dq + 1)
+        d, folds = sp.degree, sp._folds
+        width = 2 * d - 1
+        lead = o.co[-1]
+        # a leading +-1, as every det(1 - q w) has, is its own inverse
+        unit = lead[0] if lead[0] in (1, -1) and not any(lead[1:]) else 0
+        inv = () if unit else _nonzero((sp.raw_inv(lead),), width)
+        terms = _nonzero(o.co[:-1], width)
+        rem = [0] * (len(self.co) * width)
+        for i, x in _nonzero(self.co, width):
+            rem[i] = x
+        quot = [0] * ((dq + 1) * width)
         for i in range(dq, -1, -1):
-            c = rem[i + len(o.co) - 1]
-            if not monic:
-                c = sp.raw_mul(c, inv_lead)
-            q[i] = c
-            if not sp.raw_is_zero(c):
-                for j, y in terms:
-                    rem[i + j] = sp.raw_sub(rem[i + j], sp.raw_mul(c, y))
-        return KPoly(sp, q), KPoly(sp, rem[:len(o.co) - 1])
+            top = rem[(i + nb - 1) * width:(i + nb) * width]
+            _fold(top, folds, width)
+            if unit:
+                c = [(e, unit * x) for e, x in enumerate(top[:d]) if x]
+            else:
+                c = [0] * width
+                for e, x in enumerate(top[:d]):
+                    if x:
+                        for f, y in inv:
+                            c[e + f] += x * y
+                _fold(c, folds, width)
+                c = [(e, x) for e, x in enumerate(c[:d]) if x]
+            base = i * width
+            for e, x in c:
+                quot[base + e] = x
+            for j, y in terms:
+                j += base
+                for e, x in c:
+                    rem[j + e] -= x * y
+        return (KPoly._from_flat(sp, quot, width),
+                KPoly._from_flat(sp, rem[:(nb - 1) * width], width))
 
     def __eq__(self, other):
         if isinstance(other, KPoly):

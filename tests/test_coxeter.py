@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from coxdunkl.cli import main
-from coxdunkl.coxeter import (DegreeData, build_root_system,
+from coxdunkl.coxeter import (DegreeData, _char_traces, _det_from_traces,
+                              build_root_system,
                               chevalley_q_identity, compute_degrees,
                               enumerate_group, known_label, poincare_polynomial,
                               psi_invariant, rank2_parabolics, rotation_gaps,
@@ -406,7 +407,7 @@ def _chevalley_lhs_oracle(rs, elements):
 
 
 def test_chevalley_lhs_against_the_summed_fractions():
-    for label in ("A3", "B3", "H3", "I2(7)"):
+    for label in ("A3", "B3", "D4", "H3", "I2(7)"):
         ctx = group_context(label)
         res = chevalley_q_identity(ctx.rs, ctx.elements, ctx.degrees)
         assert res.equal and res.lhs == _chevalley_lhs_oracle(ctx.rs, ctx.elements)
@@ -418,6 +419,36 @@ def test_chevalley_lhs_against_the_summed_fractions():
     res = chevalley_q_identity(a3.rs, a3.elements, wrong)
     assert not res.equal
     assert res.lhs == _chevalley_lhs_oracle(a3.rs, a3.elements)
+
+
+def _direct_key(rs, g):
+    """(tr w, ..., tr w^h, l(w) mod 2) for h = max(1, floor(r/2)), each
+    trace the sum of the diagonal coordinates of w^j's simple-root images."""
+    roots = rs.signed_roots_raw()
+    head = g.perm[:rs.rank]
+    key = []
+    for _ in range(max(1, rs.rank // 2)):
+        key.append(tuple(map(sum, zip(*(roots[x][b] for b, x in enumerate(head))))))
+        head = bytes(g.perm[x] for x in head)
+    return tuple(key) + (g.length % 2,)
+
+
+@pytest.mark.parametrize("label", ["A4", "B4", "D4", "H3", "F4", "I2(7)",
+                                   "I2(12)"])
+def test_chevalley_keys_fix_det_one_minus_qw(label):
+    # half the traces and the parity of the length fix det(1 - q w) on every
+    # element, and the traces that follow the reduced words are the
+    # coordinate sums of the matrices, counted in the same order
+    ctx = group_context(label)
+    rs = ctx.rs
+    keys = [_direct_key(rs, g) for g in ctx.elements]
+    dets = {}
+    for g, key in zip(ctx.elements, keys):
+        det = _det_one_minus_q(rs, _matrix(rs, g.matrix))
+        assert _det_from_traces(rs.spec, rs.rank, key) == det, (label, g.word)
+        assert dets.setdefault(key, det) == det
+    assert list(_char_traces(rs, ctx.elements).items()) == \
+        list(Counter(keys).items())
 
 
 def test_rank2_parabolic_censuses():

@@ -233,6 +233,32 @@ def test_gamma_equals_beta_on_discriminant():
         assert gamma_form(delta, delta) == beta_form(delta, delta)
 
 
+def test_gamma_form_fills_one_table_list(monkeypatch):
+    # the two Gaussian exponentials and the pairing read one set of tables;
+    # the values are those of the pairing of two separately built exponentials
+    a1, a2 = group_context("A1").rs, group_context("A2").rs
+    b2, i25 = group_context("B2").rs, group_context("I2(5)").rs
+    u, x, y = (MultiPoly.variable(a1, 0), MultiPoly.variable(a2, 0),
+               MultiPoly.variable(a2, 1))
+    v, w = MultiPoly.variable(i25, 0), MultiPoly.variable(i25, 1)
+    cases = [  # criterion 10's pairs, then two over QQ(2cos(pi/5))
+        (u * u, MultiPoly.one(a1), "4k + 2"),
+        (u * u * u, u, "16k^2 + 32k + 12"),
+        (x * y, MultiPoly.one(a2), "-3k - 1"),
+        (MultiPoly.variable(b2, 0, 2), MultiPoly.variable(b2, 1, 2),
+         "64k^2 + 48k + 8"),
+        (v * v, w * w, "(25*c + 75)*k^2 + (15*c + 45)*k + (2*c + 6)"),
+        (v * v * w * w, v * w + 1, "(-1000*c - 125)*k^3 + (-1175*c - 75)*k^2"
+                                   " + (-425*c - 10)*k + (-46*c)")]
+    for f, g, value in cases:
+        separate = beta_form(gaussian_exponential(f), gaussian_exponential(g))
+        lists = _record_tables(monkeypatch)
+        shared = gamma_form(f, g)
+        monkeypatch.undo()
+        assert len(lists) == 1, f.ring
+        assert str(shared) == str(separate) == value
+
+
 def test_gamma_contravariance(ctx_a2):
     # gamma((x_a - y_a) f, g) == gamma(f, y_a g) for root directions a
     rs = ctx_a2.rs

@@ -367,24 +367,162 @@ def test_comparisons_across_fields_are_false():
     assert f5.gen() != c7 and KPoly.gen(f5) != KPoly.gen(f7)
 
 
-def test_kpoly_products_skip_zero_coefficients(monkeypatch):
+def test_kpoly_products_skip_zero_coefficients():
     # a sparse factor such as 1 - q^3 (Poincare and Chevalley products) must
-    # not send its zero coefficients to the field multiplication, on either side
+    # form no product term for a zero coordinate, on either side: every
+    # coordinate, zeros included, logs the products it takes part in
     f5 = cos_field(5)
     c = f5.gen()
-    sparse = KPoly.from_coeffs(f5, [1, 0, 0, -1])
-    dense = KPoly.from_coeffs(f5, [c, 0, 2 * c + 1])
     calls = []
-    raw_mul = FieldSpec.raw_mul
 
-    def counted(self, a, b):
-        calls.append((a, b))
-        return raw_mul(self, a, b)
+    class Logged(int):
+        def __mul__(self, other):
+            calls.append((int(self), int(other)))
+            return int(self) * int(other)
 
-    monkeypatch.setattr(FieldSpec, "raw_mul", counted)
+        __rmul__ = __mul__
+
+    def logged(values):
+        p = KPoly.from_coeffs(f5, values)
+        p.co = tuple(tuple(map(Logged, a)) for a in p.co)
+        return p
+
+    sparse = logged([1, 0, 0, -1])
+    dense = logged([c, 0, 2 * c + 1])
     products = [sparse * dense, dense * sparse, sparse * sparse]
-    monkeypatch.undo()
-    assert calls and all(any(a) and any(b) for a, b in calls)
+    assert calls and all(x and y for x, y in calls)
+    assert len(calls) == 2 * 2 * 3 + 2 * 2
     assert products[0] == products[1] == KPoly.from_coeffs(
         f5, [c, 0, 2 * c + 1, -c, 0, -2 * c - 1])
     assert products[2] == KPoly.from_coeffs(f5, [1, 0, 0, -2, 0, 0, 1])
+    assert all(type(x) is int for p in products for a in p.co for x in a)
+
+
+def test_kpoly_kernel_makes_no_field_call(monkeypatch):
+    # products, sums and a division by a leading coefficient +-1 (as in
+    # Chevalley's det(1 - q w)) run on flat coordinates: no raw field
+    # operation, and no field inverse
+    for m in (5, 7):
+        spec = cos_field(m)
+        c = spec.gen()
+        a = KPoly.from_coeffs(spec, [1, c, 0, rat(1, 2), c * c])
+        b = KPoly.from_coeffs(spec, [c, 2, -1])
+        expected = [str(v) for v in (a * b, a + b, a - b, -a, *a.divmod(b))]
+
+        def forbidden(*args):
+            raise AssertionError("field call from the KPoly kernel")
+
+        for name in ("raw_mul", "raw_add", "raw_sub", "raw_neg", "raw_inv"):
+            monkeypatch.setattr(FieldSpec, name, forbidden)
+        values = [a * b, a + b, a - b, -a, *a.divmod(b)]
+        monkeypatch.undo()
+        assert [str(v) for v in values] == expected
+
+
+#: QQ(2cos(pi/m)) of degree 1, 2, 2, 3 and 4
+KERNEL_FIELDS = (3, 4, 5, 7, 12)
+
+
+def _field_points(spec, rng):
+    """Rationals, c and mixed elements of `spec`, as evaluation points."""
+    d = spec.degree
+    pts = [spec.from_rational(rat(rng.randint(-9, 9), rng.randint(1, 5)))
+           for _ in range(2)]
+    pts.append(spec.gen())
+    pts.append(spec.element(*(rat(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(d))))
+    return pts
+
+
+def _kernel_polys(spec, rng):
+    """Dense polynomials with coefficients in c and rationals, sparse factors
+    1 - q^d and 1 + c q^d, constants and zero."""
+    d = spec.degree
+    c = spec.gen()
+
+    def coeff():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rat(rng.randint(-7, 7), rng.randint(1, 4))
+        return spec.element(*(rng.randint(-5, 5) for _ in range(d))) + \
+            (c * c * rat(1, 2) if kind == 3 else 0)
+
+    polys = [KPoly.from_coeffs(spec, [coeff() for _ in range(rng.randint(1, 7))])
+             for _ in range(8)]
+    for deg in (1, 3, 6):
+        polys.append(KPoly.from_coeffs(spec, [1] + [0] * (deg - 1) + [-1]))
+        polys.append(KPoly.from_coeffs(spec, [1] + [0] * (deg - 1) + [c]))
+    polys += [KPoly.const(spec, c), KPoly.const(spec, rat(-3, 2)),
+              KPoly.zero(spec)]
+    return polys
+
+
+@pytest.mark.parametrize("m", KERNEL_FIELDS)
+def test_kpoly_arithmetic_matches_evaluation(m):
+    # sums, differences, negations and products against their values at
+    # field points, where evaluation multiplies by the field's own raw_mul
+    spec = cos_field(m)
+    rng = random.Random(4100 + m)
+    polys = _kernel_polys(spec, rng)
+    pts = _field_points(spec, rng)
+    for _ in range(60):
+        p, q = rng.choice(polys), rng.choice(polys)
+        prod, total, diff = p * q, p + q, p - q
+        for t in pts:
+            pt, qt = p(t), q(t)
+            assert prod(t) == pt * qt
+            assert total(t) == pt + qt and diff(t) == pt - qt
+            assert (-p)(t) == -pt
+        for r in (prod, total, diff):
+            assert not r.co or any(r.co[-1])
+            assert all(type(x) is int or x.denominator > 1
+                       for a in r.co for x in a)
+        if not p.is_zero() and not q.is_zero():
+            assert prod.degree == p.degree + q.degree
+
+
+@pytest.mark.parametrize("m", KERNEL_FIELDS)
+def test_kpoly_divmod_is_a_division_with_remainder(m):
+    # a = q b + r with deg r < deg b, for leading coefficients +-1 (as every
+    # det(1 - q w) has), a rational and an element carrying c
+    spec = cos_field(m)
+    rng = random.Random(4200 + m)
+    polys = [p for p in _kernel_polys(spec, rng) if not p.is_zero()]
+    c = spec.gen()
+    divisors = polys + [KPoly.from_coeffs(spec, [2, c, -1]),
+                        KPoly.from_coeffs(spec, [c, 0, 1]),
+                        KPoly.from_coeffs(spec, [1, rat(2, 3)]),
+                        KPoly.from_coeffs(spec, [0, 1, c + 2])]
+    for _ in range(60):
+        a, b = rng.choice(polys), rng.choice(divisors)
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree < b.degree
+        q2, r2 = (a * b).divmod(b)
+        assert q2 == a and r2.is_zero()
+        for t in _field_points(spec, rng)[:2]:
+            assert a(t) == q(t) * b(t) + r(t)
+    with pytest.raises(ZeroDivisionError):
+        polys[0].divmod(KPoly.zero(spec))
+
+
+def test_kpoly_xgcd_bezout_in_a_degree_4_field():
+    # over QQ(2cos(pi/12)): g the monic gcd, s a == g modulo b, and g divides
+    # both, for common factors carrying c and a rational leading coefficient
+    spec = cos_field(12)
+    c = spec.gen()
+    x = KPoly.gen(spec)
+    p = x * x + c                                    # no real root
+    q = KPoly.from_coeffs(spec, [rat(1, 3), c, 2])
+    common = x * c - rat(1, 2)
+    monic = common * (1 / c)
+    cases = [(p, q, KPoly.one(spec)), (p * common, q * common, monic),
+             (p * common * common, common, monic),
+             (q * common * (x - 1), p * (x - 1), x - 1)]
+    for a, b, expected in cases:
+        g, s = kpoly_xgcd(a, b)
+        assert g == expected and g.leading() == 1
+        assert (s * a - g).divmod(b)[1].is_zero() and s.degree < b.degree
+        assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
