@@ -377,35 +377,20 @@ def poincare_polynomial(elements, spec) -> KPoly:
     return KPoly.from_coeffs(spec, [hist.get(i, 0) for i in range(top + 1)])
 
 
-class _Degrees(NamedTuple):
+class DegreeData(NamedTuple):
+    """Degrees d_i with |W| and |S|, unchecked: the suite's
+    `degrees_consistency` decides prod d_i = |W| and sum (d_i - 1) = |S|."""
+
     degrees: tuple
     order: int
     num_reflections: int
 
 
-class DegreeData(_Degrees):
-    """Degrees d_i with |W| and |S|, checked on construction against
-    prod d_i = |W| and sum (d_i - 1) = |S|."""
-
-    __slots__ = ()
-
-    def __new__(cls, degrees, order, num_reflections):
-        prod = 1
-        for d in degrees:
-            prod *= d
-        if prod != order:
-            raise FactorizationError("degree product differs from group order")
-        if sum(d - 1 for d in degrees) != num_reflections:
-            raise FactorizationError("sum of (d_i - 1) differs from reflection count")
-        return super().__new__(cls, degrees, order, num_reflections)
-
-
 def compute_degrees(rs: RootSystem, poincare: KPoly) -> DegreeData:
-    """Factor the length generating function as a product of q-integers.
-
-    Trial division from the highest plausible degree downwards is exact and
-    deterministic; both bookkeeping identities are validated on the result.
-    """
+    """Factor the length generating function as a product of q-integers by
+    exact integer trial division by [d]_q, from the highest plausible degree
+    down; one that is no such product raises FactorizationError.  Whether the
+    degrees fit |W| and |S| is the suite's `degrees_consistency` verdict."""
     if any(any(a[1:]) or type(a[0]) is not int for a in poincare.co):
         raise FactorizationError("non-integer Poincare coefficient")
     coeffs = [a[0] for a in poincare.co]

@@ -451,8 +451,8 @@ def mc_pass(parts, samples, seed, shards, threads=1):
     threads, each shard on a `_Workspace` of this pass that no other running
     shard holds, so a block allocates no array."""
     import queue
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if min(samples, shards, threads) < 1:
+        raise ValueError("samples, shards and threads must be >= 1")
     systems = [rs for rs, _ in parts]
     sizes = _shard_sizes(samples, shards)
     for rs in systems:   # built here, so that no two shard threads build it

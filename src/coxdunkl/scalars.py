@@ -26,11 +26,12 @@ coordinate tuples, but its sums, products and divisions run on one flat
 list of coordinates (the sparse multivariate polynomials keep flat int
 dicts, see `polynomials`): a product gathers the nonzero coordinate pairs
 with the powers of c unfolded and folds each q-coefficient once by the
-reduction rows, with no field call per pair.  `KPoly.divmod` is the one long
-division (a leading coefficient +-1 needs no field inverse) and
+reduction rows, with no field call per pair.  `KPoly.divmod` is the one
+field long division (a leading coefficient +-1 needs no field inverse) and
 `kpoly_xgcd` the one Euclid: inverses of irrational field elements, gcds
 and the minimal polynomials of 2cos(pi/m) (worked over `QQ`) all go
-through them.
+through them.  `coxeter.compute_degrees` divides by [d]_q on ints: through
+`divmod` it took 5-7x as long (H3 30 -> 211 us, H4 0.46 -> 2.4 ms).
 """
 
 from __future__ import annotations

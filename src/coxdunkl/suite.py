@@ -4,6 +4,7 @@ Exit codes: 0 all pass, 1 at least one failure, 2 usage/config error,
 3 a size budget was exhausted.
 """
 
+import math
 import os
 import time
 from functools import lru_cache
@@ -56,7 +57,6 @@ class GroupContext(NamedTuple):
     elements: list
     poincare: object
     degrees: object
-    cache: dict     # results shared by the checks of one group
 
 
 def group_context(label: str,
@@ -72,7 +72,7 @@ def _group_context(label, enumeration_budget):
     elements = enumerate_group(rs, budget=enumeration_budget)
     poincare = poincare_polynomial(elements, rs.spec)
     degrees = compute_degrees(rs, poincare)
-    return GroupContext(label, rs, elements, poincare, degrees, {})
+    return GroupContext(label, rs, elements, poincare, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -87,26 +87,23 @@ def _check_poincare(ctx, cfg):
     rhs = KPoly.one(spec)
     for d in ctx.degrees.degrees:
         rhs = rhs * KPoly.from_coeffs(spec, [1] + [0] * (d - 1) + [-1])
-    ok = lhs == rhs
-    return ("exact", ok, rhs.to_string("q"), lhs.to_string("q"), None)
+    return lhs == rhs, rhs.to_string("q"), lhs.to_string("q")
 
 
 def _check_degrees(ctx, cfg):
     dd = ctx.degrees
-    prod = 1
-    for d in dd.degrees:
-        prod *= d
+    prod = math.prod(dd.degrees)
     ssum = sum(d - 1 for d in dd.degrees)
     expected = f"prod(d_i)={len(ctx.elements)}, sum(d_i-1)={ctx.rs.num_positive}"
     actual = f"prod(d_i)={prod}, sum(d_i-1)={ssum}, degrees={list(dd.degrees)}"
-    ok = prod == len(ctx.elements) and ssum == ctx.rs.num_positive
-    return ("exact", ok, expected, actual, None)
+    return (prod == len(ctx.elements) and ssum == ctx.rs.num_positive,
+            expected, actual)
 
 
 def _check_chevalley(ctx, cfg):
     res = chevalley_q_identity(ctx.rs, ctx.elements, ctx.degrees)
     fmt = lambda fr: f"({fr[0].to_string('q')}) / ({fr[1].to_string('q')})"
-    return ("exact", res.equal, fmt(res.rhs), fmt(res.lhs), None)
+    return res.equal, fmt(res.rhs), fmt(res.lhs)
 
 
 def _check_psi(ctx, cfg):
@@ -115,8 +112,7 @@ def _check_psi(ctx, cfg):
     actual = (f"parabolic_sum={rep.parabolic_sum}, "
               f"trace_identity={'ok' if rep.trace_identity_ok else 'FAIL'}, "
               f"census={dict(rep.census)}")
-    return ("exact", rep.parabolic_ok and rep.trace_identity_ok,
-            expected, actual, None)
+    return rep.parabolic_ok and rep.trace_identity_ok, expected, actual
 
 
 def _b_gated(ctx, cfg):
@@ -125,38 +121,31 @@ def _b_gated(ctx, cfg):
 
 def _b_result(ctx, cfg):
     # one computation per group, shared by the checks that need it
-    res = ctx.cache.get("b_poly")
-    if res is None:
-        res = b_poly(ctx.rs, ctx.degrees, allow_heavy=cfg.heavy_types_enabled)
-        ctx.cache["b_poly"] = res
-    return res
+    return ctx.rs._cache("b_poly", lambda: b_poly(
+        ctx.rs, ctx.degrees, allow_heavy=cfg.heavy_types_enabled))
 
 
 def _check_b_poly(ctx, cfg):
     if _b_gated(ctx, cfg):
-        return ("exact", None,
-                f"|S|={ctx.rs.num_positive} exceeds the default budget",
-                "skipped (enable heavy_types_enabled)", None)
+        return (None, f"|S|={ctx.rs.num_positive} exceeds the default budget",
+                "skipped (enable heavy_types_enabled)")
     res = _b_result(ctx, cfg)
-    ok = res.equal
     expected = closed_form_b_string(ctx.degrees)
-    if ok:
+    if res.equal:
         actual = expected + " (roots -m/d_i verified)"
     else:
         actual = res.computed.to_string()
-    return ("exact", ok, expected, actual, None)
+    return res.equal, expected, actual
 
 
 def _check_mm_exact(ctx, cfg, k):
     rs = ctx.rs
     if mm_exact_is_heavy(rs, k):
-        return ("exact", None,
-                f"2k|S|={2 * k * rs.num_positive} exceeds moment degree bound "
-                f"{MOMENT_DEGREE_LIMIT}", "skipped", None)
+        return (None, f"2k|S|={2 * k * rs.num_positive} exceeds moment "
+                f"degree bound {MOMENT_DEGREE_LIMIT}", "skipped")
     value = mm_exact(rs, k)
     target = gamma_product_exact(ctx.degrees, k)
-    ok = value == rs.spec.from_rational(target)
-    return ("exact", ok, str(target), str(value), None)
+    return value == rs.spec.from_rational(target), str(target), str(value)
 
 
 #: a statistical check is only attempted when the moment estimator's predicted
@@ -209,11 +198,11 @@ def _check_log_moments(ctx, cfg):
 
 STATISTICAL = ("functional_equation", "gamma_cross_check", "log_moments")
 
-#: name -> check, in report order.  An exact check returns
-#: (mode, ok or None when skipped, expected, actual, z-score or None).  A
-#: statistical check returns (stat, finish, strings) for its group's shared
-#: `mc_pass`: finish turns the stat's merged state into an estimator report
-#: and strings(report) gives (expected, actual).
+#: name -> check, in report order.  An exact check returns (ok, expected,
+#: actual).  A statistical check returns (stat, finish, strings) for its
+#: group's shared `mc_pass`: finish turns the stat's merged state into an
+#: estimator report and strings(report) gives (expected, actual).  A gate
+#: that skips a check returns None for its ok or its stat.
 CHECKS = {
     "poincare_identity": _check_poincare,
     "degrees_consistency": _check_degrees,
@@ -304,46 +293,43 @@ def parse_config(text: str) -> SuiteConfig:
     return SuiteConfig(**fields)
 
 
-def _report(name, ctx, result, seconds):
-    mode, ok, expected, actual, z = result
-    status = "skipped" if ok is None else ("pass" if ok else "fail")
-    return CheckReport(name, ctx.label, mode, status, expected, actual, z,
-                       int(seconds * 1000))
+def _row(name, label, ok, expected, actual, z=None, seconds=0.0):
+    """The one report builder: mode from the name, status from ok."""
+    return CheckReport(name, label,
+                       "statistical" if name in STATISTICAL else "exact",
+                       "skipped" if ok is None else ("pass" if ok else "fail"),
+                       expected, actual, z, int(seconds * 1000))
 
 
-def _gates(names, ctx, cfg):
-    """(stat, finish, strings, seconds) per statistical check of one group:
-    the plan its gate returned and the time the gate took."""
-    plans = []
-    for name in names:
-        start = time.perf_counter()
-        plans.append((*CHECKS[name](ctx, cfg), time.perf_counter() - start))
-    return plans
-
-
-def run_statistical(names, groups, cfg, threads=1):
-    """Run statistical checks over one `mc_pass` shared by groups of any
-    ranks.  `groups` pairs each group's context with its `_gates`; returns
-    one report list per group.  A report's runtime_ms is its own gate, plus
-    the whole pass if it ran."""
-    parts = [(ctx.rs, [p[0] for p in plans if p[0]]) for ctx, plans in groups]
-    live = [part for part in parts if part[1]]
+def run_statistical(names, contexts, cfg, threads=1):
+    """Run the statistical checks `names` on every group in `contexts`:
+    each group's gates, then one `mc_pass`, shared by groups of any ranks,
+    over the stats they admit.  Returns the rows in (group, check) order.
+    A row's runtime_ms is its own gate, plus the whole pass if it ran."""
+    plans, live = [], []
+    for ctx in contexts:
+        stats = []
+        for name in names:
+            start = time.perf_counter()
+            stat, finish, strings = CHECKS[name](ctx, cfg)
+            plans.append((ctx.label, name, stat, finish, strings,
+                          time.perf_counter() - start))
+            if stat:
+                stats.append(stat)
+        if stats:
+            live.append((ctx.rs, stats))
     start = time.perf_counter()
-    results = iter(mc_pass(live, cfg.mc_samples, cfg.seed, cfg.shards,
-                           threads) if live else ())
+    passed = mc_pass(live, cfg.mc_samples, cfg.seed, cfg.shards,
+                     threads) if live else ()
     shared = time.perf_counter() - start
-    out = []
-    for (ctx, plans), (_, stats) in zip(groups, parts):
-        states = iter(next(results)[0] if stats else ())
-        reports = []
-        for name, (stat, finish, strings, gate) in zip(names, plans):
-            rep = finish(next(states)) if stat else None
-            ok, z = (rep.passed, rep.z_score) if rep else (None, None)
-            result = ("statistical", ok, *strings(rep), z)
-            reports.append(_report(name, ctx, result,
-                                   gate + (shared if stat else 0.0)))
-        out.append(reports)
-    return out
+    states = iter([st for part, _ in passed for st in part])
+    rows = []
+    for label, name, stat, finish, strings, gate in plans:
+        rep = finish(next(states)) if stat else None
+        ok, z = (rep.passed, rep.z_score) if rep else (None, None)
+        rows.append(_row(name, label, ok, *strings(rep), z,
+                         gate + (shared if stat else 0.0)))
+    return rows
 
 
 def run_check(name, ctx, cfg):
@@ -352,12 +338,10 @@ def run_check(name, ctx, cfg):
     if check is None:
         raise ValueError(f"unknown check {name!r}")
     if name in STATISTICAL:
-        names = (name,)
-        return run_statistical(names, [(ctx, _gates(names, ctx, cfg))],
-                               cfg)[0][0]
+        return run_statistical((name,), [ctx], cfg)[0]
     start = time.perf_counter()
     result = check(ctx, cfg)
-    return _report(name, ctx, result, time.perf_counter() - start)
+    return _row(name, ctx.label, *result, seconds=time.perf_counter() - start)
 
 
 def default_threads():
@@ -386,47 +370,38 @@ def run_suite(cfg: SuiteConfig, threads=None):
     group, one task whose shared `mc_pass` runs its shards on `threads`
     threads; then the exact checks, one task each.  Returns (reports,
     exit_code), with the reports in (group, check) order.  A config built
-    in code is checked as `parse_config` checks its text (ConfigError)."""
+    in code is checked as `parse_config` checks its text, and `threads` as
+    a positive int (ConfigError)."""
     for key, value in cfg._asdict().items():
         _check_setting(key, value)
     if threads is None:
         threads = default_threads()
+    if type(threads) is not int or threads < 1:
+        raise ConfigError(f"threads needs a positive integer, got {threads!r}")
     checks = [c for c in CHECK_ORDER if c in cfg.checks]
     stat = tuple(c for c in checks if c in STATISTICAL)
-
-    def skipped(label, names, expected, actual):
-        return [CheckReport(c, label,
-                            "statistical" if c in STATISTICAL else "exact",
-                            "skipped", expected, actual, None, 0)
-                for c in names]
-
     budget_hit = False
-    done, groups, exact = [], [], []
+    done, contexts, exact = [], [], []
     for label in cfg.groups:
         try:
             ctx = group_context(label, cfg.enumeration_budget)
         except BudgetError as exc:
             budget_hit = True
-            done += skipped(label, checks, "within enumeration budget",
-                            str(exc))
+            done += [_row(c, label, None, "within enumeration budget",
+                          str(exc)) for c in checks]
             continue
-        if stat:
-            try:
-                groups.append((ctx, _gates(stat, ctx, cfg)))
-            except BudgetError as exc:
-                budget_hit = True
-                done += skipped(label, stat, "within size budget", str(exc))
+        contexts.append(ctx)
         exact += [(ctx, c) for c in checks if c not in stat]
     # the pass first: the default `--threads 2 suite` then peaks at about
     # 142 MB RSS, and at about 156 MB with the exact checks first
-    for reps in run_statistical(stat, groups, cfg, threads):
-        done += reps
+    done += run_statistical(stat, contexts, cfg, threads)
     for ctx, name in exact:
         try:
             done.append(run_check(name, ctx, cfg))
         except BudgetError as exc:
             budget_hit = True
-            done += skipped(ctx.label, (name,), "within size budget", str(exc))
+            done.append(_row(name, ctx.label, None, "within size budget",
+                             str(exc)))
     by_key = {(r.group, r.name): r for r in done}
     reports = [by_key[label, c] for label in cfg.groups for c in checks]
     if any(r.status == "fail" for r in reports):

@@ -16,7 +16,7 @@ from coxdunkl.dunkl import dunkl_apply_omega, dunkl_apply_root
 from coxdunkl.errors import BudgetError, FactorizationError
 from coxdunkl.polynomials import apply_reflection, build_discriminant
 from coxdunkl.scalars import QQ, FieldElement, KPoly, kpoly_divexact, kpoly_gcd
-from coxdunkl.suite import group_context
+from coxdunkl.suite import SuiteConfig, group_context, run_check
 
 EXPECTED = {
     # label: (num positive roots, |W|, degrees)
@@ -343,12 +343,17 @@ def test_degrees_validation():
     assert dd.degrees == (2, 6, 10)
     assert dd.order == 120
     assert sum(d - 1 for d in dd.degrees) == 15
-    with pytest.raises(FactorizationError, match="group order"):
-        DegreeData((2, 6, 10), 240, 15)
-    with pytest.raises(FactorizationError, match="reflection count"):
-        DegreeData((2, 6, 10), 120, 16)
     with pytest.raises(FactorizationError, match="cannot factor"):
         compute_degrees(ctx.rs, KPoly.from_coeffs(QQ, [1, 2, 2, 1, 1]))
+    # degrees that factor but do not fit the group are the suite's verdict,
+    # a failed row, not an error: A3's Poincare polynomial on H3's roots
+    wrong = compute_degrees(ctx.rs, group_context("A3").poincare)
+    assert wrong == DegreeData((2, 3, 4), 24, 15)
+    rep = run_check("degrees_consistency", ctx._replace(degrees=wrong),
+                    SuiteConfig())
+    assert rep.status == "fail"
+    assert rep.expected == "prod(d_i)=120, sum(d_i-1)=15"
+    assert rep.actual == "prod(d_i)=24, sum(d_i-1)=6, degrees=[2, 3, 4]"
 
 
 def test_chevalley_identity():

@@ -481,6 +481,18 @@ def test_a_pass_maps_its_blocks_into_one_workspace_per_worker(monkeypatch):
     assert states(1) == reused[1]
 
 
+@pytest.mark.parametrize("shards, threads", [(4, 0), (4, -1), (0, 1)])
+def test_a_pass_needs_a_thread_and_a_shard(shards, threads):
+    # no thread would leave the pass no workspace, and its first shard
+    # would wait for one forever; no shard has no samples to share out
+    rs = group_context("A1").rs
+    with pytest.raises(ValueError, match="shards and threads must be >= 1"):
+        mc_pass([(rs, [lambda u, logs, out: (logs,)])], 1000, 1, shards,
+                threads)
+    with pytest.raises(ValueError, match="shards and threads must be >= 1"):
+        mm_monte_carlo(rs, 0.5, 1000, 1, shards, threads=threads)
+
+
 def test_a_pass_builds_the_float_data_before_its_threads(monkeypatch):
     # a fresh root system: its shard threads must not race to build (A, C)
     import threading

@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 import coxdunkl.dunkl
+import coxdunkl.suite
 from coxdunkl.cli import _build_parser, main
 from coxdunkl.coxeter import DEFAULT_ENUMERATION_BUDGET
 from coxdunkl.errors import BudgetError, ConfigError
 from coxdunkl.mmintegral import mm_monte_carlo
 from coxdunkl.scalars import KPoly
-from coxdunkl.suite import (CHECK_ORDER, DEFAULT_GROUPS, CheckReport,
-                            SuiteConfig, default_threads, group_context,
-                            parse_config, render_report, run_check, run_suite)
+from coxdunkl.suite import (CHECK_ORDER, CHECKS, DEFAULT_GROUPS, STATISTICAL,
+                            CheckReport, SuiteConfig, default_threads,
+                            group_context, parse_config, render_report,
+                            run_check, run_suite)
 
 FAST_EXACT = ("poincare_identity", "degrees_consistency", "chevalley",
               "psi_identities", "mm_exact_k1", "mm_exact_k2")
@@ -120,6 +122,21 @@ def test_run_suite_checks_a_config_built_in_code():
     assert code == 0 and [r.group for r in reports] == ["A2"]
 
 
+@pytest.mark.parametrize("threads", [0, -1, True, 2.0, "2"])
+def test_run_suite_rejects_a_thread_count_that_is_not_a_positive_int(
+        threads, monkeypatch):
+    # from a library caller, as --threads and COXDUNKL_THREADS are checked
+    # in the CLI: 0 threads would leave the pass no workspace and hang it
+    def build(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(coxdunkl.suite, "group_context", build)
+    cfg = SuiteConfig(groups=("A1",), checks=("log_moments",),
+                      mc_samples=1000)
+    with pytest.raises(ConfigError, match="^threads needs a positive integer"):
+        run_suite(cfg, threads=threads)
+
+
 def test_config_round_trip():
     # every key written out, defaults and a non-default config alike
     text = ("groups = A1, A2, A3, B2, B3, D4, I2(5), I2(7), H3\n"
@@ -185,6 +202,24 @@ def test_run_suite_exact_checks_pass_and_deterministic():
     assert a == b
     with pytest.raises(ValueError, match="unknown check"):
         run_check("no_such_check", group_context("A1"), cfg)
+
+
+def test_exact_checks_return_a_verdict_and_two_strings():
+    # the protocol of every exact check: (ok, expected, actual), ok None for
+    # a gated skip; the row builder derives the mode and the status
+    ctx, cfg = group_context("A2"), SuiteConfig()
+    exact = [name for name in CHECKS if name not in STATISTICAL]
+    assert "mm_exact_k2" in exact
+    for name in exact:
+        result = CHECKS[name](ctx, cfg)
+        assert type(result) is tuple and len(result) == 3, name
+        ok, expected, actual = result
+        assert ok in (True, False, None), name
+        assert type(expected) is str and type(actual) is str, name
+    ok, expected, actual = CHECKS["mm_exact_k2"](group_context("B4"), cfg)
+    assert ok is None
+    assert (expected, actual) == (
+        "2k|S|=64 exceeds moment degree bound 60", "skipped")
 
 
 def test_exact_reports_carry_no_z_and_statistical_do():
@@ -415,7 +450,7 @@ def test_corrupted_closed_form_fails_suite(monkeypatch):
     assert code == 1
     assert reports[0].status == "fail"
     # do not leave the corrupted result cached for other tests
-    group_context("I2(8)").cache.pop("b_poly", None)
+    group_context("I2(8)").rs._caches.pop("b_poly", None)
 
 
 # ---------------------------------------------------------------------------
