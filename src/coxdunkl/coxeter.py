@@ -587,7 +587,9 @@ def rank2_parabolics(rs: RootSystem) -> list:
                 continue
             x, gj = gi[j], gram[j]
             members = []
-            for g in range(n):
+            # no member of this plane precedes i: a member g < i would have
+            # made the plane at row g, and (i, j) would be assigned
+            for g in range(i, n):
                 key = (x, gi[g], gj[g])
                 hit = coplanar.get(key)
                 if hit is None:

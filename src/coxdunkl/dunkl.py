@@ -43,8 +43,9 @@ from typing import NamedTuple
 
 from .errors import BudgetError
 from .polynomials import (EXP_BITS, EXP_MASK, MultiPoly, _flat, _fold,
-                          _kpoly, _map_monomials, _mul_into, apply_reflection,
-                          build_discriminant, monomial_table, reflection_step)
+                          _kpoly, _map_monomials, _mul_into, _reduce,
+                          apply_reflection, build_discriminant,
+                          monomial_table, reflection_step)
 from .scalars import KPoly, rat
 
 
@@ -111,7 +112,9 @@ def _fixed_masks(rs):
 def _apply_direction(rs, direction, flat, tables):
     """Dunkl application on a flat dict; k-degree rises by <= 1.  The image
     d_a u^E + k sum_alpha (alpha, a) dd_alpha(u^E) of each u^E is built once,
-    its divided differences from `tables` (see `_dd_tables`)."""
+    its divided differences from `tables` (see `_dd_tables`).  An image is
+    c-reduced but keeps its zeros, since `_map_monomials` drops them from
+    the sum."""
     cs = EXP_BITS * rs.rank
     masks = _fixed_masks(rs)
     grad = [[(e << cs, x) for e, x in enumerate(w) if x] for w in direction.dual]
@@ -130,20 +133,35 @@ def _apply_direction(rs, direction, flat, tables):
             # pairing list is the outer operand, so the inner loop over the
             # table entry is entered once per pairing term
             uf = u & fixed
+            entry = memo.get(u - uf)   # a hit needs no walker call
+            if entry is None:
+                entry = monomial_table(memo, step, u - uf)
             _mul_into(out, [(key + uf, x) for key, x in ws] if uf else ws,
-                      monomial_table(memo, step, u - uf).items())
-        return _fold(rs, out)
+                      entry.items())
+        return _reduce(rs, out)
 
     return _map_monomials(rs, flat, image)
 
 
 def root_derivative(rs, root_index, flat):
-    """d_alpha on a flat dict, d_alpha = sum_i (alpha_i, alpha) d/du_i: the
-    root direction alpha with no root pairings, so no table is read."""
-    direction = _root_directions(rs)[root_index]
-    zero = rs.spec.raw_zero()
-    return _apply_direction(
-        rs, direction._replace(pairings=(zero,) * rs.num_positive), flat, ())
+    """d_alpha on a flat dict, d_alpha = sum_i (alpha_i, alpha) d/du_i, in
+    one loop over the terms; no table is read.  The sum is folded once, so
+    the result is zero-free."""
+    cs = EXP_BITS * rs.rank
+    moved = [(EXP_BITS * i, [(e << cs, x) for e, x in enumerate(w) if x])
+             for i, w in enumerate(rs.pair_vectors()[root_index]) if any(w)]
+    out = {}
+    get = out.get
+    for key, x in flat.items():
+        for shift, ws in moved:
+            e = key >> shift & EXP_MASK
+            if e:
+                base = key - (1 << shift)
+                y = x * e
+                for kw, w in ws:
+                    kw += base
+                    out[kw] = get(kw, 0) + y * w
+    return _fold(rs, out)
 
 
 def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:

@@ -11,9 +11,12 @@ variable from bit 0), c's exponent above them (bit EXP_BITS * rank) and k's
 above that; a coordinate is an int, or a `rat` once a denominator has
 entered.  The dict holds no zeros and no c^e with e >= d, the degree of the
 field.  A product (`_mul_into`) is one int multiply and one dict update per
-pair of terms and leaves e <= 2d - 2, which `_fold` reduces by c's minimal
-polynomial.  `term_items` and `coefficient` give the k-coefficients of a
-monomial back as `KPoly` values.
+pair of terms and leaves e <= 2d - 2, which `_reduce` reduces by c's
+minimal polynomial; `_fold` reduces and then drops zeros.  Every dict that
+is kept (a `MultiPoly`'s terms, a memo table entry, a `_map_monomials`
+result) is folded; a monomial's image, which `_map_monomials` reads once,
+is only reduced.  `term_items` and `coefficient` give the k-coefficients of
+a monomial back as `KPoly` values.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def _mul_into(dst, a, b):
             dst[kb] = get(kb, 0) + x * y
 
 
-def _fold(rs, flat):
-    """Reduce c^e (d <= e <= 2d - 2) by c's minimal polynomial; drop zeros."""
+def _reduce(rs, flat):
+    """Reduce c^e (d <= e <= 2d - 2) by c's minimal polynomial, in place;
+    zeros stay.  Over QQ (d = 1) there is nothing to reduce."""
     d = rs.spec.degree
     if d > 1:
         cs = EXP_BITS * rs.rank
@@ -71,7 +75,13 @@ def _fold(rs, flat):
             for j, r in rs.spec._folds[e - d][1]:
                 kj = key + (j << cs)
                 flat[kj] = flat.get(kj, 0) + x * r
-    return {key: x for key, x in flat.items() if x}
+    return flat
+
+
+def _fold(rs, flat):
+    """`_reduce`, then drop zeros: the form of every dict that is kept (a
+    `MultiPoly`'s terms, a table entry, a `_map_monomials` result)."""
+    return {key: x for key, x in _reduce(rs, flat).items() if x}
 
 
 def _flat(rs, kco, key=0):
@@ -96,22 +106,25 @@ def _kpoly(rs, terms):
 
 
 def _by_monomial(rs, terms):
-    """{packed u^E: [its flat (key, coordinate) terms]} of the flat dict
-    `terms`, in the order the terms come."""
+    """{packed u^E: [its (key, coordinate) terms with the u part cleared]}
+    of the flat dict `terms`, in the order the terms come."""
     umask = (1 << (EXP_BITS * rs.rank)) - 1
     rows = {}
     for key, x in terms.items():
-        rows.setdefault(key & umask, []).append((key, x))
+        u = key & umask
+        rows.setdefault(u, []).append((key - u, x))
     return rows
 
 
 def _map_monomials(rs, terms, image):
     """The linear map u^E -> image(u^E) (a flat dict) applied to the flat
     dict `terms`: each monomial's image is built once and multiplied by all
-    of its (c, k) slots, and the sum is folded once."""
+    of its (c, k) slots, and the sum is folded once.  An image is read only
+    here, so it may hold zeros and needs only c reduced (`_reduce`); the
+    result is zero-free (`_fold`)."""
     out = {}
     for u, row in _by_monomial(rs, terms).items():
-        _mul_into(out, [(key - u, x) for key, x in row], image(u).items())
+        _mul_into(out, row, image(u).items())
     return _fold(rs, out)
 
 
@@ -342,10 +355,13 @@ def reflection_step(rs, root_index, divided=False):
     the twisted Leibniz rule that from T(0) = 0 tabulates the divided
     differences (u^E - s_alpha u^E) / (alpha, x)."""
     forms = reflection_forms(rs, root_index)
-    pair = rs.pair_vectors()[root_index]
+    cs = EXP_BITS * rs.rank
+    # per variable, the (c^e key, coordinate) terms of (alpha_i, alpha)
+    pairs = [[(e << cs, x) for e, x in enumerate(w) if x]
+             for w in rs.pair_vectors()[root_index]] if divided else None
 
     def step(i, prev_key, prev):
-        dst = _flat(rs, (pair[i],), prev_key) if divided else {}
+        dst = {key + prev_key: x for key, x in pairs[i]} if divided else {}
         _mul_into(dst, forms[i], prev.items())
         return _fold(rs, dst)
 

@@ -327,19 +327,64 @@ def _record_tables(monkeypatch):
     return lists
 
 
-def _operator_chain(rs, order, tables):
-    """b_poly's applications in the given order of the roots: the derivative
-    along the first (no root pairings), then the other |S| - 1 root Dunkl
-    operators, their divided differences from `tables`."""
+def _chain_outputs(rs, order, tables):
+    """b_poly's applications in the given order of the roots, as the list of
+    their outputs: the derivative along the first, then the other |S| - 1
+    root Dunkl operators, their divided differences from `tables`."""
     directions = _root_directions(rs)
-    flat = root_derivative(rs, order[0], build_discriminant(rs).terms)
+    outputs = [root_derivative(rs, order[0], build_discriminant(rs).terms)]
     for b in order[1:]:
-        flat = _apply_direction(rs, directions[b], flat, tables)
-    return flat
+        outputs.append(_apply_direction(rs, directions[b], outputs[-1], tables))
+    return outputs
+
+
+def _operator_chain(rs, order, tables):
+    """The last of `_chain_outputs`: b(k) / (1 + 2k) as a flat dict."""
+    return _chain_outputs(rs, order, tables)[-1]
 
 
 def _table_terms(tables):
     return sum(len(entry) for memo in tables for entry in memo.values())
+
+
+def test_root_derivative_is_the_sum_of_partials():
+    # d_alpha = sum_i (alpha_i, alpha) d/du_i, against MultiPoly.partial; on
+    # I2(12) (a degree-4 field) every product folds powers of c, and the last
+    # polynomial has coefficients with denominator 3
+    for label in ("A3", "B3", "I2(12)", "H3"):
+        rs = group_context(label).rs
+        roots = rs.roots_raw()
+        rng = random.Random(29)
+        polys = [random_multipoly(rs, rng, max_degree=4, k_degree=2)
+                 for _ in range(5)]
+        polys.append(random_multipoly(rs, rng, max_degree=4,
+                                      k_degree=1).scale(rat(1, 3)))
+        assert any(type(x) is not int for x in polys[-1].terms.values())
+        for f in polys:
+            for a, alpha in enumerate(roots):
+                expected = MultiPoly.zero(rs)
+                for i in range(rs.rank):
+                    expected = expected + f.partial(i).scale(
+                        FieldElement(rs.spec, rs.inner(roots[i], alpha)))
+                assert MultiPoly(rs, root_derivative(rs, a, f.terms)) == expected
+
+
+def test_kernel_keeps_only_folded_zero_free_dicts():
+    # images are read once and may hold zeros, but every table entry and
+    # every output of b_poly's chain is zero-free, with c^e below c^d
+    for label in ("A4", "B3", "I2(12)"):
+        rs = group_context(label).rs
+        cs = EXP_BITS * rs.rank
+        d = rs.spec.degree
+        tables = _dd_tables(rs)
+        dicts = _chain_outputs(rs, _operator_order(rs), tables)
+        assert all(len(memo) > 1 for memo in tables)
+        dicts += [entry for memo in tables for entry in memo.values()]
+        for flat in dicts:
+            assert all(flat.values()), label
+            assert all(key >> cs & EXP_MASK < d for key in flat), label
+        powers = {key >> cs & EXP_MASK for flat in dicts for key in flat}
+        assert powers == set(range(d)), label
 
 
 def test_b_poly_is_independent_of_the_operator_order():
