@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .coxeter import DEFAULT_ENUMERATION_BUDGET, known_label
 from .errors import BudgetError, ConfigError
-from .mmintegral import (gamma_product_rhs, log_gamma_product,
+from .mmintegral import (Z_BAND, gamma_product_rhs, log_gamma_product,
                          mm_monte_carlo)
 from .scalars import rat
 from .suite import (CHECK_ORDER, SuiteConfig, default_threads, group_context,
@@ -53,6 +53,7 @@ def _build_parser():
                         help="worker threads (default: COXDUNKL_THREADS or "
                              "available parallelism)")
     sub = parser.add_subparsers(dest="command", required=True)
+    mc = SuiteConfig()   # verify and integrate default as a suite run does
 
     p_info = sub.add_parser("info", help="print group census as JSON")
     p_info.add_argument("--type", required=True, dest="group")
@@ -63,18 +64,18 @@ def _build_parser():
     p_verify.add_argument("--check", required=True, choices=CHECK_ORDER)
     p_verify.add_argument("--type", required=True, dest="group")
     p_verify.add_argument("--json", dest="json_path")
-    p_verify.add_argument("--samples", type=_positive_int, default=10_000_000)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--shards", type=_positive_int, default=16)
+    p_verify.add_argument("--samples", type=_positive_int, default=mc.mc_samples)
+    p_verify.add_argument("--seed", type=int, default=mc.seed)
+    p_verify.add_argument("--shards", type=_positive_int, default=mc.shards)
     p_verify.add_argument("--heavy", action="store_true")
 
     p_int = sub.add_parser("integrate",
                            help="Monte Carlo Gaussian integral for one type")
     p_int.add_argument("--type", required=True, dest="group")
     p_int.add_argument("--k", required=True)
-    p_int.add_argument("--samples", type=_positive_int, default=10_000_000)
-    p_int.add_argument("--seed", type=int, default=42)
-    p_int.add_argument("--shards", type=_positive_int, default=16)
+    p_int.add_argument("--samples", type=_positive_int, default=mc.mc_samples)
+    p_int.add_argument("--seed", type=int, default=mc.seed)
+    p_int.add_argument("--shards", type=_positive_int, default=mc.shards)
     p_int.add_argument("--json", dest="json_path")
 
     p_suite = sub.add_parser("suite", help="run the configured suite")
@@ -156,7 +157,7 @@ def _cmd_integrate(args, threads):
     print(text)
     if args.json_path and not _write_report(args.json_path, text):
         return USAGE_ERROR
-    return 0 if abs(z) <= 4.0 else 1
+    return 0 if abs(z) <= Z_BAND else 1
 
 
 def _cmd_suite(args, threads):

@@ -166,8 +166,7 @@ def root_derivative(rs, root_index, flat):
 
 def dunkl_apply(direction: DunklDirection, f: MultiPoly) -> MultiPoly:
     """Apply the Dunkl operator for the given direction."""
-    if direction.ring is not f.ring:
-        raise ValueError("direction and polynomial from different rings")
+    f._check_ring(direction)
     rs = f.ring
     return MultiPoly(rs, _apply_direction(rs, direction, f.terms, _dd_tables(rs)))
 
@@ -253,13 +252,11 @@ def _gaussian_exponential(f, tables):
 def gamma_form(f: MultiPoly, g: MultiPoly) -> KPoly:
     """The Gaussian pairing: the contravariant pairing twisted by exp of half
     the Dunkl Laplacian on both arguments.  The two exponentials and the
-    pairing read one set of tables (g's own if it is from another, compatible
-    ring)."""
+    pairing read one set of tables."""
     f._check_ring(g)
     tables = _dd_tables(f.ring)
-    g_tables = tables if g.ring is f.ring else _dd_tables(g.ring)
     return _beta_form(_gaussian_exponential(f, tables),
-                      _gaussian_exponential(g, g_tables), tables)
+                      _gaussian_exponential(g, tables), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +290,13 @@ def closed_form_b_string(dd) -> str:
     return "*".join(parts)
 
 
-def b_poly_is_heavy(rs):
-    """Whether b(k) is outside the default budget: `b_poly` then needs
-    allow_heavy=True and the suite heavy_types_enabled."""
-    return rs.num_positive > 15 or rs.rank > 4
+def b_poly_is_heavy(rs) -> str:
+    """Why b(k) is outside the default budget, or "" when it is inside: a
+    gated `b_poly` needs allow_heavy=True and the suite heavy_types_enabled,
+    and both report this text."""
+    if rs.num_positive > 15:
+        return f"|S|={rs.num_positive} exceeds the default budget"
+    return f"rank {rs.rank} exceeds the default budget" if rs.rank > 4 else ""
 
 
 def _operator_order(rs):
@@ -347,9 +347,8 @@ def b_poly(rs, dd, allow_heavy=False) -> BPolyResult:
     The root operators commute, so the order of the product is free: the
     one loop takes them in the order of `_operator_order`, which keeps the
     divided-difference tables small."""
-    if not allow_heavy and b_poly_is_heavy(rs):
-        raise BudgetError(
-            f"b_poly for {rs.label} (|S|={rs.num_positive}) needs allow_heavy=True")
+    if not allow_heavy and (heavy := b_poly_is_heavy(rs)):
+        raise BudgetError(f"b_poly for {rs.label} needs allow_heavy=True: {heavy}")
     order = _operator_order(rs)
     directions = _root_directions(rs)
     tables = _dd_tables(rs)

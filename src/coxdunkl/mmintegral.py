@@ -44,13 +44,17 @@ _MC_BLOCK = 1 << 16
 # ---------------------------------------------------------------------------
 
 #: the largest degree 2k|S| of Delta^(2k) that `mm_exact` takes on (2 cores,
-#: product and moment: H3 k = 2, degree 60, about 0.14 s; B4 k = 2, 64, 1.3 s)
+#: product and moment: H3 k = 2, degree 60, about 0.14 s; B4 k = 2, 64, 1.3 s),
+#: read by `mm_exact_is_heavy` alone, which owns the gate and its reason
 MOMENT_DEGREE_LIMIT = 60
 
 
-def mm_exact_is_heavy(rs, k) -> bool:
-    """Whether F(k) is past the exact-moment bound, so `mm_exact` refuses it."""
-    return 2 * k * rs.num_positive > MOMENT_DEGREE_LIMIT
+def mm_exact_is_heavy(rs, k) -> str:
+    """Why F(k) is past the exact-moment bound, or "" when it is not: the
+    text that `mm_exact`'s refusal and the suite's skip both report."""
+    degree = 2 * k * rs.num_positive
+    return (f"2k|S|={degree} exceeds moment degree bound {MOMENT_DEGREE_LIMIT}"
+            if degree > MOMENT_DEGREE_LIMIT else "")
 
 
 def gaussian_moment(p) -> KPoly:
@@ -90,9 +94,8 @@ def mm_exact(rs, k: int) -> FieldElement:
     if k < 0 or k != int(k):
         raise ValueError("exact evaluation needs a nonnegative integer k")
     k = int(k)
-    if mm_exact_is_heavy(rs, k):
-        raise BudgetError(f"k={k} on {rs.label} needs a moment of degree "
-                          f"{2 * k * rs.num_positive} > {MOMENT_DEGREE_LIMIT}")
+    if heavy := mm_exact_is_heavy(rs, k):
+        raise BudgetError(f"F({k}) on {rs.label}: {heavy}")
     if k == 1:
         flat = build_discriminant(rs).terms
         for alpha in range(rs.num_positive):
@@ -530,6 +533,9 @@ def mm_monte_carlo(rs, k, samples, seed, shards=16,
 # identity checks
 # ---------------------------------------------------------------------------
 
+#: a statistical check passes when its z-score lies in this band, |z| <= 4
+Z_BAND = 4.0
+
 
 class FunctionalEquationReport(NamedTuple):
     k: object
@@ -557,7 +563,7 @@ def functional_equation_plan(b_at_k, k):
         lhs, lhs_se = st.mean_se((1.0, 0.0))
         rhs, rhs_se = st.mean_se((0.0, bf))
         z = diff / sigma if sigma > 0 else (0.0 if diff == 0 else math.inf)
-        return FunctionalEquationReport(k, lhs, rhs, bf, z, abs(z) <= 4.0,
+        return FunctionalEquationReport(k, lhs, rhs, bf, z, abs(z) <= Z_BAND,
                                         lhs_se, rhs_se)
 
     return stat, finish
@@ -632,7 +638,7 @@ def cross_check_plan(f, g, k):
             z = (ratio - exact_value) / se
         else:
             z = 0.0 if abs(ratio - exact_value) < 1e-12 else math.inf
-        return CrossCheckReport(kq, exact_value, ratio, se, z, abs(z) <= 4.0)
+        return CrossCheckReport(kq, exact_value, ratio, se, z, abs(z) <= Z_BAND)
 
     return stat, finish
 
@@ -671,7 +677,7 @@ def log_moments_plan(rs, dd=None):
             var_target = (math.pi ** 2 / 6.0) * sum(d * d - 1
                                                     for d in dd.degrees)
             var_z = (c2 - var_target) / var_se if var_se > 0 else math.inf
-        return LogMomentsReport(mean, se, target, z, abs(z) <= 4.0,
+        return LogMomentsReport(mean, se, target, z, abs(z) <= Z_BAND,
                                 c2, var_se, var_target, var_z)
 
     return (lambda u, logs, out: (logs,)), finish

@@ -22,8 +22,8 @@ a monomial back as `KPoly` values.
 from __future__ import annotations
 
 from .errors import FieldMismatchError
-from .scalars import (KPoly, _compatible, as_kpoly, as_rational, join_terms,
-                      power, qdiv, term_str)
+from .scalars import (KPoly, as_kpoly, as_rational, join_terms, power, qdiv,
+                      term_str)
 
 EXP_BITS = 10
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -128,6 +128,12 @@ def _map_monomials(rs, terms, image):
     return _fold(rs, out)
 
 
+def _same_ring(a, b):
+    """Whether root systems a and b are one ring: one object, or one Coxeter
+    matrix, which fixes all that `build_root_system` returns."""
+    return a is b or a.diagram.bonds == b.diagram.bonds
+
+
 class MultiPoly:
     """Exact sparse polynomial over a root system's coordinate ring."""
 
@@ -193,11 +199,10 @@ class MultiPoly:
         return _kpoly(self.ring, rows.get(pack_exponents(exps), ()))
 
     def _check_ring(self, other):
-        if self.ring is other.ring:
-            return
-        if (self.ring.rank != other.ring.rank
-                or not _compatible(self.ring.spec, other.ring.spec)):
-            raise FieldMismatchError("polynomials from incompatible rings")
+        """Raise ValueError unless `other` (a MultiPoly or a
+        `dunkl.DunklDirection`) is on this polynomial's ring (`_same_ring`)."""
+        if not _same_ring(self.ring, other.ring):
+            raise ValueError("polynomials from different root systems")
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -252,11 +257,7 @@ class MultiPoly:
                 other = MultiPoly.constant(self.ring, other)
             except (TypeError, FieldMismatchError):
                 return NotImplemented
-        if self.ring is not other.ring:
-            if (self.ring.rank != other.ring.rank
-                    or not _compatible(self.ring.spec, other.ring.spec)):
-                return False
-        return self.terms == other.terms
+        return _same_ring(self.ring, other.ring) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

@@ -12,15 +12,13 @@ from typing import NamedTuple
 
 from .coxeter import (DEFAULT_ENUMERATION_BUDGET, build_root_system,
                       chevalley_q_identity, compute_degrees, enumerate_group,
-                      known_label, poincare_polynomial, psi_invariant,
-                      rank2_parabolics, standard_diagram,
+                      known_label, poincare_polynomial, standard_diagram,
                       verify_psi_identities)
 from .dunkl import b_poly, b_poly_is_heavy, closed_form_b_string
 from .errors import BudgetError, ConfigError
-from .mmintegral import (MOMENT_DEGREE_LIMIT, cross_check_plan,
-                         functional_equation_plan, gamma_product_exact,
-                         log_moments_plan, mc_pass, mm_exact,
-                         mm_exact_is_heavy, predicted_relative_se)
+from .mmintegral import (cross_check_plan, functional_equation_plan,
+                         gamma_product_exact, log_moments_plan, mc_pass,
+                         mm_exact, mm_exact_is_heavy, predicted_relative_se)
 from .polynomials import MultiPoly
 from .scalars import KPoly, rat
 
@@ -116,7 +114,8 @@ def _check_psi(ctx, cfg):
 
 
 def _b_gated(ctx, cfg):
-    return b_poly_is_heavy(ctx.rs) and not cfg.heavy_types_enabled
+    """`b_poly_is_heavy`'s reason, or "" when b(k) runs in this config."""
+    return "" if cfg.heavy_types_enabled else b_poly_is_heavy(ctx.rs)
 
 
 def _b_result(ctx, cfg):
@@ -126,9 +125,8 @@ def _b_result(ctx, cfg):
 
 
 def _check_b_poly(ctx, cfg):
-    if _b_gated(ctx, cfg):
-        return (None, f"|S|={ctx.rs.num_positive} exceeds the default budget",
-                "skipped (enable heavy_types_enabled)")
+    if gated := _b_gated(ctx, cfg):
+        return None, gated, "skipped (enable heavy_types_enabled)"
     res = _b_result(ctx, cfg)
     expected = closed_form_b_string(ctx.degrees)
     if res.equal:
@@ -140,9 +138,8 @@ def _check_b_poly(ctx, cfg):
 
 def _check_mm_exact(ctx, cfg, k):
     rs = ctx.rs
-    if mm_exact_is_heavy(rs, k):
-        return (None, f"2k|S|={2 * k * rs.num_positive} exceeds moment "
-                f"degree bound {MOMENT_DEGREE_LIMIT}", "skipped")
+    if gated := mm_exact_is_heavy(rs, k):
+        return None, gated, "skipped"
     value = mm_exact(rs, k)
     target = gamma_product_exact(ctx.degrees, k)
     return value == rs.spec.from_rational(target), str(target), str(value)
@@ -395,13 +392,9 @@ def run_suite(cfg: SuiteConfig, threads=None):
     # the pass first: the default `--threads 2 suite` then peaks at about
     # 142 MB RSS, and at about 156 MB with the exact checks first
     done += run_statistical(stat, contexts, cfg, threads)
-    for ctx, name in exact:
-        try:
-            done.append(run_check(name, ctx, cfg))
-        except BudgetError as exc:
-            budget_hit = True
-            done.append(_row(name, ctx.label, None, "within size budget",
-                             str(exc)))
+    # a gated exact check skips itself, so only the group contexts above
+    # meet a budget
+    done += [run_check(name, ctx, cfg) for ctx, name in exact]
     by_key = {(r.group, r.name): r for r in done}
     reports = [by_key[label, c] for label in cfg.groups for c in checks]
     if any(r.status == "fail" for r in reports):
@@ -441,16 +434,13 @@ def render_report(reports, fmt="json", seed=42) -> str:
 def group_info(label, enumeration_budget=DEFAULT_ENUMERATION_BUDGET) -> dict:
     """Census data for one group, JSON-friendly."""
     ctx = group_context(label, enumeration_budget)
-    planes = rank2_parabolics(ctx.rs)
-    census = {}
-    for p in planes:
-        census[p.m] = census.get(p.m, 0) + 1
+    rep = verify_psi_identities(ctx.rs, ctx.degrees)
     return {
         "type": label,
         "rank": ctx.rs.rank,
         "order": len(ctx.elements),
         "num_reflections": ctx.rs.num_positive,
         "degrees": list(ctx.degrees.degrees),
-        "psi": psi_invariant(ctx.degrees),
-        "rank2_parabolics": {str(m): census[m] for m in sorted(census)},
+        "psi": rep.psi,
+        "rank2_parabolics": {str(m): n for m, n in rep.census},
     }

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import coxdunkl.dunkl
-from coxdunkl.coxeter import chevalley_q_identity
+from coxdunkl.coxeter import (build_root_system, chevalley_q_identity,
+                              standard_diagram)
 from coxdunkl.dunkl import (DunklDirection, _apply_direction, _dd_tables,
                             _operator_order, _root_directions, b_poly,
                             beta_form, closed_form_b,
@@ -257,6 +258,29 @@ def test_gamma_form_fills_one_table_list(monkeypatch):
         monkeypatch.undo()
         assert len(lists) == 1, f.ring
         assert str(shared) == str(separate) == value
+
+
+def test_polynomials_meet_only_on_one_coxeter_matrix():
+    # A4 and D4 are both rank 4 over QQ, yet different rings: no operation
+    # mixes them, and their ones differ
+    a4, d4 = (build_root_system(standard_diagram(t)) for t in ("A4", "D4"))
+    f, g = MultiPoly.variable(a4, 0, 2), MultiPoly.variable(d4, 3, 2)
+    for mixed in (lambda: f + g, lambda: f * g, lambda: beta_form(f, g),
+                  lambda: gamma_form(f, g),
+                  lambda: dunkl_apply(DunklDirection.omega(d4, 0), f)):
+        with pytest.raises(ValueError, match="different root systems"):
+            mixed()
+    assert MultiPoly.one(a4) != MultiPoly.one(d4)
+    # one Coxeter matrix is one ring: A2 and I2(3), two builds of B3
+    for a, b in (("A2", "I2(3)"), ("B3", "B3")):
+        ra, rb = (build_root_system(standard_diagram(t)) for t in (a, b))
+        assert ra is not rb
+        fa, fb = MultiPoly.variable(ra, 0, 2), MultiPoly.variable(rb, 0, 2)
+        assert fa == fb and fa + fb == fa * 2
+        assert gamma_form(fa, MultiPoly.one(rb)) == gamma_form(
+            fa, MultiPoly.one(ra))
+        assert dunkl_apply(DunklDirection.omega(rb, 0), fa) == dunkl_apply(
+            DunklDirection.omega(ra, 0), fa)
 
 
 def test_gamma_contravariance(ctx_a2):

@@ -12,7 +12,7 @@ import coxdunkl.suite
 from coxdunkl.cli import _build_parser, main
 from coxdunkl.coxeter import DEFAULT_ENUMERATION_BUDGET
 from coxdunkl.errors import BudgetError, ConfigError
-from coxdunkl.mmintegral import mm_monte_carlo
+from coxdunkl.mmintegral import mm_exact, mm_monte_carlo
 from coxdunkl.scalars import KPoly
 from coxdunkl.suite import (CHECK_ORDER, CHECKS, DEFAULT_GROUPS, STATISTICAL,
                             CheckReport, SuiteConfig, default_threads,
@@ -372,6 +372,48 @@ def test_statistical_checks_gated_by_predicted_error():
     assert "k=1/4" in reports[0].expected
 
 
+def test_functional_equation_skipped_while_b_poly_is_gated():
+    cfg = SuiteConfig(groups=("B4",), checks=("functional_equation",))
+    reports, code = run_suite(cfg, threads=1)
+    assert code == 0
+    assert (reports[0].status, reports[0].expected, reports[0].actual) == (
+        "skipped", "needs b(k)", "skipped (b_poly gated for this type)")
+
+
+def test_gamma_cross_check_skipped_when_no_k_passes_the_gate(monkeypatch):
+    # one sample resolves no 4-sigma band at k = 1/2, 1/4 or 1/8, so the row
+    # is skipped before any pass is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_pass ran for a gated check")
+
+    monkeypatch.setattr(coxdunkl.suite, "mc_pass", refuse)
+    cfg = SuiteConfig(groups=("A1",), checks=("gamma_cross_check",),
+                      mc_samples=1)
+    reports, code = run_suite(cfg, threads=1)
+    assert code == 0
+    assert (reports[0].status, reports[0].expected, reports[0].actual) == (
+        "skipped", "predicted rel. std error <= 0.02",
+        "skipped (heavy-tailed estimator; raise mc_samples)")
+
+
+def test_gates_report_their_own_reasons():
+    # A5 is gated by its rank (|S| = 15 is within the bound), B4 by |S|;
+    # the suite's rows and the computations' refusals quote the gates alike
+    reports, code = run_suite(SuiteConfig(groups=("A5", "B4"),
+                                          checks=("b_poly",)), threads=1)
+    assert code == 0
+    assert [(r.group, r.status, r.expected) for r in reports] == [
+        ("A5", "skipped", "rank 5 exceeds the default budget"),
+        ("B4", "skipped", "|S|=16 exceeds the default budget")]
+    a5 = group_context("A5")
+    with pytest.raises(BudgetError,
+                       match=re.escape("rank 5 exceeds the default budget")):
+        coxdunkl.dunkl.b_poly(a5.rs, a5.degrees)
+    with pytest.raises(BudgetError, match=re.escape(
+            "2k|S|=64 exceeds moment degree bound 60")):
+        mm_exact(group_context("B4").rs, 2)
+
+
 def test_heavy_group_skipped_without_flag():
     # no group is gated by its name: H4 runs what the size gates admit
     cfg = SuiteConfig(groups=("A1", "H4"),
@@ -634,6 +676,22 @@ def test_default_threads_counts_the_cpus_this_process_may_use(monkeypatch):
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert default_threads() == 1
+
+
+def test_threads_variable_sets_the_threads_of_the_pass(monkeypatch):
+    monkeypatch.setenv("COXDUNKL_THREADS", "3")
+    assert default_threads() == 3
+    seen = []
+    mc_pass = coxdunkl.suite.mc_pass
+
+    def recording(*args, **kwargs):
+        seen.append(args[4])
+        return mc_pass(*args, **kwargs)
+
+    monkeypatch.setattr(coxdunkl.suite, "mc_pass", recording)
+    run_suite(SuiteConfig(groups=("A1",), checks=("log_moments",),
+                          mc_samples=20_000, shards=4))
+    assert seen == [3]
 
 
 def test_cli_suite_missing_config(capsys):
